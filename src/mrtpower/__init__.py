@@ -1,6 +1,5 @@
 """Design, sizing, analysis, and Monte-Carlo verification for micro-randomized trials."""
 
-from ._backend import JIT_ENABLED, backend_name
 from .exceptions import ConfigError, NumericError
 from .design import (
     AvailabilityPattern,
@@ -59,10 +58,15 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """Name of the kernel implementation: always ``"python"`` (pure Python/NumPy)."""
+    return "python"
+
+
 __all__ = [
     "__version__",
     # backend and errors
-    "JIT_ENABLED",
     "backend_name",
     "ConfigError",
     "NumericError",

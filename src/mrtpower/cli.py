@@ -42,7 +42,7 @@ from .design import (
     elicit_quadratic_effect,
     make_availability,
 )
-from .estimator import GRAM_KINDS, hypothesis_test
+from .estimator import GRAM_KINDS, SubjectRecord, hypothesis_test
 from .exceptions import ConfigError, NumericError
 from .samplesize import SizingInputs, noncentrality, solve_sample_size
 from .samplesize import power as analytic_power
@@ -437,8 +437,6 @@ def read_dataset(path):
     if not rows:
         raise ConfigError("dataset has no data rows")
 
-    from .estimator import SubjectRecord
-
     records = []
     block = None  # [subject, avail, action, prob, outcome, first_line]
 
@@ -788,20 +786,10 @@ def _run_paper_table(name, *, reps, seed, threads):
 def _export_replicates(model, n, reps, seed, directory):
     os.makedirs(directory, exist_ok=True)
     width = max(4, len(str(reps - 1)))
-    written = 0
-    skipped = 0
     for replicate in range(reps):
-        try:
-            data = generate_dataset(model, n, seed=seed, replicate=replicate)
-        except NumericError:
-            skipped += 1
-            continue
+        data = generate_dataset(model, n, seed=seed, replicate=replicate)
         write_dataset(data, os.path.join(directory, f"replicate-{replicate:0{width}d}.csv"))
-        written += 1
-    note = f"wrote {written} replicate dataset(s) to {directory}"
-    if skipped:
-        note += f" ({skipped} skipped: generation failed)"
-    click.echo(note, err=True)
+    click.echo(f"wrote {reps} replicate dataset(s) to {directory}", err=True)
 
 
 @main.command("simulate")

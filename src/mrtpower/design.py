@@ -61,8 +61,6 @@ class TrialDesign:
     days: int
     decisions_per_day: int
     rho: np.ndarray
-    p: int = 3
-    q: int = 3
 
     def __post_init__(self):
         if int(self.days) != self.days or self.days < 1:
@@ -185,15 +183,7 @@ class EffectPath:
 
 
 def build_quadratic_features(design):
-    """Quadratic day features Z_t = B_t = (1, u_t, u_t^2)' for the design.
-
-    Only defined for p = q = 3 (the feature dimension of the quadratic
-    alternative).
-    """
-    if design.p != 3 or design.q != 3:
-        raise ConfigError(
-            f"quadratic feature builder requires p = q = 3, got p={design.p}, q={design.q}"
-        )
+    """Quadratic day features Z_t = B_t = (1, u_t, u_t^2)' for the design (p = q = 3)."""
     u = design.day_index.astype(np.float64)
     Z = np.column_stack([np.ones(design.T), u, u * u])
     return FeaturePaths(Z=Z, B=Z.copy())

@@ -157,9 +157,14 @@ def power(n, inputs):
             f"sample size {n} leaves no denominator degrees of freedom "
             f"(need n > p + q = {p + q})"
         )
-    dfd = n - q - p
     lam = noncentrality(n, inputs.effect, inputs.q_matrix)
-    crit = f_quantile(1.0 - inputs.alpha0, FDistParams(p, dfd))
+    return _power(p, q, n, inputs.alpha0, lam)
+
+
+def _power(p, q, n, alpha0, lam):
+    """Noncentral-F power at n with noncentrality ``lam``; requires n > p + q."""
+    dfd = n - q - p
+    crit = f_quantile(1.0 - alpha0, FDistParams(p, dfd))
     return 1.0 - ncf_cdf(crit, FDistParams(p, dfd, lam))
 
 
@@ -187,9 +192,7 @@ def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
         )
 
     def power_at(n):
-        dfd = n - q - p
-        crit = f_quantile(1.0 - inputs.alpha0, FDistParams(p, dfd))
-        return 1.0 - ncf_cdf(crit, FDistParams(p, dfd, float(n) * per_subject))
+        return _power(p, q, n, inputs.alpha0, float(n) * per_subject)
 
     target = inputs.power_target
     lo = n_min

@@ -60,7 +60,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import njit
 from .design import (
     AvailabilityPattern,
     EffectPath,
@@ -232,7 +231,6 @@ def _stationary_setup(family, phi):
     return _freeze(coeffs), math.sqrt(var_v), _freeze(chol)
 
 
-@njit(cache=True)
 def _ar_path(first, innovations, coeffs, sigma_v, out):
     """Autoregressive recursion after the stationary initial block."""
     k = coeffs.shape[0]
@@ -270,12 +268,10 @@ def draw_errors(process, size, rng):
 
 
 # ---------------------------------------------------------------------------
-# sequential-generation kernels (hot paths; compiled when the JIT backend
-# is enabled, interpreted otherwise -- identical arithmetic either way)
+# sequential-generation kernels (per-time-step recursions)
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def _trunc(x):
     """x clipped to [-1, 1]."""
     if x > 1.0:
@@ -285,7 +281,6 @@ def _trunc(x):
     return x
 
 
-@njit(cache=True)
 def _availability_feedback_path(u_avail, u_action, tau, rho, eta, center, avail, action):
     """Sequential draw of (I_t, A_t) when treatment suppresses availability.
 
@@ -308,7 +303,6 @@ def _availability_feedback_path(u_avail, u_action, tau, rho, eta, center, avail,
         action[i] = 1 if u_action[i] < rho[i] else 0
 
 
-@njit(cache=True)
 def _treatment_feedback_path(
     u_avail, u_action, eps, tau, rho, eta1, eta2, c_mean, avail, action, c_path
 ):
@@ -316,8 +310,8 @@ def _treatment_feedback_path(
 
     C_t counts treatments at available decision points over the last five
     times; the availability mean is tau_t (1 + eta1 (C_t - E[C_t])) +
-    tau_t eta2 Trunc(mean of the last five noise values).  Returns 1 if the
-    mean leaves [0, 1] (invalid parameterization), else 0.
+    tau_t eta2 Trunc(mean of the last five noise values).  Raises
+    :class:`ConfigError` if the mean leaves [0, 1] (invalid parameterization).
     """
     n = tau.shape[0]
     for i in range(n):
@@ -331,10 +325,12 @@ def _treatment_feedback_path(
         c_path[i] = c
         p = tau[i] + tau[i] * eta1 * (c - c_mean[i]) + tau[i] * eta2 * _trunc(es / 5.0)
         if p < 0.0 or p > 1.0:
-            return 1
+            raise ConfigError(
+                "availability probability left [0, 1]; the feedback "
+                "parameterization (eta1, eta2) is too strong for this tau"
+            )
         avail[i] = 1 if u_avail[i] < p else 0
         action[i] = 1 if u_action[i] < rho[i] else 0
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +698,10 @@ def generate_subject(model, rng):
         avail = np.zeros(T, dtype=np.int8)
         action = np.zeros(T, dtype=np.int8)
         c_path = np.zeros(T)
-        status = _treatment_feedback_path(
+        _treatment_feedback_path(
             u_avail, u_action, eps, tau, rho, model.eta1, model.eta2,
             model.c_mean, avail, action, c_path,
         )
-        if status != 0:
-            raise ConfigError(
-                "availability probability left [0, 1]; the feedback "
-                "parameterization (eta1, eta2) is too strong for this tau"
-            )
         dev = c_path - model.c_mean_avail
         y = (
             model.alpha_path
@@ -777,15 +768,10 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
         u_avail = rng.random(T)
         u_action = rng.random(T)
         eps = draw_errors(model.errors, T, rng)
-        status = _treatment_feedback_path(
+        _treatment_feedback_path(
             u_avail, u_action, eps, tau, rho, model.eta1, model.eta2,
             model.c_mean, avail, action, c_path,
         )
-        if status != 0:
-            raise ConfigError(
-                "availability probability left [0, 1]; the feedback "
-                "parameterization (eta1, eta2) is too strong for this tau"
-            )
         on = avail == 1
         count[on] += 1.0
         total[on] += c_path[on]
@@ -881,8 +867,7 @@ def _wilson_interval(successes, trials):
 
 def _replicate_outcomes(args):
     """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure."""
-    model, n, alpha0, adjusted, gram, seed, indices = args
-    features = build_quadratic_features(model.design)
+    model, features, n, alpha0, adjusted, gram, seed, indices = args
     out = np.empty(len(indices), dtype=np.int8)
     for pos, rep in enumerate(indices):
         dataset = generate_dataset(model, n, seed=seed, replicate=rep)
@@ -938,9 +923,10 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     reps = int(reps)
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    if n <= model.design.p + model.design.q:
+    features = build_quadratic_features(model.design)
+    if n <= features.p + features.q:
         raise ConfigError(
-            f"need more than p + q = {model.design.p + model.design.q} subjects, got {n}"
+            f"need more than p + q = {features.p + features.q} subjects, got {n}"
         )
     if not model.is_calibrated:
         raise ConfigError(
@@ -951,11 +937,12 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
 
     if threads == 1 or reps == 1:
         outcomes = _replicate_outcomes(
-            (model, n, alpha0, adjusted, gram, seed, range(reps))
+            (model, features, n, alpha0, adjusted, gram, seed, range(reps))
         )
     else:
         batches = [
-            (model, n, alpha0, adjusted, gram, seed, list(range(w, reps, threads)))
+            (model, features, n, alpha0, adjusted, gram, seed,
+             list(range(w, reps, threads)))
             for w in range(threads)
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -23,8 +23,8 @@ def null_mc():
 
     Working-model-true generation, i.i.d. normal errors, constant
     availability 0.5, N=42 subjects, zero effect, adjusted test.  The timer
-    covers only the tallied run (a tiny warmup call precedes it so one-time
-    kernel compilation is not billed to the run).
+    covers only the tallied run (a tiny warmup call precedes it so
+    first-call costs are not billed to the run).
     """
     from mrtpower.design import EffectPath, TrialDesign, make_availability
     from mrtpower.simulate import ErrorProcess, GenerativeModel, monte_carlo

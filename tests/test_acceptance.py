@@ -13,12 +13,10 @@ Gate styles
   around the analytic target (the same bands as the module suites);
 * oracle:      live extended-precision (mpmath) and 10^7-draw Monte Carlo
   cross-checks of the distribution kernel and the estimator;
-* mechanical:  bit-identical output across repeats, worker counts, and
-  kernel backends.
+* mechanical:  bit-identical output across repeats and worker counts.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -519,21 +517,19 @@ def test_criterion_12_determinism(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
 
-    def run(backend, extra=()):
-        env = dict(os.environ, MRTPOWER_NUMBA=backend)
+    def run(*extra):
         proc = subprocess.run(
             [sys.executable, "-m", "mrtpower.cli", "simulate", str(path), *extra],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, check=True,
         )
         return proc.stdout
 
     outputs = {
-        "jit run 1": run("1"),
-        "jit run 2": run("1"),
-        "python fallback": run("0"),
-        "jit, 3 workers": run("1", ("--threads", "3")),
+        "run 1": run(),
+        "run 2": run(),
+        "3 workers": run("--threads", "3"),
     }
-    baseline = outputs["jit run 1"]
+    baseline = outputs["run 1"]
     diffs = [name for name, out in outputs.items() if out != baseline]
     # same check in-process for the library entry point
     design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
@@ -549,7 +545,7 @@ def test_criterion_12_determinism(tmp_path):
     _report(
         "12 determinism",
         passed,
-        "CLI output bit-identical across repeats, backends and worker counts"
+        "CLI output bit-identical across repeats and worker counts"
         + (f"; differing: {diffs}" if diffs else "")
         + ("" if first == second else "; in-process thread counts differ"),
     )

@@ -99,11 +99,6 @@ class TestQuadraticFeatures:
         assert np.array_equal(feats.Z, feats.B)
         assert feats.p == 3 and feats.q == 3 and feats.T == 210
 
-    def test_requires_three_dimensional_features(self):
-        d = TrialDesign(days=DAYS, decisions_per_day=PER_DAY, rho=0.4, p=2, q=3)
-        with pytest.raises(ConfigError):
-            build_quadratic_features(d)
-
     def test_degenerate_features_rejected(self):
         # a rank-deficient Z (third column duplicates the second)
         u = np.arange(10.0)

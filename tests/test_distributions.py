@@ -30,7 +30,6 @@ import _reference as ref
 from mrtpower import (
     FDistParams,
     NumericError,
-    backend_name,
     f_cdf,
     f_quantile,
     hotelling_critical,
@@ -303,7 +302,7 @@ class TestHotellingCritical:
 
 
 # ======================================================================
-# 7. parameter validation & backend
+# 7. parameter validation
 # ======================================================================
 
 class TestFDistParams:
@@ -320,37 +319,3 @@ class TestFDistParams:
         with pytest.raises(Exception):
             p.d1 = 4
 
-
-class TestBackendDetection:
-    def test_backend_name_is_known(self):
-        assert backend_name() in ("numba", "python")
-
-    def test_env_flag_respected(self):
-        # MRTPOWER_NUMBA=0 must force the python path in a fresh interpreter
-        import subprocess
-
-        env = dict(os.environ, MRTPOWER_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", "import mrtpower; print(mrtpower.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "python"
-
-    def test_backends_agree_on_kernels(self):
-        # spot check: the pure-python path produces the same numbers
-        import subprocess
-
-        code = (
-            "import mrtpower as m;"
-            "print(repr(m.f_cdf(2.0, m.FDistParams(3, 36))),"
-            " repr(m.ncf_cdf(2.866, m.FDistParams(3, 36, 13.0))))"
-        )
-        env = dict(os.environ, MRTPOWER_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        pure_f, pure_ncf = out.stdout.split()
-        assert float(pure_f) == f_cdf(2.0, FDistParams(3, 36))
-        assert float(pure_ncf) == ncf_cdf(2.866, FDistParams(3, 36, 13.0))
