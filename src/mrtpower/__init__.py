@@ -29,9 +29,9 @@ from .samplesize import (
     solve_sample_size,
 )
 from .estimator import (
+    Dataset,
     GRAM_KINDS,
     ModelFit,
-    SubjectRecord,
     TestResult,
     asymptotic_targets,
     fit_working_model,
@@ -96,7 +96,7 @@ __all__ = [
     "solve_sample_size",
     # estimation and testing
     "GRAM_KINDS",
-    "SubjectRecord",
+    "Dataset",
     "ModelFit",
     "TestResult",
     "fit_working_model",

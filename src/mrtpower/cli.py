@@ -42,7 +42,7 @@ from .design import (
     elicit_quadratic_effect,
     make_availability,
 )
-from .estimator import GRAM_KINDS, SubjectRecord, hypothesis_test
+from .estimator import GRAM_KINDS, Dataset, hypothesis_test
 from .exceptions import ConfigError, NumericError
 from .samplesize import SizingInputs, noncentrality, solve_sample_size
 from .samplesize import power as analytic_power
@@ -355,14 +355,15 @@ def _instantiate_model(spec, design, effect, tau, errors, *, seed):
 
 
 def write_dataset(dataset, path):
-    """Write subject records as CSV in the bit-exact round-trip format."""
+    """Write a :class:`~mrtpower.estimator.Dataset` as round-trip CSV."""
     lines = [DATASET_HEADER]
-    for subject, rec in enumerate(dataset):
-        for t in range(rec.T):
-            outcome = format(rec.outcome[t], ".17g") if rec.avail[t] == 1 else ""
+    for subject, row in enumerate(dataset):
+        for t, (avail, action, prob, outcome) in enumerate(
+            zip(*(column.tolist() for column in row)), start=1
+        ):
+            outcome = format(outcome, ".17g") if avail == 1 else ""
             lines.append(
-                f"{subject},{t + 1},{rec.avail[t]},{rec.action[t]},"
-                f"{format(rec.prob[t], '.17g')},{outcome}"
+                f"{subject},{t},{avail},{action},{format(prob, '.17g')},{outcome}"
             )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -383,7 +384,7 @@ def _parse_float(text, label):
 
 
 def read_dataset(path):
-    """Read a dataset CSV back into subject records.
+    """Read a dataset CSV into one :class:`~mrtpower.estimator.Dataset`.
 
     Subjects must appear as contiguous blocks numbered from 0, decision
     times must run 1..T within each block, and every block must have the
@@ -399,6 +400,7 @@ def read_dataset(path):
         raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
 
     rows = []
+    block_rows = []  # rows read so far for each subject, in subject order
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 6:
@@ -432,50 +434,36 @@ def read_dataset(path):
                 raise ConfigError(
                     f"line {line_no}: outcome must be a finite number, got {fields[5]!r}"
                 )
-        rows.append((line_no, subject, t, avail, action, prob, outcome))
-
-    if not rows:
-        raise ConfigError("dataset has no data rows")
-
-    records = []
-    block = None  # [subject, avail, action, prob, outcome, first_line]
-
-    def close(block, line_no):
-        record = SubjectRecord(
-            avail=np.asarray(block[1], dtype=np.int8),
-            action=np.asarray(block[2], dtype=np.int8),
-            prob=np.asarray(block[3]),
-            outcome=np.asarray(block[4]),
-        )
-        if records and record.T != records[0].T:
-            raise ConfigError(
-                f"line {line_no}: subject {block[0]} has {record.T} rows but "
-                f"subject 0 has {records[0].T}"
-            )
-        records.append(record)
-
-    for line_no, subject, t, avail, action, prob, outcome in rows:
-        if block is None or subject != block[0]:
-            if block is not None:
-                close(block, line_no)
-            if subject != len(records):
+        if not block_rows or subject != len(block_rows) - 1:
+            _check_block_length(block_rows, line_no)
+            if subject != len(block_rows):
                 raise ConfigError(
                     f"line {line_no}: subject ids must be contiguous from 0 "
-                    f"(expected {len(records)}, got {subject})"
+                    f"(expected {len(block_rows)}, got {subject})"
                 )
-            block = [subject, [], [], [], [], line_no]
-        expected_t = len(block[1]) + 1
-        if t != expected_t:
+            block_rows.append(0)
+        block_rows[-1] += 1
+        if t != block_rows[-1]:
             raise ConfigError(
-                f"line {line_no}: expected decision time {expected_t} for "
+                f"line {line_no}: expected decision time {block_rows[-1]} for "
                 f"subject {subject}, got {t}"
             )
-        block[1].append(avail)
-        block[2].append(action)
-        block[3].append(prob)
-        block[4].append(outcome)
-    close(block, rows[-1][0])
-    return records
+        rows.append((avail, action, prob, outcome))
+
+    if not block_rows:
+        raise ConfigError("dataset has no data rows")
+    _check_block_length(block_rows, len(lines))
+    shape = (len(block_rows), block_rows[0])
+    return Dataset(*(np.array(column).reshape(shape) for column in zip(*rows)))
+
+
+def _check_block_length(block_rows, line_no):
+    """The subject whose block ends at ``line_no`` must have subject 0's length."""
+    if block_rows and block_rows[-1] != block_rows[0]:
+        raise ConfigError(
+            f"line {line_no}: subject {len(block_rows) - 1} has {block_rows[-1]} "
+            f"rows but subject 0 has {block_rows[0]}"
+        )
 
 
 # ---------------------------------------------------------------------

@@ -38,8 +38,8 @@ AVAILABILITY_KINDS = ("constant", "linear", "weekly-periodic", "piecewise")
 _SINGULAR_REL_TOL = 1e-12
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def _freeze(arr, dtype=np.float64):
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -184,6 +184,11 @@ class EffectPath:
 
 def build_quadratic_features(design):
     """Quadratic day features Z_t = B_t = (1, u_t, u_t^2)' for the design (p = q = 3)."""
+    if design.days < 3:
+        raise ConfigError(
+            f"quadratic day features need at least 3 days (u^2 = u on days 0 and 1), "
+            f"got days={design.days}"
+        )
     u = design.day_index.astype(np.float64)
     Z = np.column_stack([np.ones(design.T), u, u * u])
     return FeaturePaths(Z=Z, B=Z.copy())

@@ -255,7 +255,8 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
 
 
 def _f_quantile_kernel(prob, d1, d2):
-    # geometric bracket expansion from x=1, then bisection on the CDF
+    # geometric bracket expansion from x=1, then bisection on the CDF; NaN
+    # when no bracket is found or the bisection hits its iteration cap
     lo = 0.0
     hi = 1.0
     while _f_cdf_kernel(hi, d1, d2) < prob:
@@ -263,7 +264,6 @@ def _f_quantile_kernel(prob, d1, d2):
         hi *= 2.0
         if hi > 1.0e300:
             return math.nan
-    mid = 0.5 * (lo + hi)
     for _ in range(_QUANTILE_MAXIT):
         mid = 0.5 * (lo + hi)
         c = _f_cdf_kernel(mid, d1, d2)
@@ -273,7 +273,7 @@ def _f_quantile_kernel(prob, d1, d2):
             lo = mid
         else:
             hi = mid
-    return mid
+    return math.nan
 
 
 # ======================================================================
@@ -350,6 +350,8 @@ def f_quantile(prob, params):
 
     Bracketing plus bisection on the CDF; terminates when the CDF at the
     midpoint is within 1e-10 of ``prob`` (monotonicity makes this safe).
+    Raises :class:`NumericError` when no bracket is found or the bisection
+    does not converge within its iteration cap.
     """
     d1, d2 = _central(params)
     prob = float(prob)
@@ -358,7 +360,8 @@ def f_quantile(prob, params):
     value = _f_quantile_kernel(prob, d1, d2)
     if math.isnan(value):
         raise NumericError(
-            f"F quantile bracketing failed (prob={prob}, d1={d1}, d2={d2})"
+            f"F quantile search failed to bracket or converge "
+            f"(prob={prob}, d1={d1}, d2={d2})"
         )
     return value
 

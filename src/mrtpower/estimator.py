@@ -8,6 +8,8 @@ The centered working model for the outcome at an available decision time is
 fit by pooled least squares over all subjects and available times.  The test
 of H0: beta(t) = 0 uses the statistic N * beta_hat' Sigma_hat^{-1} beta_hat
 with a sandwich variance estimate and a scaled-F (Hotelling) critical value.
+The N subjects' data arrive as one :class:`Dataset` of (N, T) arrays, which
+is validated once, when it is built.
 
 Variance estimation supports the small-sample hat-matrix adjustment with two
 Gram conventions for H = X G^{-1} X':
@@ -24,14 +26,17 @@ and their outcomes (which may be absent, marked NaN) never enter arithmetic.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .design import _freeze
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
 __all__ = [
-    "SubjectRecord",
+    "Dataset",
+    "SubjectRow",
     "ModelFit",
     "TestResult",
     "fit_working_model",
@@ -48,13 +53,24 @@ _DENSE_COND_CAP = 1e12
 GRAM_KINDS = ("summed", "averaged")
 
 
+class SubjectRow(NamedTuple):
+    """One subject's (T,) trajectory: a row of a :class:`Dataset`."""
+
+    avail: np.ndarray
+    action: np.ndarray
+    prob: np.ndarray
+    outcome: np.ndarray
+
+
 @dataclass(frozen=True)
-class SubjectRecord:
-    """One subject's trajectory over the T decision times.
+class Dataset:
+    """N subjects' trajectories over T decision times, as (N, T) arrays.
 
     ``outcome`` holds Y_{t+1} for available times; at unavailable times the
     value is ignored and is conventionally NaN (the absent marker).  A
-    non-finite outcome at an available time is an input error.
+    non-finite outcome at an available time is an input error.  Validated
+    once, here; stored read-only, with ``avail`` and ``action`` as int8.
+    ``len`` is N; iteration yields one :class:`SubjectRow` per subject.
     """
 
     avail: np.ndarray
@@ -63,12 +79,19 @@ class SubjectRecord:
     outcome: np.ndarray
 
     def __post_init__(self):
-        avail = np.asarray(self.avail)
-        action = np.asarray(self.action)
-        prob = np.asarray(self.prob, dtype=np.float64)
-        outcome = np.asarray(self.outcome, dtype=np.float64)
-        T = avail.shape[0]
-        if not (action.shape == prob.shape == outcome.shape == (T,)):
+        try:
+            avail = np.asarray(self.avail)
+            action = np.asarray(self.action)
+            prob = np.asarray(self.prob, dtype=np.float64)
+            outcome = np.asarray(self.outcome, dtype=np.float64)
+        except ValueError as exc:  # ragged rows or non-numeric entries
+            raise ConfigError(f"dataset arrays must be rectangular: {exc}") from None
+        if avail.ndim != 2 or avail.size == 0:
+            raise ConfigError(
+                f"dataset arrays must be non-empty and 2-D (subjects x decision "
+                f"times), got shape {avail.shape}"
+            )
+        if not (action.shape == prob.shape == outcome.shape == avail.shape):
             raise ConfigError("subject arrays must share one length")
         if not np.isin(avail, (0, 1)).all():
             raise ConfigError("availability indicators must be 0 or 1")
@@ -81,19 +104,16 @@ class SubjectRecord:
             raise ConfigError(
                 "missing or non-finite outcome at an available decision time"
             )
-        for name, arr, dtype in (
-            ("avail", avail, np.int8),
-            ("action", action, np.int8),
-            ("prob", prob, np.float64),
-            ("outcome", outcome, np.float64),
-        ):
-            frozen = np.ascontiguousarray(arr, dtype=dtype)
-            frozen.setflags(write=False)
-            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "avail", _freeze(avail, np.int8))
+        object.__setattr__(self, "action", _freeze(action, np.int8))
+        object.__setattr__(self, "prob", _freeze(prob))
+        object.__setattr__(self, "outcome", _freeze(outcome))
 
-    @property
-    def T(self):
+    def __len__(self):
         return self.avail.shape[0]
+
+    def __iter__(self):
+        return map(SubjectRow, self.avail, self.action, self.prob, self.outcome)
 
 
 @dataclass(frozen=True)
@@ -110,9 +130,7 @@ class ModelFit:
 
     def __post_init__(self):
         for name in ("alpha_hat", "beta_hat", "residuals"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -133,9 +151,7 @@ class TestResult:
         if self.adjustment not in ("none", "hat-matrix"):
             raise ConfigError(f"unknown adjustment label {self.adjustment!r}")
         for name in ("beta_hat", "sigma_beta_hat"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def to_dict(self):
         return {
@@ -182,35 +198,27 @@ def _inv_sym(mat, what):
 
 
 def _stack(dataset, features):
-    """Dense (N, T) arrays plus the per-subject design tensor X (N, T, q+p).
+    """Float availability (N, T) and the per-subject design tensor X (N, T, q+p).
 
-    Rows of X at unavailable times are identically zero; masked outcomes are
-    selected (never multiplied) so garbage at unavailable times cannot
-    propagate.
+    Rows of X at unavailable times are identically zero.
     """
-    records = list(dataset)
-    if not records:
-        raise ConfigError("dataset is empty")
-    T = features.T
-    for rec in records:
-        if rec.T != T:
-            raise ConfigError("subject length does not match the feature paths")
-    avail = np.stack([r.avail for r in records]).astype(np.float64)
-    action = np.stack([r.action for r in records]).astype(np.float64)
-    prob = np.stack([r.prob for r in records])
-    outcome = np.stack([r.outcome for r in records])
-    y = np.where(avail == 1.0, outcome, 0.0)
-    centered = avail * (action - prob)
+    if dataset.avail.shape[1] != features.T:
+        raise ConfigError("subject length does not match the feature paths")
+    avail = dataset.avail.astype(np.float64)
+    centered = avail * (dataset.action - dataset.prob)
     X = np.concatenate(
         [avail[:, :, None] * features.B[None], centered[:, :, None] * features.Z[None]],
         axis=2,
     )
-    return avail, prob, y, centered, X
+    return avail, X
 
 
 def fit_working_model(dataset, features):
     """Pooled least squares for (alpha, beta) over all available rows."""
-    avail, _, y, _, X = _stack(dataset, features)
+    avail, X = _stack(dataset, features)
+    # masked outcomes are selected, never multiplied, so the NaN markers at
+    # unavailable times cannot propagate
+    y = np.where(avail == 1.0, dataset.outcome, 0.0)
     flat = X.reshape(-1, X.shape[2])
     gram = flat.T @ flat
     moment = flat.T @ y.reshape(-1)
@@ -222,17 +230,6 @@ def fit_working_model(dataset, features):
     fitted = X @ theta
     residuals = np.where(avail == 1.0, y - fitted, 0.0)
     return ModelFit(alpha_hat=theta[:q], beta_hat=theta[q:], residuals=residuals)
-
-
-def _score_pieces(dataset, fit, features):
-    avail, prob, _, centered, X = _stack(dataset, features)
-    n = X.shape[0]
-    e = fit.residuals
-    if e.shape != avail.shape:
-        raise ConfigError("fit residuals do not match the dataset shape")
-    gram = np.einsum("nti,ntj->ij", X, X)
-    m = np.einsum("nti,nt->ni", X, e)
-    return avail, prob, centered, X, gram, m, n, e
 
 
 def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
@@ -250,10 +247,16 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     """
     if gram not in GRAM_KINDS:
         raise ConfigError(f"unknown gram convention {gram!r}; expected {GRAM_KINDS}")
-    avail, prob, centered, X, G, m, n, e = _score_pieces(dataset, fit, features)
+    avail, X = _stack(dataset, features)
+    e = fit.residuals
+    if e.shape != avail.shape:
+        raise ConfigError("fit residuals do not match the dataset shape")
+    n = X.shape[0]
     q = features.q
+    m = np.einsum("nti,nt->ni", X, e)
 
     if not adjusted:
+        prob = dataset.prob
         weights = (avail * prob * (1.0 - prob)).mean(axis=0)
         q_hat = features.Z.T @ (weights[:, None] * features.Z)
         w_hat = (m[:, q:, None] * m[:, None, q:]).mean(axis=0)
@@ -262,6 +265,7 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
         return 0.5 * (sigma + sigma.T)
 
     # hat-matrix adjustment
+    G = np.einsum("nti,ntj->ij", X, X)
     q_inv_full = _inv_sym(G / n, "averaged design Gram")
     q_inv = q_inv_full[q:, q:]
     if gram == "summed":
@@ -304,16 +308,15 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
     critical value, and the p-value on the same scale (the statistic divided
     by the Hotelling multiplier is F-distributed under H0).
     """
-    records = list(dataset)
     p = features.p
     q = features.q
-    n = len(records)
+    n = len(dataset)
     if n <= p + q:
         raise ConfigError(
             f"hypothesis test needs more than p + q = {p + q} subjects, got {n}"
         )
-    fit = fit_working_model(records, features)
-    sigma = sandwich_variance(records, fit, features, adjusted, gram=gram)
+    fit = fit_working_model(dataset, features)
+    sigma = sandwich_variance(dataset, fit, features, adjusted, gram=gram)
     try:
         stat = float(n) * float(fit.beta_hat @ _solve_sym(sigma, fit.beta_hat, "variance"))
     except NumericError as exc:

@@ -68,7 +68,7 @@ from .design import (
     build_quadratic_features,
     elicit_quadratic_effect,
 )
-from .estimator import SubjectRecord, hypothesis_test
+from .estimator import Dataset, SubjectRow, hypothesis_test
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -303,18 +303,27 @@ def _availability_feedback_path(u_avail, u_action, tau, rho, eta, center, avail,
         action[i] = 1 if u_action[i] < rho[i] else 0
 
 
-def _treatment_feedback_path(
-    u_avail, u_action, eps, tau, rho, eta1, eta2, c_mean, avail, action, c_path
-):
+def _treatment_feedback_path(model, rng):
     """Sequential draw of (I_t, A_t, C_t) under cumulative-treatment feedback.
 
-    C_t counts treatments at available decision points over the last five
-    times; the availability mean is tau_t (1 + eta1 (C_t - E[C_t])) +
-    tau_t eta2 Trunc(mean of the last five noise values).  Raises
-    :class:`ConfigError` if the mean leaves [0, 1] (invalid parameterization).
+    Consumes ``rng`` in the order :func:`generate_subject` fixes for every
+    scenario (availability uniforms, action uniforms, noise) and returns
+    (avail, action, C path, noise).  C_t counts treatments at available
+    decision points over the last five times; the availability mean is
+    tau_t (1 + eta1 (C_t - E[C_t])) + tau_t eta2 Trunc(mean of the last
+    five noise values).  Raises :class:`ConfigError` if the mean leaves
+    [0, 1] (invalid parameterization).
     """
-    n = tau.shape[0]
-    for i in range(n):
+    T = model.T
+    u_avail = rng.random(T)
+    u_action = rng.random(T)
+    eps = draw_errors(model.errors, T, rng)
+    tau, rho, c_mean = model.tau_path, model.rho, model.c_mean
+    eta1, eta2 = model.eta1, model.eta2
+    avail = np.zeros(T, dtype=np.int8)
+    action = np.zeros(T, dtype=np.int8)
+    c_path = np.zeros(T)
+    for i in range(T):
         c = 0.0
         es = 0.0
         for j in range(1, 6):
@@ -331,6 +340,7 @@ def _treatment_feedback_path(
             )
         avail[i] = 1 if u_avail[i] < p else 0
         action[i] = 1 if u_action[i] < rho[i] else 0
+    return avail, action, c_path, eps
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +682,9 @@ def generate_subject(model, rng):
     """Draw one subject's trajectory from ``model`` using stream ``rng``.
 
     Primitives are consumed in a fixed order (availability uniforms, action
-    uniforms, noise), so a given stream yields a reproducible record.
-    Outcomes at unavailable decision points are exported as NaN (absent).
+    uniforms, noise), so a given stream yields a reproducible
+    :class:`SubjectRow`.  Outcomes at unavailable decision points are
+    exported as NaN (absent).
     """
     if not model.is_calibrated:
         raise ConfigError(
@@ -682,26 +693,10 @@ def generate_subject(model, rng):
     T = model.T
     tau = model.tau_path
     rho = model.rho
-    u_avail = rng.random(T)
-    u_action = rng.random(T)
-    eps = draw_errors(model.errors, T, rng)
     d_path = model.effect.path
 
-    if model.scenario == "availability-feedback":
-        avail = np.zeros(T, dtype=np.int8)
-        action = np.zeros(T, dtype=np.int8)
-        _availability_feedback_path(
-            u_avail, u_action, tau, rho, model.eta, rho * tau, avail, action
-        )
-        y = model.alpha_path + (action - rho) * d_path + eps
-    elif model.scenario == "treatment-feedback":
-        avail = np.zeros(T, dtype=np.int8)
-        action = np.zeros(T, dtype=np.int8)
-        c_path = np.zeros(T)
-        _treatment_feedback_path(
-            u_avail, u_action, eps, tau, rho, model.eta1, model.eta2,
-            model.c_mean, avail, action, c_path,
-        )
+    if model.scenario == "treatment-feedback":
+        avail, action, c_path, eps = _treatment_feedback_path(model, rng)
         dev = c_path - model.c_mean_avail
         y = (
             model.alpha_path
@@ -710,12 +705,23 @@ def generate_subject(model, rng):
             + model.sigma_star * eps
         )
     else:
-        avail = (u_avail < tau).astype(np.int8)
-        action = (u_action < rho).astype(np.int8)
-        scale = np.where(action == 1, model.sigma1, model.sigma0)
-        y = model.alpha_path + (action - rho) * d_path + scale * eps
+        u_avail = rng.random(T)
+        u_action = rng.random(T)
+        eps = draw_errors(model.errors, T, rng)
+        if model.scenario == "availability-feedback":
+            avail = np.zeros(T, dtype=np.int8)
+            action = np.zeros(T, dtype=np.int8)
+            _availability_feedback_path(
+                u_avail, u_action, tau, rho, model.eta, rho * tau, avail, action
+            )
+            y = model.alpha_path + (action - rho) * d_path + eps
+        else:
+            avail = (u_avail < tau).astype(np.int8)
+            action = (u_action < rho).astype(np.int8)
+            scale = np.where(action == 1, model.sigma1, model.sigma0)
+            y = model.alpha_path + (action - rho) * d_path + scale * eps
 
-    return SubjectRecord(
+    return SubjectRow(
         avail=avail,
         action=action,
         prob=rho.copy(),
@@ -728,9 +734,10 @@ def generate_dataset(model, n, *, seed, replicate=0):
     n = int(n)
     if n < 1:
         raise ConfigError(f"need at least 1 subject, got {n}")
-    return [
+    rows = [
         generate_subject(model, subject_stream(seed, replicate, i)) for i in range(n)
     ]
+    return Dataset(*map(np.stack, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,22 +762,13 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     T = model.T
-    tau = model.tau_path
     rho = model.rho
     count = np.zeros(T)
     total = np.zeros(T)
     total_sq = np.zeros(T)
-    avail = np.zeros(T, dtype=np.int8)
-    action = np.zeros(T, dtype=np.int8)
-    c_path = np.zeros(T)
     for i in range(reps):
-        rng = subject_stream(seed, _CALIBRATION_BRANCH, i)
-        u_avail = rng.random(T)
-        u_action = rng.random(T)
-        eps = draw_errors(model.errors, T, rng)
-        _treatment_feedback_path(
-            u_avail, u_action, eps, tau, rho, model.eta1, model.eta2,
-            model.c_mean, avail, action, c_path,
+        avail, _, c_path, _ = _treatment_feedback_path(
+            model, subject_stream(seed, _CALIBRATION_BRANCH, i)
         )
         on = avail == 1
         count[on] += 1.0

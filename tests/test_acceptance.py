@@ -35,7 +35,7 @@ from mrtpower.design import (
 )
 from mrtpower.distributions import FDistParams, f_cdf, f_quantile, ncf_cdf
 from mrtpower.estimator import (
-    SubjectRecord,
+    Dataset,
     asymptotic_targets,
     fit_working_model,
     sandwich_variance,
@@ -344,9 +344,9 @@ def _mp_estimator_oracle(dataset, feats):
     B, Z = feats.B, feats.Z
     X, y = [], []
     for rec in dataset:
-        xi = mp.zeros(rec.T, q + p)
-        yi = mp.zeros(rec.T, 1)
-        for t in range(rec.T):
+        xi = mp.zeros(len(rec.avail), q + p)
+        yi = mp.zeros(len(rec.avail), 1)
+        for t in range(len(rec.avail)):
             on = mp.mpf(int(rec.avail[t]))
             centered = mp.mpf(int(rec.action[t])) - mp.mpf(float(rec.prob[t]))
             for k in range(q):
@@ -368,7 +368,7 @@ def _mp_estimator_oracle(dataset, feats):
 
     qhat = mp.zeros(p, p)
     for rec in dataset:
-        for t in range(rec.T):
+        for t in range(len(rec.avail)):
             if rec.avail[t] == 1:
                 r = mp.mpf(float(rec.prob[t]))
                 w = r * (1 - r)
@@ -417,17 +417,13 @@ def test_criterion_10_estimator_oracle_equivalence():
         days = int(rng.integers(3, 5))
         design = TrialDesign(days=days, decisions_per_day=1, rho=0.4)
         feats = build_quadratic_features(design)
-        dataset = []
+        subjects = []
         for _ in range(n):
             avail = (rng.random(days) < 0.8).astype(np.int8)
             action = ((rng.random(days) < 0.4).astype(np.int8) & avail).astype(np.int8)
             outcome = np.where(avail == 1, rng.normal(size=days), np.nan)
-            dataset.append(
-                SubjectRecord(
-                    avail=avail, action=action,
-                    prob=np.full(days, 0.4), outcome=outcome,
-                )
-            )
+            subjects.append((avail, action, np.full(days, 0.4), outcome))
+        dataset = Dataset(*map(np.stack, zip(*subjects)))
         try:
             fit = fit_working_model(dataset, feats)
             # conditioning filter: the hat-matrix adjustment is only well

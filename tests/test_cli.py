@@ -23,7 +23,7 @@ from mrtpower.design import (
     elicit_quadratic_effect,
     make_availability,
 )
-from mrtpower.estimator import SubjectRecord, hypothesis_test
+from mrtpower.estimator import Dataset, hypothesis_test
 from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 TINY_DESIGN = {"days": 3, "decisions_per_day": 4, "rho": 0.4}
@@ -177,6 +177,15 @@ class TestSize:
         res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
         assert res.exit_code == 2
         assert "no solution: null effect" in res.stderr
+
+    def test_fewer_than_three_days_is_config_error(self, runner, tmp_path):
+        # with two days u^2 = u, so the quadratic day features are singular
+        doc = TestConfigValidation().size_doc()
+        doc["design"]["days"] = 2
+        doc["effect"]["max_day"] = 2
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert "at least 3 days" in res.stderr
 
 
 # =====================================================================
@@ -395,16 +404,13 @@ class TestAnalyze:
         assert "line 2" in res.stderr
 
     def test_numeric_failure_exits_3(self, runner, tmp_path):
-        T = 12
-        records = [
-            SubjectRecord(
-                avail=np.zeros(T, dtype=np.int8),
-                action=np.zeros(T, dtype=np.int8),
-                prob=np.full(T, 0.4),
-                outcome=np.full(T, np.nan),
-            )
-            for _ in range(8)
-        ]
+        shape = (8, 12)
+        records = Dataset(
+            avail=np.zeros(shape, dtype=np.int8),
+            action=np.zeros(shape, dtype=np.int8),
+            prob=np.full(shape, 0.4),
+            outcome=np.full(shape, np.nan),
+        )
         csv_path = tmp_path / "d.csv"
         write_dataset(records, csv_path)
         res = runner.invoke(

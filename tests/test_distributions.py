@@ -206,6 +206,12 @@ class TestFQuantile:
         with pytest.raises(ValueError):
             f_quantile(1.0, FDistParams(3, 36))
 
+    def test_non_convergence_raises(self):
+        # the bisection hits its iteration cap in this far tail; the last
+        # midpoint (1.80e14) is far from the true quantile (scipy: 6.30e15)
+        with pytest.raises(NumericError, match="bracket or converge"):
+            f_quantile(1 - 1e-8, FDistParams(50, 1))
+
     @settings(max_examples=40, deadline=None)
     @given(
         prob=st.floats(0.001, 0.999),

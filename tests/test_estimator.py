@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from mrtpower import ConfigError, NumericError
 from mrtpower.design import FeaturePaths, TrialDesign, build_quadratic_features, make_availability, project_effect
 from mrtpower.estimator import (
+    Dataset,
     ModelFit,
-    SubjectRecord,
     asymptotic_targets,
     fit_working_model,
     hypothesis_test,
@@ -46,18 +46,13 @@ def constant_features(T):
 
 
 def records_from(inst):
-    out = []
-    for av, ac, y in zip(inst["avail"], inst["action"], inst["outcome"]):
-        T = len(av)
-        out.append(
-            SubjectRecord(
-                avail=np.array(av),
-                action=np.array(ac),
-                prob=np.full(T, inst["prob"]),
-                outcome=np.array(y),
-            )
-        )
-    return out
+    avail = np.array(inst["avail"])
+    return Dataset(
+        avail=avail,
+        action=np.array(inst["action"]),
+        prob=np.full(avail.shape, inst["prob"]),
+        outcome=np.array(inst["outcome"]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +73,7 @@ def simulate_subjects(design, feats, n, seed, *, beta=None, noise=1.0, avail_rat
     # garbage draws cannot perturb the data draws
     T = design.T
     B = feats.B
-    out = []
+    rows = []
     for _ in range(n):
         avail = (rng.random(T) < avail_rate).astype(np.int8)
         action = (rng.random(T) < 0.4).astype(np.int8)
@@ -86,65 +81,88 @@ def simulate_subjects(design, feats, n, seed, *, beta=None, noise=1.0, avail_rat
         mean = B @ ALPHA_TRUE + (action - prob) * (feats.Z @ beta)
         y = mean + noise * rng.normal(size=T) + shift
         filler = filler_rng.normal(size=T) * 1e12 if garbage else np.nan
-        out.append(
-            SubjectRecord(
-                avail=avail,
-                action=action,
-                prob=prob,
-                outcome=np.where(avail == 1, y, filler),
-            )
-        )
-    return out
+        rows.append((avail, action, prob, np.where(avail == 1, y, filler)))
+    return Dataset(*map(np.stack, zip(*rows)))
 
 
 # =====================================================================
-# SubjectRecord validation
+# Dataset validation
 # =====================================================================
 
 
-class TestSubjectRecord:
+class TestDataset:
     def _ok(self, **kw):
         base = dict(
-            avail=np.array([1, 0, 1]),
-            action=np.array([0, 1, 1]),
-            prob=np.full(3, 0.4),
-            outcome=np.array([0.5, np.nan, -0.2]),
+            avail=np.array([[1, 0, 1], [1, 1, 0]]),
+            action=np.array([[0, 1, 1], [1, 0, 0]]),
+            prob=np.full((2, 3), 0.4),
+            outcome=np.array([[0.5, np.nan, -0.2], [0.1, 0.3, np.nan]]),
         )
         base.update(kw)
-        return SubjectRecord(**base)
+        return Dataset(**base)
 
     def test_valid_record_accepted(self):
-        rec = self._ok()
-        assert rec.T == 3
+        data = self._ok()
+        assert len(data) == 2
+        assert data.avail.shape == data.outcome.shape == (2, 3)
+        assert data.avail.dtype == data.action.dtype == np.int8
+        rows = list(data)
+        assert len(rows) == 2
+        assert np.array_equal(rows[1].avail, [1, 1, 0])
+        assert rows[0].outcome[2] == -0.2
 
     def test_nan_marker_allowed_only_when_unavailable(self):
         with pytest.raises(ConfigError, match="available"):
-            self._ok(outcome=np.array([np.nan, np.nan, -0.2]))
+            self._ok(outcome=np.array([[np.nan, np.nan, -0.2], [0.1, 0.3, np.nan]]))
 
     def test_infinite_outcome_at_available_time_rejected(self):
         with pytest.raises(ConfigError, match="available"):
-            self._ok(outcome=np.array([np.inf, np.nan, -0.2]))
+            self._ok(outcome=np.array([[np.inf, np.nan, -0.2], [0.1, 0.3, np.nan]]))
 
     def test_binary_indicators_enforced(self):
         with pytest.raises(ConfigError):
-            self._ok(avail=np.array([1, 2, 0]))
+            self._ok(avail=np.array([[1, 2, 0], [1, 1, 0]]))
         with pytest.raises(ConfigError):
-            self._ok(action=np.array([0.5, 0, 1]))
+            self._ok(action=np.array([[0.5, 0, 1], [1, 0, 0]]))
 
     def test_probability_domain(self):
         with pytest.raises(ConfigError):
-            self._ok(prob=np.array([0.4, 0.0, 0.4]))
+            self._ok(prob=np.array([[0.4, 0.0, 0.4], [0.4, 0.4, 0.4]]))
         with pytest.raises(ConfigError):
-            self._ok(prob=np.array([0.4, 1.0, 0.4]))
+            self._ok(prob=np.array([[0.4, 0.4, 0.4], [0.4, 1.0, 0.4]]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            self._ok(action=np.array([0, 1]))
+            self._ok(action=np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ConfigError):
+            self._ok(prob=np.full((3, 3), 0.4))
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ConfigError, match="rectangular"):
+            self._ok(avail=[[1, 0, 1], [1, 1]])
+
+    def test_one_dimensional_arrays_rejected(self):
+        with pytest.raises(ConfigError, match="2-D"):
+            self._ok(
+                avail=np.array([1, 0, 1]),
+                action=np.array([0, 1, 1]),
+                prob=np.full(3, 0.4),
+                outcome=np.array([0.5, np.nan, -0.2]),
+            )
+
+    def test_no_decision_times_rejected(self):
+        empty = np.zeros((2, 0))
+        with pytest.raises(ConfigError, match="empty"):
+            self._ok(avail=empty, action=empty, prob=empty, outcome=empty)
 
     def test_arrays_read_only(self):
-        rec = self._ok()
+        data = self._ok()
         with pytest.raises(ValueError):
-            rec.avail[0] = 0
+            data.avail[0, 0] = 0
+        row = next(iter(data))
+        for column in row:
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 # =====================================================================
@@ -167,9 +185,9 @@ class TestFit:
     def test_normal_equations_hold(self, design, feats):
         data = simulate_subjects(design, feats, 42, seed=11)
         fit = fit_working_model(data, feats)
-        avail = np.stack([r.avail for r in data]).astype(float)
-        action = np.stack([r.action for r in data]).astype(float)
-        prob = np.stack([r.prob for r in data])
+        avail = data.avail.astype(float)
+        action = data.action.astype(float)
+        prob = data.prob
         s_alpha = np.einsum("nt,tk->k", avail * fit.residuals, feats.B) / len(data)
         s_beta = np.einsum(
             "nt,tk->k", avail * (action - prob) * fit.residuals, feats.Z
@@ -180,20 +198,16 @@ class TestFit:
     def test_residuals_zero_at_unavailable_times(self, design, feats):
         data = simulate_subjects(design, feats, 5, seed=7)
         fit = fit_working_model(data, feats)
-        avail = np.stack([r.avail for r in data])
-        assert np.all(fit.residuals[avail == 0] == 0.0)
+        assert np.all(fit.residuals[data.avail == 0] == 0.0)
 
     def test_no_availability_is_singular(self, feats):
-        T = feats.T
-        recs = [
-            SubjectRecord(
-                avail=np.zeros(T, dtype=np.int8),
-                action=np.zeros(T, dtype=np.int8),
-                prob=np.full(T, 0.4),
-                outcome=np.full(T, np.nan),
-            )
-            for _ in range(5)
-        ]
+        shape = (5, feats.T)
+        recs = Dataset(
+            avail=np.zeros(shape, dtype=np.int8),
+            action=np.zeros(shape, dtype=np.int8),
+            prob=np.full(shape, 0.4),
+            outcome=np.full(shape, np.nan),
+        )
         with pytest.raises(NumericError, match="singular design"):
             fit_working_model(recs, feats)
 
@@ -216,18 +230,19 @@ class TestFit:
         assert clean.residuals.tobytes() == dirty.residuals.tobytes()
 
     def test_empty_dataset_rejected(self, feats):
+        empty = np.zeros((0, feats.T))
         with pytest.raises(ConfigError, match="empty"):
-            fit_working_model([], feats)
+            fit_working_model(Dataset(empty, empty, empty, empty), feats)
 
     def test_length_mismatch_rejected(self, feats):
-        rec = SubjectRecord(
-            avail=np.array([1, 1]),
-            action=np.array([0, 1]),
-            prob=np.full(2, 0.4),
-            outcome=np.array([0.1, 0.2]),
+        rec = Dataset(
+            avail=np.array([[1, 1]]),
+            action=np.array([[0, 1]]),
+            prob=np.full((1, 2), 0.4),
+            outcome=np.array([[0.1, 0.2]]),
         )
         with pytest.raises(ConfigError, match="length"):
-            fit_working_model([rec], feats)
+            fit_working_model(rec, feats)
 
 
 # =====================================================================
@@ -274,15 +289,12 @@ class TestSandwichVariance:
         # T=1, everyone available: the pipeline collapses to scalars
         actions = np.array([1, 0, 1, 0, 1, 0], dtype=np.int8)
         ys = np.array([0.3, -0.1, 0.8, 0.2, -0.5, 0.4])
-        recs = [
-            SubjectRecord(
-                avail=np.array([1], dtype=np.int8),
-                action=np.array([a], dtype=np.int8),
-                prob=np.array([0.5]),
-                outcome=np.array([y]),
-            )
-            for a, y in zip(actions, ys)
-        ]
+        recs = Dataset(
+            avail=np.ones((6, 1), dtype=np.int8),
+            action=actions[:, None],
+            prob=np.full((6, 1), 0.5),
+            outcome=ys[:, None],
+        )
         feats = constant_features(1)
         fit = fit_working_model(recs, feats)
         sigma = sandwich_variance(recs, fit, feats, adjusted=False)
@@ -300,9 +312,9 @@ class TestSandwichVariance:
         data = simulate_subjects(design, feats, 8, seed=23)
         fit = fit_working_model(data, feats)
         sigma = sandwich_variance(data, fit, feats, adjusted=True, gram="summed")
-        avail = np.stack([r.avail for r in data]).astype(float)
-        action = np.stack([r.action for r in data]).astype(float)
-        prob = np.stack([r.prob for r in data])
+        avail = data.avail.astype(float)
+        action = data.action.astype(float)
+        prob = data.prob
         X = np.concatenate(
             [
                 avail[:, :, None] * feats.B[None],
@@ -337,27 +349,26 @@ class TestSandwichVariance:
             sandwich_variance(recs, fit, feats, adjusted=True, gram="pooled")
 
     def test_single_subject_adjustment_fails(self):
-        rec = SubjectRecord(
-            avail=np.ones(3, dtype=np.int8),
-            action=np.array([1, 0, 1], dtype=np.int8),
-            prob=np.full(3, 0.4),
-            outcome=np.array([0.1, -0.2, 0.4]),
+        rec = Dataset(
+            avail=np.ones((1, 3), dtype=np.int8),
+            action=np.array([[1, 0, 1]], dtype=np.int8),
+            prob=np.full((1, 3), 0.4),
+            outcome=np.array([[0.1, -0.2, 0.4]]),
         )
         feats = constant_features(3)
-        fit = fit_working_model([rec], feats)
+        fit = fit_working_model(rec, feats)
         with pytest.raises(NumericError):
-            sandwich_variance([rec], fit, feats, adjusted=True, gram="summed")
+            sandwich_variance(rec, fit, feats, adjusted=True, gram="summed")
 
     def test_averaged_gram_condition_guard(self):
         # identical subjects with T = p + q rows make (I - H) exactly
         # singular under the averaged-Gram convention
-        rec = lambda: SubjectRecord(
-            avail=np.ones(2, dtype=np.int8),
-            action=np.array([1, 0], dtype=np.int8),
-            prob=np.full(2, 0.4),
-            outcome=np.array([0.7, -0.3]),
+        recs = Dataset(
+            avail=np.ones((2, 2), dtype=np.int8),
+            action=np.array([[1, 0], [1, 0]], dtype=np.int8),
+            prob=np.full((2, 2), 0.4),
+            outcome=np.array([[0.7, -0.3], [0.7, -0.3]]),
         )
-        recs = [rec(), rec()]
         feats = constant_features(2)
         fit = fit_working_model(recs, feats)
         with pytest.raises(NumericError, match="singular"):
@@ -372,15 +383,9 @@ class TestSandwichVariance:
 class TestHypothesisTest:
     def test_statistic_matches_end_to_end_oracle(self):
         C = instance_c_arrays()
-        recs = [
-            SubjectRecord(
-                avail=C["avail"][i],
-                action=C["action"][i],
-                prob=C["prob"][i],
-                outcome=C["outcome"][i],
-            )
-            for i in range(12)
-        ]
+        recs = Dataset(
+            avail=C["avail"], action=C["action"], prob=C["prob"], outcome=C["outcome"]
+        )
         feats = FeaturePaths(Z=C["Z"], B=C["B"])
         res = hypothesis_test(recs, feats, 0.05, adjusted=True, gram="summed")
         assert res.statistic == pytest.approx(float(ref.STAT_C_STATISTIC), rel=ORACLE_REL)
@@ -399,19 +404,18 @@ class TestHypothesisTest:
         Z = np.column_stack([np.ones(T), u, u * u])
         feats = FeaturePaths(Z=Z, B=Z.copy())
         rng = np.random.default_rng(3)
-        recs = []
+        actions, outcomes = [], []
         for _ in range(5):
             action = (rng.random(T) < 0.5).astype(np.int8)
             y = Z @ np.array([1.0, 0.5, -0.1]) + rng.normal(size=T)
-            for a in (action, (1 - action).astype(np.int8)):
-                recs.append(
-                    SubjectRecord(
-                        avail=np.ones(T, dtype=np.int8),
-                        action=a,
-                        prob=np.full(T, 0.5),
-                        outcome=y.copy(),
-                    )
-                )
+            actions += [action, (1 - action).astype(np.int8)]
+            outcomes += [y, y]
+        recs = Dataset(
+            avail=np.ones((10, T), dtype=np.int8),
+            action=np.stack(actions),
+            prob=np.full((10, T), 0.5),
+            outcome=np.stack(outcomes),
+        )
         res = hypothesis_test(recs, feats, 0.05, adjusted=False)
         assert np.max(np.abs(res.beta_hat)) <= 1e-14
         assert res.statistic <= 1e-20

@@ -330,7 +330,7 @@ class TestGenerateSubject:
             design, effect_10, tau_half, ErrorProcess("iid-normal")
         )
         rec = generate_subject(m, subject_stream(1, 0, 0))
-        assert rec.T == design.T
+        assert len(rec.avail) == design.T
         assert np.array_equal(rec.prob, m.rho)
         assert np.all(np.isnan(rec.outcome[rec.avail == 0]))
         assert np.all(np.isfinite(rec.outcome[rec.avail == 1]))
@@ -419,6 +419,7 @@ class TestGenerateSubject:
         m = tiny_null_model(tiny_design)
         data = generate_dataset(m, 5, seed=3)
         assert len(data) == 5
+        assert data.avail.shape == data.outcome.shape == (5, tiny_design.T)
         assert len({rec.outcome.tobytes() for rec in data}) == 5
         again = generate_dataset(m, 5, seed=3)
         assert all(
