@@ -25,6 +25,7 @@ order 1e-7 -- the inherent granularity of double precision at that scale.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exceptions import NumericError
 
@@ -396,9 +397,15 @@ def hotelling_critical(p, q, n, alpha0):
 
         p (n - q - 1) / (n - q - p) * F^{-1}_{p, n-q-p}(1 - alpha0),
 
-    which converges to the chi-square(p) quantile as n grows.
+    which converges to the chi-square(p) quantile as n grows.  Values are
+    memoized per (p, q, n, alpha0): a Monte Carlo run asks for the same one
+    on every replicate.
     """
-    p, q, n = int(p), int(q), int(n)
+    return _hotelling_critical(int(p), int(q), int(n), float(alpha0))
+
+
+@lru_cache(maxsize=256)
+def _hotelling_critical(p, q, n, alpha0):
     if n <= p + q:
         raise ValueError(
             f"hotelling_critical requires n > p + q (got n={n}, p={p}, q={q})"

@@ -109,6 +109,11 @@ class Dataset:
         object.__setattr__(self, "prob", _freeze(prob))
         object.__setattr__(self, "outcome", _freeze(outcome))
 
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy is validated and
+        # read-only again (restoring __dict__ would leave writeable arrays)
+        return (Dataset, (self.avail, self.action, self.prob, self.outcome))
+
     def __len__(self):
         return self.avail.shape[0]
 
@@ -200,7 +205,9 @@ def _inv_sym(mat, what):
 def _stack(dataset, features):
     """Float availability (N, T) and the per-subject design tensor X (N, T, q+p).
 
-    Rows of X at unavailable times are identically zero.
+    Rows of X at unavailable times are identically zero.  The public
+    functions each stack for themselves; :func:`hypothesis_test` stacks
+    once and hands the arrays to the private ``_fit`` and ``_sandwich``.
     """
     if dataset.avail.shape[1] != features.T:
         raise ConfigError("subject length does not match the feature paths")
@@ -216,9 +223,13 @@ def _stack(dataset, features):
 def fit_working_model(dataset, features):
     """Pooled least squares for (alpha, beta) over all available rows."""
     avail, X = _stack(dataset, features)
+    return _fit(avail, X, dataset.outcome, features.q)
+
+
+def _fit(avail, X, outcome, q):
     # masked outcomes are selected, never multiplied, so the NaN markers at
     # unavailable times cannot propagate
-    y = np.where(avail == 1.0, dataset.outcome, 0.0)
+    y = np.where(avail == 1.0, outcome, 0.0)
     flat = X.reshape(-1, X.shape[2])
     gram = flat.T @ flat
     moment = flat.T @ y.reshape(-1)
@@ -226,7 +237,6 @@ def fit_working_model(dataset, features):
         theta = _solve_sym(gram, moment, "pooled design matrix")
     except NumericError as exc:
         raise NumericError(f"singular design: {exc}") from exc
-    q = features.q
     fitted = X @ theta
     residuals = np.where(avail == 1.0, y - fitted, 0.0)
     return ModelFit(alpha_hat=theta[:q], beta_hat=theta[q:], residuals=residuals)
@@ -245,9 +255,13 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     lower-right block of the inverse of the averaged design Gram.  ``gram``
     selects the Gram convention for H (see module docstring).
     """
+    avail, X = _stack(dataset, features)
+    return _sandwich(avail, X, dataset.prob, fit, features, adjusted, gram)
+
+
+def _sandwich(avail, X, prob, fit, features, adjusted, gram):
     if gram not in GRAM_KINDS:
         raise ConfigError(f"unknown gram convention {gram!r}; expected {GRAM_KINDS}")
-    avail, X = _stack(dataset, features)
     e = fit.residuals
     if e.shape != avail.shape:
         raise ConfigError("fit residuals do not match the dataset shape")
@@ -256,7 +270,6 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     m = np.einsum("nti,nt->ni", X, e)
 
     if not adjusted:
-        prob = dataset.prob
         weights = (avail * prob * (1.0 - prob)).mean(axis=0)
         q_hat = features.Z.T @ (weights[:, None] * features.Z)
         w_hat = (m[:, q:, None] * m[:, None, q:]).mean(axis=0)
@@ -315,8 +328,9 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
         raise ConfigError(
             f"hypothesis test needs more than p + q = {p + q} subjects, got {n}"
         )
-    fit = fit_working_model(dataset, features)
-    sigma = sandwich_variance(dataset, fit, features, adjusted, gram=gram)
+    avail, X = _stack(dataset, features)
+    fit = _fit(avail, X, dataset.outcome, q)
+    sigma = _sandwich(avail, X, dataset.prob, fit, features, adjusted, gram)
     try:
         stat = float(n) * float(fit.beta_hat @ _solve_sym(sigma, fit.beta_hat, "variance"))
     except NumericError as exc:

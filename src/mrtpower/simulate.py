@@ -21,14 +21,15 @@ sizing-plus-test pipeline by Monte Carlo:
     (:func:`variance_trend_path`), scaled so that the average conditional
     variance is exactly 1.
 ``availability-feedback``
-    Availability decreases with the number of treatments in the last five
-    decision points: I_t ~ Ber(tau_t + eta * sum_j (A I - E[A I])).  The
-    feedback term is mean-centered, so E[I_t] = tau_t; the Bernoulli mean is
-    clamped to [0, 1] (the centered sum can overshoot for large |eta|, and
-    the clamp is part of this family's definition).
+    Availability decreases with the number of treatments in the last
+    :data:`FEEDBACK_LAGS` (five) decision points:
+    I_t ~ Ber(tau_t + eta * sum_j (A I - E[A I])).  The feedback term is
+    mean-centered, so E[I_t] = tau_t; the Bernoulli mean is clamped to
+    [0, 1] (the centered sum can overshoot for large |eta|, and the clamp is
+    part of this family's definition).
 ``treatment-feedback``
     Both availability and the outcome depend on the cumulative treatment
-    count C_t over the last five decision points and on recent noise; all
+    count C_t over the same last decision points and on recent noise; all
     feedback terms are centered so E[I_t] = tau_t and the standardized
     effect stays d(t).  Requires :func:`calibrate_sigma_star` before
     generation, which estimates E[C_t | I_t = 1] and the residual scale
@@ -46,6 +47,10 @@ Reproducibility: every (replicate, subject) pair owns a private
 counter-based RNG stream (Philox keyed by ``SeedSequence(seed,
 spawn_key=(replicate, subject))``), and all primitives are drawn from that
 stream in a fixed order, so results are bit-identical for any worker count.
+Streams are drawn per subject, and the per-time-step recursions then run
+across all subjects of a replicate at once, each subject's values taking the
+same float operations in the same order; so a subject drawn alone
+(:func:`generate_subject`) equals its row of :func:`generate_dataset`.
 Lagged quantities at times before the study start contribute zero.
 """
 
@@ -125,6 +130,9 @@ CALIBRATION_MIN_SAMPLES = 100
 # spawn_key branch reserved for calibration streams so they can never
 # collide with (replicate, subject) generation streams.
 _CALIBRATION_BRANCH = 0xFFFFFFFF
+
+# Calibration subjects simulated together; bounds the engine's working set.
+_CALIBRATION_BLOCK = 64
 
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
@@ -231,116 +239,208 @@ def _stationary_setup(family, phi):
     return _freeze(coeffs), math.sqrt(var_v), _freeze(chol)
 
 
-def _ar_path(first, innovations, coeffs, sigma_v, out):
-    """Autoregressive recursion after the stationary initial block."""
-    k = coeffs.shape[0]
-    n = out.shape[0]
-    head = k if k < n else n
-    for i in range(head):
-        out[i] = first[i]
-    for i in range(head, n):
-        acc = 0.0
-        for j in range(k):
-            acc += coeffs[j] * out[i - 1 - j]
-        out[i] = acc + sigma_v * innovations[i]
-
-
 def draw_errors(process, size, rng):
     """Draw ``size`` consecutive noise values from one subject's stream.
 
     The draw order per family is fixed, so a given (stream, family) pair
     always produces the same sequence.
     """
-    size = int(size)
-    if process.family == "iid-normal":
-        return rng.standard_normal(size)
-    if process.family == "iid-t3-scaled":
-        return rng.standard_t(3.0, size) * math.sqrt(1.0 / 3.0)
-    if process.family == "iid-exp-centered":
-        return rng.exponential(1.0, size) - 1.0
-    coeffs, sigma_v, chol = _stationary_setup(process.family, process.phi)
-    k = coeffs.shape[0]
-    first = chol @ rng.standard_normal(k)
-    innovations = rng.standard_normal(size)
-    out = np.empty(size)
-    _ar_path(first, innovations, coeffs, sigma_v, out)
-    return out
+    return _draw_noise(process, int(size), [rng])[0]
 
 
 # ---------------------------------------------------------------------------
-# sequential-generation kernels (per-time-step recursions)
+# replicate engine: streams drawn per subject, recursions run across subjects
 # ---------------------------------------------------------------------------
+# Every subject draws its primitives from its own stream in a fixed order.
+# The per-time-step recursions (AR(k) noise, availability feedback,
+# treatment feedback) are loops over t whose steps act on all n subjects at
+# once; each subject's values take the same float operations, in the same
+# order, as a scalar recursion over that subject alone would.  Work buffers
+# are time-major (T, n), so each step reads and writes contiguous rows.
 
 
-def _trunc(x):
-    """x clipped to [-1, 1]."""
-    if x > 1.0:
-        return 1.0
-    if x < -1.0:
-        return -1.0
-    return x
+def _draw_noise(process, size, streams):
+    """(len(streams), size) noise, one row per stream.
 
-
-def _availability_feedback_path(u_avail, u_action, tau, rho, eta, center, avail, action):
-    """Sequential draw of (I_t, A_t) when treatment suppresses availability.
-
-    The Bernoulli mean tau_t + eta * sum_{j=1..5} (A I - center)[t-j] is
-    clamped to [0, 1]; lags before the study start contribute zero.
+    i.i.d. families draw the values directly; AR families draw the
+    stationary initial block (Cholesky factor times k standard normals),
+    then ``size`` standard-normal innovations.
     """
-    n = tau.shape[0]
-    for i in range(n):
-        s = 0.0
-        for j in range(1, 6):
-            k = i - j
-            if k >= 0:
-                s += avail[k] * action[k] - center[k]
-        p = tau[i] + eta * s
-        if p < 0.0:
-            p = 0.0
-        if p > 1.0:
-            p = 1.0
-        avail[i] = 1 if u_avail[i] < p else 0
-        action[i] = 1 if u_action[i] < rho[i] else 0
+    family = process.family
+    if family == "iid-normal":
+        return np.array([rng.standard_normal(size) for rng in streams])
+    if family == "iid-t3-scaled":
+        t3 = np.array([rng.standard_t(3.0, size) for rng in streams])
+        return t3 * math.sqrt(1.0 / 3.0)
+    if family == "iid-exp-centered":
+        return np.array([rng.exponential(1.0, size) for rng in streams]) - 1.0
+    coeffs, sigma_v, chol = _stationary_setup(family, process.phi)
+    k = coeffs.shape[0]
+    first, innovations = [], []
+    for rng in streams:
+        first.append(chol @ rng.standard_normal(k))
+        innovations.append(rng.standard_normal(size))
+    return _autoregress(np.array(first), sigma_v * np.array(innovations), coeffs)
 
 
-def _treatment_feedback_path(model, rng):
-    """Sequential draw of (I_t, A_t, C_t) under cumulative-treatment feedback.
+def _autoregress(first, shocks, coeffs):
+    """AR(k) rows: the stationary block ``first``, then the recursion.
 
-    Consumes ``rng`` in the order :func:`generate_subject` fixes for every
-    scenario (availability uniforms, action uniforms, noise) and returns
-    (avail, action, C path, noise).  C_t counts treatments at available
-    decision points over the last five times; the availability mean is
-    tau_t (1 + eta1 (C_t - E[C_t])) + tau_t eta2 Trunc(mean of the last
-    five noise values).  Raises :class:`ConfigError` if the mean leaves
+    x_t = (0.0 + a_1 x_{t-1} + ... + a_k x_{t-k}) + shock_t, summed left to
+    right: the k products go after a zero row and a sequential accumulate
+    adds them in order.  Time runs backwards through the work buffer, so
+    the lags of x_t form one contiguous newest-first block.
+    """
+    n, size = shocks.shape
+    k = coeffs.shape[0]
+    head = min(k, size)
+    back = np.empty((size, n))  # back[size - 1 - t] holds x_t
+    back[size - head:] = first[:, :head][:, ::-1].T
+    terms = np.zeros((k + 1, n))
+    partial = np.empty_like(terms)
+    products, total = terms[1:], partial[k]
+    weights = coeffs[:, None]
+    shock_rows = list(shocks.T)
+    back_rows = list(back)
+    for t in range(head, size):
+        np.multiply(weights, back[size - t:size - t + k], out=products)
+        np.add.accumulate(terms, axis=0, out=partial)
+        np.add(total, shock_rows[t], out=back_rows[size - 1 - t])
+    return np.ascontiguousarray(back[::-1].T)
+
+
+def _treated_thresholds(u_avail, action):
+    """Time-major uniforms whose comparison with the Bernoulli mean gives A I.
+
+    A subject is treated at t when it is available (u_t < p_t) and was
+    randomized to treatment; +inf in place of u_t at untreated times folds
+    both into one comparison.  Availability itself is read off the stored
+    means after the recursion, since only A I feeds back.
+    """
+    return np.where(action.T == 1, u_avail.T, np.inf)
+
+
+def _availability_feedback(model, u_avail, action):
+    """Availability when treatment suppresses it, as (n, T) int8.
+
+    I_t = [u_t < tau_t + eta s_t] with s_t = 0.0 + sum_j (A I - rho tau)[t-j]
+    over j = 1 .. :data:`FEEDBACK_LAGS`, newest first; lags before the
+    study start are zero.  The terms are never -0.0 (A I is +0.0 or 1.0, and
+    x - y rounds to -0.0 only for x = -0.0), so the accumulate may start
+    from the first of them, and the trailing zeros of the early lags leave
+    the sum unchanged.  The clamp of the Bernoulli mean to [0, 1]
+    never changes u < p for u in [0, 1), so the comparison uses p as is.
+    """
+    n, T = u_avail.shape
+    lags = FEEDBACK_LAGS
+    tau = model.tau_path.tolist()
+    center = (model.rho * model.tau_path).tolist()
+    eta = model.eta
+    u_treat = _treated_thresholds(u_avail, action)
+    back = np.zeros((T + lags, n))  # back[T - 1 - t] holds (A I - rho tau) at t
+    prob = np.empty((T, n))
+    partial = np.empty((lags, n))
+    s = partial[-1]
+    treated = np.empty(n, dtype=bool)
+    back_rows, prob_rows = list(back), list(prob)
+    for t in range(T):
+        np.add.accumulate(back[T - t:T - t + lags], axis=0, out=partial)
+        np.add(tau[t], eta * s, out=prob_rows[t])
+        np.less(u_treat[t], prob_rows[t], out=treated)
+        np.subtract(treated, center[t], out=back_rows[T - 1 - t])
+    return (u_avail < prob.T).astype(np.int8)
+
+
+def _treatment_feedback(model, u_avail, action, eps):
+    """Availability and the recent-treatment count C under treatment feedback.
+
+    Returns (avail, C) as (n, T) arrays.  C_t counts treatments at available
+    decision points over the last L = :data:`FEEDBACK_LAGS` times, and the
+    availability mean is (tau_t + (tau_t eta1) (C_t - E[C_t])) +
+    (tau_t eta2) Trunc(es_t / L), with es_t = 0.0 + the noise over the same
+    lags, newest first.  Raises :class:`ConfigError` if the mean leaves
     [0, 1] (invalid parameterization).
     """
+    n, T = u_avail.shape
+    lags = FEEDBACK_LAGS
+    tau_path = model.tau_path
+    es = np.zeros((n, T))
+    for j in range(1, lags + 1):
+        es[:, j:] += eps[:, :-j]
+    trunc = np.clip(es / lags, -1.0, 1.0)
+    noise_term = list(((tau_path * model.eta2) * trunc).T)
+    tau = tau_path.tolist()
+    slope = (tau_path * model.eta1).tolist()
+    c_mean = model.c_mean.tolist()
+    u_treat = _treated_thresholds(u_avail, action)
+    treated = np.zeros((lags + T, n), dtype=bool)  # row lags + t holds time t
+    c_path = np.zeros((T, n))
+    prob = np.empty((T, n))
+    c_rows, prob_rows, treated_rows = list(c_path), list(prob), list(treated)
+    for t in range(T):
+        c = treated[t:t + lags].sum(axis=0, out=c_rows[t])
+        np.add(tau[t] + slope[t] * (c - c_mean[t]), noise_term[t], out=prob_rows[t])
+        np.less(u_treat[t], prob_rows[t], out=treated_rows[lags + t])
+    if ((prob < 0.0) | (prob > 1.0)).any():
+        raise ConfigError(
+            "availability probability left [0, 1]; the feedback "
+            "parameterization (eta1, eta2) is too strong for this tau"
+        )
+    return (u_avail < prob.T).astype(np.int8), np.ascontiguousarray(c_path.T)
+
+
+def _simulate(model, streams):
+    """Trajectories of ``len(streams)`` subjects as (n, T) arrays.
+
+    Each stream is consumed in the order every scenario shares (T
+    availability uniforms, T action uniforms, then the noise primitives).
+    Returns (avail, action, C path or None, noise).
+    """
     T = model.T
-    u_avail = rng.random(T)
-    u_action = rng.random(T)
-    eps = draw_errors(model.errors, T, rng)
-    tau, rho, c_mean = model.tau_path, model.rho, model.c_mean
-    eta1, eta2 = model.eta1, model.eta2
-    avail = np.zeros(T, dtype=np.int8)
-    action = np.zeros(T, dtype=np.int8)
-    c_path = np.zeros(T)
-    for i in range(T):
-        c = 0.0
-        es = 0.0
-        for j in range(1, 6):
-            k = i - j
-            if k >= 0:
-                c += avail[k] * action[k]
-                es += eps[k]
-        c_path[i] = c
-        p = tau[i] + tau[i] * eta1 * (c - c_mean[i]) + tau[i] * eta2 * _trunc(es / 5.0)
-        if p < 0.0 or p > 1.0:
-            raise ConfigError(
-                "availability probability left [0, 1]; the feedback "
-                "parameterization (eta1, eta2) is too strong for this tau"
-            )
-        avail[i] = 1 if u_avail[i] < p else 0
-        action[i] = 1 if u_action[i] < rho[i] else 0
+    u_avail = np.array([rng.random(T) for rng in streams])
+    u_action = np.array([rng.random(T) for rng in streams])
+    eps = _draw_noise(model.errors, T, streams)
+    action = (u_action < model.rho).astype(np.int8)
+    c_path = None
+    if model.scenario == "availability-feedback":
+        avail = _availability_feedback(model, u_avail, action)
+    elif model.scenario == "treatment-feedback":
+        avail, c_path = _treatment_feedback(model, u_avail, action, eps)
+    else:
+        avail = (u_avail < model.tau_path).astype(np.int8)
     return avail, action, c_path, eps
+
+
+def _generate(model, streams):
+    """(avail, action, outcome) of ``len(streams)`` subjects as (n, T) arrays.
+
+    Outcomes at unavailable decision points are NaN (absent).
+    """
+    _require_calibrated(model)
+    avail, action, c_path, eps = _simulate(model, streams)
+    rho = model.rho
+    d_path = model.effect.path
+    if model.scenario == "treatment-feedback":
+        dev = c_path - model.c_mean_avail
+        y = (
+            model.alpha_path
+            + model.gamma1 * dev
+            + (action - rho) * d_path * (1.0 + model.gamma2 * dev)
+            + model.sigma_star * eps
+        )
+    elif model.scenario == "availability-feedback":
+        y = model.alpha_path + (action - rho) * d_path + eps
+    else:
+        scale = np.where(action == 1, model.sigma1, model.sigma0)
+        y = model.alpha_path + (action - rho) * d_path + scale * eps
+    return avail, action, np.where(avail == 1, y, np.nan)
+
+
+def _require_calibrated(model):
+    if not model.is_calibrated:
+        raise ConfigError(
+            "treatment-feedback model is uncalibrated; run calibrate_sigma_star first"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -683,49 +783,13 @@ def generate_subject(model, rng):
 
     Primitives are consumed in a fixed order (availability uniforms, action
     uniforms, noise), so a given stream yields a reproducible
-    :class:`SubjectRow`.  Outcomes at unavailable decision points are
+    :class:`SubjectRow`, equal to the matching row of
+    :func:`generate_dataset`.  Outcomes at unavailable decision points are
     exported as NaN (absent).
     """
-    if not model.is_calibrated:
-        raise ConfigError(
-            "treatment-feedback model is uncalibrated; run calibrate_sigma_star first"
-        )
-    T = model.T
-    tau = model.tau_path
-    rho = model.rho
-    d_path = model.effect.path
-
-    if model.scenario == "treatment-feedback":
-        avail, action, c_path, eps = _treatment_feedback_path(model, rng)
-        dev = c_path - model.c_mean_avail
-        y = (
-            model.alpha_path
-            + model.gamma1 * dev
-            + (action - rho) * d_path * (1.0 + model.gamma2 * dev)
-            + model.sigma_star * eps
-        )
-    else:
-        u_avail = rng.random(T)
-        u_action = rng.random(T)
-        eps = draw_errors(model.errors, T, rng)
-        if model.scenario == "availability-feedback":
-            avail = np.zeros(T, dtype=np.int8)
-            action = np.zeros(T, dtype=np.int8)
-            _availability_feedback_path(
-                u_avail, u_action, tau, rho, model.eta, rho * tau, avail, action
-            )
-            y = model.alpha_path + (action - rho) * d_path + eps
-        else:
-            avail = (u_avail < tau).astype(np.int8)
-            action = (u_action < rho).astype(np.int8)
-            scale = np.where(action == 1, model.sigma1, model.sigma0)
-            y = model.alpha_path + (action - rho) * d_path + scale * eps
-
+    avail, action, outcome = _generate(model, [rng])
     return SubjectRow(
-        avail=avail,
-        action=action,
-        prob=rho.copy(),
-        outcome=np.where(avail == 1, y, np.nan),
+        avail=avail[0], action=action[0], prob=model.rho.copy(), outcome=outcome[0]
     )
 
 
@@ -734,10 +798,15 @@ def generate_dataset(model, n, *, seed, replicate=0):
     n = int(n)
     if n < 1:
         raise ConfigError(f"need at least 1 subject, got {n}")
-    rows = [
-        generate_subject(model, subject_stream(seed, replicate, i)) for i in range(n)
-    ]
-    return Dataset(*map(np.stack, zip(*rows)))
+    avail, action, outcome = _generate(
+        model, [subject_stream(seed, replicate, i) for i in range(n)]
+    )
+    return Dataset(
+        avail=avail,
+        action=action,
+        prob=np.broadcast_to(model.rho, avail.shape),
+        outcome=outcome,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,17 +832,20 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
         raise ConfigError(f"reps must be positive, got {reps}")
     T = model.T
     rho = model.rho
+    # C is a small integer count, so these sums are exact in any order
     count = np.zeros(T)
     total = np.zeros(T)
     total_sq = np.zeros(T)
-    for i in range(reps):
-        avail, _, c_path, _ = _treatment_feedback_path(
-            model, subject_stream(seed, _CALIBRATION_BRANCH, i)
-        )
-        on = avail == 1
-        count[on] += 1.0
-        total[on] += c_path[on]
-        total_sq[on] += c_path[on] * c_path[on]
+    for start in range(0, reps, _CALIBRATION_BLOCK):
+        streams = [
+            subject_stream(seed, _CALIBRATION_BRANCH, i)
+            for i in range(start, min(start + _CALIBRATION_BLOCK, reps))
+        ]
+        avail, _, c_path, _ = _simulate(model, streams)
+        c_on = np.where(avail == 1, c_path, 0.0)
+        count += avail.sum(axis=0)
+        total += c_on.sum(axis=0)
+        total_sq += (c_on * c_on).sum(axis=0)
     if count.min() < CALIBRATION_MIN_SAMPLES:
         raise ConfigError(
             f"insufficient calibration replicates: a decision point has only "
@@ -926,10 +998,7 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
         raise ConfigError(
             f"need more than p + q = {features.p + features.q} subjects, got {n}"
         )
-    if not model.is_calibrated:
-        raise ConfigError(
-            "treatment-feedback model is uncalibrated; run calibrate_sigma_star first"
-        )
+    _require_calibrated(model)
     threads = resolve_threads(threads)
     seed = int(seed)
 

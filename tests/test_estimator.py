@@ -12,6 +12,8 @@ rows) use the contract tolerances; Monte Carlo convergence checks use the
 stated band per sample size.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,17 @@ class TestDataset:
         for column in row:
             with pytest.raises(ValueError):
                 column[0] = 0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        data = self._ok()
+        copy = pickle.loads(pickle.dumps(data))
+        for name in ("avail", "action", "prob", "outcome"):
+            got, want = getattr(copy, name), getattr(data, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            copy.outcome[0, 0] = 1.0
 
 
 # =====================================================================

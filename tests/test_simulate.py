@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import MC_SEED
-from mrtpower import ConfigError, NumericError
+from mrtpower import ConfigError, NumericError, simulate
 from mrtpower.design import (
     EffectPath,
     TrialDesign,
@@ -414,6 +414,62 @@ class TestGenerateSubject:
             total += float(z @ z)
             count += z.size
         assert total / count == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("lags", [2, 5, 7])
+    def test_feedback_lags_drive_availability_feedback(self, monkeypatch, lags):
+        # the lag window and nothing else follows FEEDBACK_LAGS: replay the
+        # subject's own uniforms through a direct scalar recursion
+        monkeypatch.setattr(simulate, "FEEDBACK_LAGS", lags)
+        design = TrialDesign(days=8, decisions_per_day=5, rho=0.4)
+        tau = make_availability("linear", 0.5, design, amplitude=0.4)
+        effect = elicit_quadratic_effect(0.0, 0.1, 5, design)
+        m = GenerativeModel.availability_feedback(
+            design, effect, tau, ErrorProcess("iid-normal"), eta=-0.6
+        )
+        center = design.rho * tau.tau
+        for i in range(20):
+            rng = subject_stream(41, 0, i)
+            u_avail, u_action = rng.random(design.T), rng.random(design.T)
+            action = (u_action < design.rho).astype(int)
+            avail = np.zeros(design.T, dtype=int)
+            for t in range(design.T):
+                s = sum(
+                    avail[t - j] * action[t - j] - center[t - j]
+                    for j in range(1, lags + 1)
+                    if t - j >= 0
+                )
+                p = min(max(tau.tau[t] - 0.6 * s, 0.0), 1.0)
+                avail[t] = u_avail[t] < p
+            rec = generate_subject(m, subject_stream(41, 0, i))
+            assert np.array_equal(rec.action, action)
+            assert np.array_equal(rec.avail, avail)
+
+    @pytest.mark.parametrize("lags", [2, 5, 7])
+    def test_feedback_lags_drive_the_treatment_count(self, monkeypatch, lags):
+        # eta2 = 0 leaves the count C_t over FEEDBACK_LAGS decision points as
+        # the only feedback on availability
+        monkeypatch.setattr(simulate, "FEEDBACK_LAGS", lags)
+        design = TrialDesign(days=8, decisions_per_day=5, rho=0.4)
+        tau = make_availability("constant", 0.5, design)
+        effect = elicit_quadratic_effect(0.0, 0.1, 5, design)
+        m = GenerativeModel.treatment_feedback(
+            design, effect, tau, ErrorProcess("iid-normal"),
+            eta1=-0.1, eta2=0.0, gamma1=0.0, gamma2=0.0,
+        )
+        rate = design.rho * tau.tau
+        c_mean = [rate[max(t - lags, 0):t].sum() for t in range(design.T)]
+        assert np.array_equal(m.c_mean, c_mean)
+        cal = calibrate_sigma_star(m, reps=300, seed=3)
+        for i in range(20):
+            rng = subject_stream(43, 0, i)
+            u_avail, u_action = rng.random(design.T), rng.random(design.T)
+            action = (u_action < design.rho).astype(int)
+            avail = np.zeros(design.T, dtype=int)
+            for t in range(design.T):
+                c = sum(avail[t - j] * action[t - j] for j in range(1, lags + 1) if t - j >= 0)
+                avail[t] = u_avail[t] < 0.5 + 0.5 * -0.1 * (c - c_mean[t])
+            rec = generate_subject(cal, subject_stream(43, 0, i))
+            assert np.array_equal(rec.avail, avail)
 
     def test_generate_dataset_layout(self, tiny_design):
         m = tiny_null_model(tiny_design)
