@@ -16,11 +16,22 @@ Everything here is a pure function.  Kernels signal non-convergence by
 returning NaN; the public wrappers translate that into
 :class:`~mrtpower.exceptions.NumericError`.
 
+Sizing and testing ask for the same few critical values over and over, so
+the F quantile search is memoized per (prob, d1, d2) in a bounded
+``lru_cache`` (``hotelling_critical`` keeps no cache of its own); a failed
+search is cached as NaN and raises on every call.  Within one search the
+log-beta normalizer ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b) is computed
+once, not at every bisection step.  Neither changes a returned bit.
+
 Accuracy notes: the continued fraction is iterated to ~1e-15 relative
 convergence, giving CDF values accurate to ~1e-13 absolute; the log-gamma
 kernel is accurate to ~1e-14 *relative* error, which for very large
 arguments (where log-gamma is ~1e7) corresponds to an absolute error of
 order 1e-7 -- the inherent granularity of double precision at that scale.
+That granularity reaches the CDFs through the log-beta normalizer: for
+d2 above ~5e4 the F CDF is off by up to ~1e-9 (d2 ~ 1e6).  Far in the upper
+tail at d2 = 1, 1 - y is formed from a rounded y near 1, with errors up to
+~2e-9 (tests/test_scipy_oracle.py).
 """
 
 import math
@@ -48,6 +59,8 @@ _SERIES_TOL = 1.0e-13
 _SERIES_CAP = 200_000
 _QUANTILE_CDF_TOL = 1.0e-10
 _QUANTILE_MAXIT = 200
+# Distinct (prob, d1, d2) quantile keys kept; a 96-cell sizing grid needs 253.
+_QUANTILE_MEMO_SIZE = 1024
 
 # Lanczos coefficients, g = 7, n = 9.
 _LANCZOS_G = 7.0
@@ -134,19 +147,20 @@ def _beta_cf(a, b, x):
     return math.nan
 
 
-def _reg_inc_beta_kernel(a, b, x):
+def _ln_beta_norm(a, b):
+    # log of Gamma(a+b) / (Gamma(a) Gamma(b)): fixed for a whole quantile
+    # search, so the search computes it once and passes it in
+    return _ln_gamma_kernel(a + b) - _ln_gamma_kernel(a) - _ln_gamma_kernel(b)
+
+
+def _inc_beta_body(a, b, x, ln_norm):
+    # I_x(a, b) given ln_norm = _ln_beta_norm(a, b)
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
     # log of x^a (1-x)^b / (a*B(a,b)) assembled in log space for stability
-    ln_front = (
-        _ln_gamma_kernel(a + b)
-        - _ln_gamma_kernel(a)
-        - _ln_gamma_kernel(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    ln_front = ln_norm + a * math.log(x) + b * math.log1p(-x)
     if x < (a + 1.0) / (a + b + 2.0):
         cf = _beta_cf(a, b, x)
         return math.exp(ln_front) * cf / a
@@ -154,11 +168,16 @@ def _reg_inc_beta_kernel(a, b, x):
     return 1.0 - math.exp(ln_front) * cf / b
 
 
-def _f_cdf_kernel(x, d1, d2):
+def _reg_inc_beta_kernel(a, b, x):
+    return _inc_beta_body(a, b, x, _ln_beta_norm(a, b))
+
+
+def _f_cdf_kernel(x, d1, d2, ln_norm):
+    # ln_norm = _ln_beta_norm(d1/2, d2/2)
     if x <= 0.0:
         return 0.0
     y = d1 * x / (d1 * x + d2)
-    return _reg_inc_beta_kernel(0.5 * d1, 0.5 * d2, y)
+    return _inc_beta_body(0.5 * d1, 0.5 * d2, y, ln_norm)
 
 
 def _ncf_cdf_kernel(x, d1, d2, lam):
@@ -255,19 +274,22 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
     return total
 
 
+@lru_cache(maxsize=_QUANTILE_MEMO_SIZE)
 def _f_quantile_kernel(prob, d1, d2):
     # geometric bracket expansion from x=1, then bisection on the CDF; NaN
-    # when no bracket is found or the bisection hits its iteration cap
+    # when no bracket is found or the bisection hits its iteration cap.
+    # Memoized per (prob, d1, d2), NaN included.
+    ln_norm = _ln_beta_norm(0.5 * d1, 0.5 * d2)
     lo = 0.0
     hi = 1.0
-    while _f_cdf_kernel(hi, d1, d2) < prob:
+    while _f_cdf_kernel(hi, d1, d2, ln_norm) < prob:
         lo = hi
         hi *= 2.0
         if hi > 1.0e300:
             return math.nan
     for _ in range(_QUANTILE_MAXIT):
         mid = 0.5 * (lo + hi)
-        c = _f_cdf_kernel(mid, d1, d2)
+        c = _f_cdf_kernel(mid, d1, d2, ln_norm)
         if abs(c - prob) <= _QUANTILE_CDF_TOL:
             return mid
         if c < prob:
@@ -340,7 +362,7 @@ def f_cdf(x, params):
         raise ValueError(f"f_cdf requires x >= 0, got {x}")
     if math.isinf(x):
         return 1.0
-    value = _f_cdf_kernel(x, d1, d2)
+    value = _f_cdf_kernel(x, d1, d2, _ln_beta_norm(0.5 * d1, 0.5 * d2))
     if math.isnan(value):
         raise NumericError(f"F CDF evaluation failed (x={x}, d1={d1}, d2={d2})")
     return value
@@ -352,10 +374,15 @@ def f_quantile(prob, params):
     Bracketing plus bisection on the CDF; terminates when the CDF at the
     midpoint is within 1e-10 of ``prob`` (monotonicity makes this safe).
     Raises :class:`NumericError` when no bracket is found or the bisection
-    does not converge within its iteration cap.
+    does not converge within its iteration cap.  The search runs once per
+    distinct (prob, d1, d2) in a process and its result is reused; a failed
+    search is remembered too and raises again on every call.
     """
     d1, d2 = _central(params)
-    prob = float(prob)
+    return _f_quantile(float(prob), d1, d2)
+
+
+def _f_quantile(prob, d1, d2):
     if not (0.0 < prob < 1.0):
         raise ValueError(f"f_quantile requires prob in (0, 1), got {prob}")
     value = _f_quantile_kernel(prob, d1, d2)
@@ -397,15 +424,11 @@ def hotelling_critical(p, q, n, alpha0):
 
         p (n - q - 1) / (n - q - p) * F^{-1}_{p, n-q-p}(1 - alpha0),
 
-    which converges to the chi-square(p) quantile as n grows.  Values are
-    memoized per (p, q, n, alpha0): a Monte Carlo run asks for the same one
-    on every replicate.
+    which converges to the chi-square(p) quantile as n grows.  The F
+    quantile comes from :func:`f_quantile`'s per-key memo, so a Monte Carlo
+    run, which asks for the same value on every replicate, solves it once.
     """
-    return _hotelling_critical(int(p), int(q), int(n), float(alpha0))
-
-
-@lru_cache(maxsize=256)
-def _hotelling_critical(p, q, n, alpha0):
+    p, q, n, alpha0 = int(p), int(q), int(n), float(alpha0)
     if n <= p + q:
         raise ValueError(
             f"hotelling_critical requires n > p + q (got n={n}, p={p}, q={q})"
@@ -413,4 +436,5 @@ def _hotelling_critical(p, q, n, alpha0):
     if not (0.0 < alpha0 < 1.0):
         raise ValueError(f"alpha0 must be in (0, 1), got {alpha0}")
     mult = p * (n - q - 1) / (n - q - p)
-    return mult * f_quantile(1.0 - alpha0, FDistParams(p, n - q - p))
+    d1, d2 = _central(FDistParams(p, n - q - p))
+    return mult * _f_quantile(1.0 - alpha0, d1, d2)

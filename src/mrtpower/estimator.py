@@ -25,7 +25,7 @@ Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,12 @@ class SubjectRow(NamedTuple):
     action: np.ndarray
     prob: np.ndarray
     outcome: np.ndarray
+
+
+def _reduce_through_init(self):
+    # Pickle a frozen dataclass as a constructor call, so a copy is validated
+    # and read-only again (restoring __dict__ would leave writeable arrays).
+    return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,7 @@ class Dataset:
         object.__setattr__(self, "prob", _freeze(prob))
         object.__setattr__(self, "outcome", _freeze(outcome))
 
-    def __reduce__(self):
-        # rebuild through the constructor, so a copy is validated and
-        # read-only again (restoring __dict__ would leave writeable arrays)
-        return (Dataset, (self.avail, self.action, self.prob, self.outcome))
+    __reduce__ = _reduce_through_init
 
     def __len__(self):
         return self.avail.shape[0]
@@ -137,6 +140,8 @@ class ModelFit:
         for name in ("alpha_hat", "beta_hat", "residuals"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
+    __reduce__ = _reduce_through_init
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -157,6 +162,8 @@ class TestResult:
             raise ConfigError(f"unknown adjustment label {self.adjustment!r}")
         for name in ("beta_hat", "sigma_beta_hat"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    __reduce__ = _reduce_through_init
 
     def to_dict(self):
         return {

@@ -14,15 +14,19 @@ degrees of freedom n - q - p, so
 
 The Hotelling small-sample multiplier p(n-q-1)/(n-q-p) scales both the
 critical value and the statistic, so it cancels on the F scale used here.
+The critical value depends only on (alpha0, p, n-q-p); ``f_quantile``
+memoizes it per process, so the solver's repeat evaluations at one n and
+grid cells sharing degrees of freedom pay for its bisection once.
 ``solve_sample_size`` returns the smallest integer n meeting the power target
 together with a minimality certificate.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .design import AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign
+from .design import AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _freeze
 from .distributions import FDistParams, f_quantile, ncf_cdf
 from .exceptions import ConfigError, NumericError
 
@@ -71,9 +75,10 @@ class SizingInputs:
         if self.features.T != T or self.tau.tau.shape[0] != T or self.effect.path.shape[0] != T:
             raise ConfigError("design, features, availability and effect lengths differ")
 
-    @property
+    @cached_property
     def q_matrix(self):
-        return compute_q_matrix(self.tau, self.design.rho, self.features)
+        """Read-only Q for these inputs, computed on first access."""
+        return _freeze(compute_q_matrix(self.tau, self.design.rho, self.features))
 
 
 @dataclass(frozen=True)

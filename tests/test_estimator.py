@@ -448,6 +448,22 @@ class TestHypothesisTest:
         assert hypothesis_test(data, feats, 0.05, adjusted=True).adjustment == "hat-matrix"
         assert hypothesis_test(data, feats, 0.05, adjusted=False).adjustment == "none"
 
+    def test_fit_and_result_pickle_round_trip_stays_read_only(self, design, feats):
+        data = simulate_subjects(design, feats, 20, seed=42)
+        fit = fit_working_model(data, feats)
+        res = hypothesis_test(data, feats, 0.05)
+        for obj, names in (
+            (fit, ("alpha_hat", "beta_hat", "residuals")),
+            (res, ("beta_hat", "sigma_beta_hat")),
+        ):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert type(copy) is type(obj)
+            for name in names:
+                got, want = getattr(copy, name), getattr(obj, name)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable, name
+        assert copy.to_dict() == res.to_dict()
+
     def test_too_few_subjects_rejected(self, design, feats):
         data = simulate_subjects(design, feats, 6, seed=9)
         with pytest.raises(ConfigError, match="subjects"):

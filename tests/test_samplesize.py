@@ -276,6 +276,13 @@ class TestSizingInputs:
         with pytest.raises(ConfigError, match="lengths"):
             SizingInputs(design, feats, tau, eff, ALPHA0, TARGET)
 
+    def test_q_matrix_computed_once_and_read_only(self, design, feats):
+        si = _sizing(design, feats, 0.5, elicit_quadratic_effect(0.0, 0.1, 29, design))
+        q = si.q_matrix
+        assert si.q_matrix is q
+        assert not q.flags.writeable
+        np.testing.assert_array_equal(q, compute_q_matrix(si.tau, design.rho, feats))
+
     def test_result_validation(self):
         with pytest.raises(ConfigError):
             SampleSizeResult(0, 1.0, 0.8, 0.7, 0.8)
