@@ -326,27 +326,13 @@ def _scenario_spec(cfg, *, required):
 
 
 def _instantiate_model(spec, design, effect, tau, errors, *, seed):
-    name = spec["name"]
-    if name == "working-true":
-        return GenerativeModel.working_true(design, effect, tau, errors)
-    if name == "weekend-mean":
-        return GenerativeModel.weekend_mean(design, effect, tau, errors, theta=spec["theta"])
-    if name == "nonquadratic-effect":
-        return GenerativeModel.nonquadratic_effect(design, effect, tau, errors)
-    if name == "heteroscedastic":
-        return GenerativeModel.heteroscedastic(
-            design, effect, tau, errors,
-            variance_ratio=spec["variance_ratio"],
-            variance_trend=spec["variance_trend"],
-        )
-    if name == "availability-feedback":
-        return GenerativeModel.availability_feedback(design, effect, tau, errors, eta=spec["eta"])
-    model = GenerativeModel.treatment_feedback(
-        design, effect, tau, errors,
-        eta1=spec["eta1"], eta2=spec["eta2"],
-        gamma1=spec["gamma1"], gamma2=spec["gamma2"],
-    )
-    return calibrate_sigma_star(model, reps=spec["calibration_reps"], seed=seed)
+    params = dict(spec)
+    build = getattr(GenerativeModel, params.pop("name").replace("-", "_"))
+    calibration_reps = params.pop("calibration_reps", None)
+    model = build(design, effect, tau, errors, **params)
+    if calibration_reps is not None:
+        model = calibrate_sigma_star(model, reps=calibration_reps, seed=seed)
+    return model
 
 
 # ---------------------------------------------------------------------
@@ -365,8 +351,11 @@ def write_dataset(dataset, path):
             lines.append(
                 f"{subject},{t},{avail},{action},{format(prob, '.17g')},{outcome}"
             )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write dataset: {exc}") from None
 
 
 def _parse_int(text, label):
@@ -772,7 +761,6 @@ def _run_paper_table(name, *, reps, seed, threads):
 
 
 def _export_replicates(model, n, reps, seed, directory):
-    os.makedirs(directory, exist_ok=True)
     width = max(4, len(str(reps - 1)))
     for replicate in range(reps):
         data = generate_dataset(model, n, seed=seed, replicate=replicate)
@@ -829,6 +817,11 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
     tau = _build_availability(avail_params, design)
     effect = _build_effect(effect_params, design)
     model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
+    if export_dir is not None:
+        try:
+            os.makedirs(export_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create export directory: {exc}") from None
     report = monte_carlo(
         model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads
     )

@@ -33,8 +33,8 @@ __all__ = [
 
 AVAILABILITY_KINDS = ("constant", "linear", "weekly-periodic", "piecewise")
 
-# Relative eigenvalue threshold below which a Gram matrix is treated as
-# singular (scaled by the matrix trace).
+# Relative eigenvalue threshold below which a symmetric matrix is treated as
+# singular (scaled by its trace); the estimator and the sizing code use it too.
 _SINGULAR_REL_TOL = 1e-12
 
 
@@ -71,7 +71,12 @@ class TrialDesign:
             )
         object.__setattr__(self, "days", int(self.days))
         object.__setattr__(self, "decisions_per_day", int(self.decisions_per_day))
-        rho = np.broadcast_to(np.asarray(self.rho, dtype=np.float64), (self.T,)).copy()
+        rho = np.asarray(self.rho, dtype=np.float64)
+        if rho.shape not in ((), (1,), (self.T,)):
+            raise ConfigError(
+                f"rho must be a scalar or have length {self.T}, got shape {rho.shape}"
+            )
+        rho = np.broadcast_to(rho, (self.T,)).copy()
         if not np.all((rho > 0.0) & (rho < 1.0)):
             raise ConfigError("all randomization probabilities must lie in (0, 1)")
         object.__setattr__(self, "rho", _freeze(rho))

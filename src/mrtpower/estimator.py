@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _freeze
+from .design import _SINGULAR_REL_TOL, _freeze
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -45,8 +45,6 @@ __all__ = [
     "asymptotic_targets",
 ]
 
-# Relative eigenvalue threshold for declaring a symmetric system singular.
-_SINGULAR_REL_TOL = 1e-12
 # Condition-number guard for the dense (I - H) solve ("averaged" variant).
 _DENSE_COND_CAP = 1e12
 

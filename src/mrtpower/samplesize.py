@@ -26,7 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _freeze
+from .design import (
+    _SINGULAR_REL_TOL, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _freeze,
+)
 from .distributions import FDistParams, f_quantile, ncf_cdf
 from .exceptions import ConfigError, NumericError
 
@@ -38,10 +40,6 @@ __all__ = [
     "power",
     "solve_sample_size",
 ]
-
-# Relative eigenvalue threshold below which Q is declared not positive
-# definite (scaled by its trace).
-_NON_PD_REL_TOL = 1e-12
 
 DEFAULT_N_CAP = 1_000_000
 
@@ -130,7 +128,7 @@ def compute_q_matrix(tau, rho, features):
     q = Z.T @ (w[:, None] * Z)
     q = 0.5 * (q + q.T)
     eigvals = np.linalg.eigvalsh(q)
-    if eigvals[0] <= _NON_PD_REL_TOL * np.trace(q):
+    if eigvals[0] <= _SINGULAR_REL_TOL * np.trace(q):
         raise NumericError(
             "information matrix is not positive definite for this "
             "availability/feature combination"

@@ -428,8 +428,6 @@ def _generate(model, streams):
             + (action - rho) * d_path * (1.0 + model.gamma2 * dev)
             + model.sigma_star * eps
         )
-    elif model.scenario == "availability-feedback":
-        y = model.alpha_path + (action - rho) * d_path + eps
     else:
         scale = np.where(action == 1, model.sigma1, model.sigma0)
         y = model.alpha_path + (action - rho) * d_path + scale * eps
@@ -510,7 +508,10 @@ class GenerativeModel:
 
     Build instances through the per-scenario classmethods rather than the
     raw constructor; they derive the dependent fields and enforce each
-    family's variance normalization.
+    family's variance normalization.  Fields left at their defaults take
+    the working-model values: ``alpha_path`` the :data:`ALPHA_COEFFS`
+    quadratic in day, ``sigma1`` and ``sigma0`` unit noise scales, and the
+    scenario parameters their no-effect values.
     """
 
     scenario: str
@@ -518,9 +519,9 @@ class GenerativeModel:
     effect: EffectPath
     tau: AvailabilityPattern
     errors: ErrorProcess
-    alpha_path: np.ndarray
-    sigma1: np.ndarray
-    sigma0: np.ndarray
+    alpha_path: np.ndarray = None
+    sigma1: np.ndarray = None
+    sigma0: np.ndarray = None
     theta: float = 0.0
     eta: float = 0.0
     eta1: float = 0.0
@@ -539,6 +540,13 @@ class GenerativeModel:
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
         T = self.design.T
+        if self.alpha_path is None:
+            a0, a1, a2 = ALPHA_COEFFS
+            u = self.design.day_index.astype(np.float64)
+            object.__setattr__(self, "alpha_path", a0 + a1 * u + a2 * u * u)
+        for name in ("sigma1", "sigma0"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.ones(T))
         for name in ("alpha_path", "sigma1", "sigma0"):
             arr = _freeze(getattr(self, name))
             if arr.shape != (T,):
@@ -583,7 +591,6 @@ class GenerativeModel:
     def describe(self):
         """JSON-serializable full description (drives the config digest)."""
         out = {
-            "scenario": self.scenario,
             "days": self.design.days,
             "decisions_per_day": self.design.decisions_per_day,
             "rho": self.design.rho.tolist(),
@@ -591,42 +598,21 @@ class GenerativeModel:
             "tau_kind": self.tau.kind,
             "effect_form": self.effect.form,
             "effect_path": self.effect.path.tolist(),
-            "alpha_path": self.alpha_path.tolist(),
             "errors": {"family": self.errors.family, "phi": self.errors.phi},
-            "sigma1": self.sigma1.tolist(),
-            "sigma0": self.sigma0.tolist(),
-            "theta": self.theta,
-            "eta": self.eta,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "variance_ratio": self.variance_ratio,
-            "variance_trend": self.variance_trend,
         }
-        if self.c_mean is not None:
-            out["c_mean"] = self.c_mean.tolist()
-        if self.c_mean_avail is not None:
-            out["c_mean_avail"] = self.c_mean_avail.tolist()
-        if self.sigma_star is not None:
-            out["sigma_star"] = self.sigma_star
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name in ("design", "effect", "tau", "errors") or value is None:
+                continue
+            out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
 
     # -- scenario constructors --------------------------------------------
 
     @classmethod
-    def working_true(cls, design, effect, tau, errors, *, alpha=ALPHA_COEFFS):
+    def working_true(cls, design, effect, tau, errors):
         """Outcome follows the working model exactly."""
-        return cls(
-            scenario="working-true",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
-            alpha_path=_quadratic_alpha(design, alpha),
-            sigma1=np.ones(design.T),
-            sigma0=np.ones(design.T),
-        )
+        return cls("working-true", design, effect, tau, errors)
 
     @classmethod
     def weekend_mean(cls, design, effect, tau, errors, *, theta):
@@ -638,36 +624,18 @@ class GenerativeModel:
         base = elicit_quadratic_effect(2.5, 2.6, design.days, design)
         weekend = (design.day_index % 7 >= 5).astype(np.float64)
         return cls(
-            scenario="weekend-mean",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
+            "weekend-mean", design, effect, tau, errors,
             alpha_path=base.path + float(theta) * weekend,
-            sigma1=np.ones(design.T),
-            sigma0=np.ones(design.T),
             theta=float(theta),
         )
 
     @classmethod
-    def nonquadratic_effect(cls, design, effect, tau, errors, *, alpha=ALPHA_COEFFS):
+    def nonquadratic_effect(cls, design, effect, tau, errors):
         """Working-model generation with an arbitrary effect path d(t)."""
-        return cls(
-            scenario="nonquadratic-effect",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
-            alpha_path=_quadratic_alpha(design, alpha),
-            sigma1=np.ones(design.T),
-            sigma0=np.ones(design.T),
-        )
+        return cls("nonquadratic-effect", design, effect, tau, errors)
 
     @classmethod
-    def heteroscedastic(
-        cls, design, effect, tau, errors, *, variance_ratio, variance_trend,
-        alpha=ALPHA_COEFFS,
-    ):
+    def heteroscedastic(cls, design, effect, tau, errors, *, variance_ratio, variance_trend):
         """Arm- and time-dependent noise scale with unit average variance.
 
         sigma1_t / sigma0_t = ``variance_ratio`` everywhere, and the
@@ -682,12 +650,7 @@ class GenerativeModel:
         sigma0 = sbar / np.sqrt(rho * ratio * ratio + 1.0 - rho)
         sigma1 = ratio * sigma0
         model = cls(
-            scenario="heteroscedastic",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
-            alpha_path=_quadratic_alpha(design, alpha),
+            "heteroscedastic", design, effect, tau, errors,
             sigma1=sigma1,
             sigma0=sigma0,
             variance_ratio=ratio,
@@ -701,25 +664,12 @@ class GenerativeModel:
         return model
 
     @classmethod
-    def availability_feedback(cls, design, effect, tau, errors, *, eta, alpha=ALPHA_COEFFS):
+    def availability_feedback(cls, design, effect, tau, errors, *, eta):
         """Availability drops with the centered recent-treatment count."""
-        return cls(
-            scenario="availability-feedback",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
-            alpha_path=_quadratic_alpha(design, alpha),
-            sigma1=np.ones(design.T),
-            sigma0=np.ones(design.T),
-            eta=float(eta),
-        )
+        return cls("availability-feedback", design, effect, tau, errors, eta=float(eta))
 
     @classmethod
-    def treatment_feedback(
-        cls, design, effect, tau, errors, *, eta1, eta2, gamma1, gamma2,
-        alpha=ALPHA_COEFFS,
-    ):
+    def treatment_feedback(cls, design, effect, tau, errors, *, eta1, eta2, gamma1, gamma2):
         """Availability and outcome both react to recent treatment.
 
         The returned model is uncalibrated: run
@@ -738,28 +688,13 @@ class GenerativeModel:
             [rate[max(t - FEEDBACK_LAGS, 0):t].sum() for t in range(design.T)]
         )
         return cls(
-            scenario="treatment-feedback",
-            design=design,
-            effect=effect,
-            tau=tau,
-            errors=errors,
-            alpha_path=_quadratic_alpha(design, alpha),
-            sigma1=np.ones(design.T),
-            sigma0=np.ones(design.T),
+            "treatment-feedback", design, effect, tau, errors,
             eta1=float(eta1),
             eta2=float(eta2),
             gamma1=float(gamma1),
             gamma2=float(gamma2),
             c_mean=c_mean,
         )
-
-
-def _quadratic_alpha(design, alpha):
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (3,):
-        raise ConfigError(f"alpha must have 3 coefficients, got shape {alpha.shape}")
-    u = design.day_index.astype(np.float64)
-    return alpha[0] + alpha[1] * u + alpha[2] * u * u
 
 
 # ---------------------------------------------------------------------------

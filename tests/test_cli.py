@@ -24,6 +24,7 @@ from mrtpower.design import (
     make_availability,
 )
 from mrtpower.estimator import Dataset, hypothesis_test
+from mrtpower.exceptions import ConfigError
 from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 TINY_DESIGN = {"days": 3, "decisions_per_day": 4, "rho": 0.4}
@@ -283,6 +284,11 @@ class TestDatasetIO:
         path.write_text("\n".join(lines) + "\n")
         return path
 
+    def test_unwritable_path_is_config_error(self, tmp_path):
+        data = generate_dataset(tiny_model()[0], 9, seed=1)
+        with pytest.raises(ConfigError, match="cannot write dataset"):
+            write_dataset(data, str(tmp_path / "missing" / "d.csv"))
+
     def test_bad_header(self, tmp_path):
         path = self.write_lines(tmp_path, ["subject,t,avail,action,p,outcome"])
         with pytest.raises(Exception, match="line 1"):
@@ -467,6 +473,25 @@ class TestSimulate:
             data = generate_dataset(model, 9, seed=3, replicate=replicate)
             expected = hypothesis_test(data, build_quadratic_features(design), 0.05)
             assert payload == expected.to_dict()
+
+    def test_export_to_a_file_is_config_error(self, runner, tmp_path):
+        path = write_json(tmp_path / "c.json", tiny_sim_config(reps=4))
+        target = tmp_path / "taken"
+        target.write_text("")
+        res = runner.invoke(main, ["simulate", path, "--export", str(target)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: cannot create export directory")
+        assert len(res.stderr.splitlines()) == 1
+
+    def test_wrong_length_rho_is_config_error(self, runner, tmp_path):
+        doc = tiny_sim_config()
+        doc["design"]["rho"] = [0.4, 0.5]
+        res = runner.invoke(main, ["simulate", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: rho must")
+        assert "length 12" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
 
     def test_scenario_configs_parse_and_run(self, runner, tmp_path):
         scenarios = [

@@ -72,6 +72,16 @@ class TestTrialDesign:
         with pytest.raises(ConfigError):
             TrialDesign(days=DAYS, decisions_per_day=PER_DAY, rho=bad)
 
+    @pytest.mark.parametrize("rho", [0.4, [0.4], np.full(210, 0.4)])
+    def test_broadcastable_rho_accepted(self, rho):
+        d = TrialDesign(days=DAYS, decisions_per_day=PER_DAY, rho=rho)
+        assert d.rho.shape == (210,)
+
+    @pytest.mark.parametrize("rho", [[0.4, 0.5], np.full((1, 210), 0.4), []])
+    def test_wrong_length_rho_rejected(self, rho):
+        with pytest.raises(ConfigError, match=r"length 210.*got shape"):
+            TrialDesign(days=DAYS, decisions_per_day=PER_DAY, rho=rho)
+
     @pytest.mark.parametrize("days,per_day", [(0, 5), (-1, 5), (42, 0), (2.5, 5)])
     def test_bad_grid_rejected(self, days, per_day):
         with pytest.raises(ConfigError):

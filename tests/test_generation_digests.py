@@ -16,9 +16,11 @@ import pytest
 from mrtpower.design import TrialDesign, elicit_quadratic_effect, make_availability
 from mrtpower.simulate import (
     ERROR_FAMILIES,
+    SCENARIOS,
     ErrorProcess,
     GenerativeModel,
     calibrate_sigma_star,
+    config_digest,
     draw_errors,
     generate_dataset,
     generate_subject,
@@ -162,3 +164,22 @@ def test_subjects_are_dataset_rows(scenario, family):
         for got, want in zip(alone, row):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+# sha256 of config_digest(model, 40, 200, 0.05, True, "summed", 11) for each
+# scenario's ar1 model; they pin every field of GenerativeModel.describe().
+CONFIG_DIGESTS = {
+    "working-true": "8d3589a46f745c941193d9d67d505f5ce9dd41cd80c8f93f24f2f4f911d9198d",
+    "availability-feedback": "6e9fa6780bd3f09a04656ee6899822a2f80ca917c45ace7c088a637fd7a8a79d",
+    "weekend-mean": "a2aafe601d022b84c52e95717810123b2c2303a5ee9db7cdc1f1f8c005d5660b",
+    "nonquadratic-effect": "add52a4ac6f194ac363a9e7d8d00ff1bbed9f594c5ae167981c123576fa552d2",
+    "heteroscedastic": "2c26933443af09085aee30817e0bc8ad7d9906b23925d41de94e92f6844ee061",
+    "treatment-feedback": "8881e85947c019a24e6b1ea704867f65cfa6227e1938d68e305e9dd411609510",
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_config_digest(scenario):
+    model = _model(scenario, "ar1")
+    digest = config_digest(model, 40, 200, 0.05, True, "summed", 11)
+    assert digest == CONFIG_DIGESTS[scenario]
