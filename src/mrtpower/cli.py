@@ -25,7 +25,6 @@ literally empty when avail=0.
 """
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -56,6 +55,7 @@ from .simulate import (
     generate_dataset,
     monte_carlo,
     shaped_effect,
+    _canonical_digest,
 )
 
 __all__ = [
@@ -90,6 +90,8 @@ def load_config(path):
                     f"config is not valid JSON (line {exc.lineno}, column "
                     f"{exc.colno}): {exc.msg}"
                 ) from None
+            except ValueError as exc:  # invalid UTF-8, or an integer past the digit limit
+                raise ConfigError(f"cannot read config: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     if not isinstance(data, dict):
@@ -110,7 +112,12 @@ def _range_text(low, high, open_low, open_high):
 def _check_number(label, value, low, high, open_low, open_high):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{label} must be a number, got an integer too large for a float"
+        ) from None
     lo_ok = low is None or (v > low if open_low else v >= low)
     hi_ok = high is None or (v < high if open_high else v <= high)
     if not (math.isfinite(v) and lo_ok and hi_ok):
@@ -465,12 +472,7 @@ def _emit(payload):
 
 
 def _digest(command, config, flags):
-    canon = json.dumps(
-        {"command": command, "config": config, "flags": flags},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _canonical_digest({"command": command, "config": config, "flags": flags})
 
 
 def _axis(value):

@@ -12,14 +12,16 @@ The N subjects' data arrive as one :class:`Dataset` of (N, T) arrays, which
 is validated once, when it is built.
 
 Variance estimation supports the small-sample hat-matrix adjustment with two
-Gram conventions for H = X G^{-1} X':
+Gram conventions for the per-subject hat matrix H_i = X_i A^{-1} X_i':
 
-* ``gram="summed"`` (default): G = sum_j X_j' X_j.  Per-subject leverages
-  shrink like 1/N, and (I - H)^{-1} is applied through the Woodbury identity
-  using only (p+q)-dimensional solves.
-* ``gram="averaged"``: G = avg_j X_j' X_j.  Leverages are N times larger and
-  (I - H) is frequently near-singular; this variant is computed literally
-  with a dense per-subject solve behind a condition-number guard.
+* ``gram="summed"`` (default): A = G = sum_j X_j' X_j.  Per-subject
+  leverages shrink like 1/N.
+* ``gram="averaged"``: A = G / N.  Leverages are N times larger and
+  (I - H_i) is frequently near-singular, so the test raises when the
+  condition number of I - H_i exceeds 1e12 for any subject.
+
+Both apply (I - H_i)^{-1} through the Woodbury identity, using only
+(q+p)-dimensional solves.
 
 Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
@@ -44,9 +46,6 @@ __all__ = [
     "hypothesis_test",
     "asymptotic_targets",
 ]
-
-# Condition-number guard for the dense (I - H) solve ("averaged" variant).
-_DENSE_COND_CAP = 1e12
 
 GRAM_KINDS = ("summed", "averaged")
 
@@ -202,8 +201,8 @@ def _solve_sym(mat, rhs, what):
     return (v @ ((v.T @ (rhs / d)) / w)) / d
 
 
-def _inv_sym(mat, what):
-    d, w, v = _equilibrated_eigh(mat, what)
+def _inv_eigh(d, w, v):
+    """Inverse of a matrix from its :func:`_equilibrated_eigh` decomposition."""
     return ((v / w) @ v.T) / d[:, None] / d[None, :]
 
 
@@ -277,44 +276,37 @@ def _sandwich(avail, X, prob, fit, features, adjusted, gram):
     if not adjusted:
         weights = (avail * prob * (1.0 - prob)).mean(axis=0)
         q_hat = features.Z.T @ (weights[:, None] * features.Z)
-        w_hat = (m[:, q:, None] * m[:, None, q:]).mean(axis=0)
-        q_inv = _inv_sym(q_hat, "plug-in information matrix")
-        sigma = q_inv @ w_hat @ q_inv
-        return 0.5 * (sigma + sigma.T)
-
-    # hat-matrix adjustment
-    G = np.einsum("nti,ntj->ij", X, X)
-    q_inv_full = _inv_sym(G / n, "averaged design Gram")
-    q_inv = q_inv_full[q:, q:]
-    if gram == "summed":
-        # Woodbury: (I - X G^{-1} X')^{-1} e = e + X (G - X'X)^{-1} X'e, so
-        # X'(I - H)^{-1} e = m + K (G - K)^{-1} m with K = X'X per subject.
+        q_inv = _inv_eigh(*_equilibrated_eigh(q_hat, "plug-in information matrix"))
+        g = m
+    else:
+        # hat-matrix adjustment with H_i = X_i A^{-1} X_i'.  Woodbury:
+        # (I - X A^{-1} X')^{-1} e = e + X (A - X'X)^{-1} X'e, so
+        # X'(I - H)^{-1} e = m + K (A - K)^{-1} m with K = X'X per subject.
+        G = np.einsum("nti,ntj->ij", X, X)
+        A = G if gram == "summed" else G / n
+        d, w, v = _equilibrated_eigh(G / n, "averaged design Gram")
+        q_inv = _inv_eigh(d, w, v)[q:, q:]
         K = np.einsum("nti,ntj->nij", X, X)
-        S = G[None] - K
+        if gram == "averaged":
+            # I - H_i has eigenvalues 1 and 1 - eig(A^{-1} K_i), the latter
+            # those of R'K_iR with R R' = A^{-1} (d, w, v decompose A here)
+            R = v / np.sqrt(w) / d[:, None]
+            dev = np.abs(1.0 - np.linalg.eigvalsh(R.T @ K @ R))
+            bound = _SINGULAR_REL_TOL * np.maximum(1.0, dev.max(axis=1))
+            if np.any(dev.min(axis=1) < bound):
+                raise NumericError(
+                    "(I - H) is numerically singular for a subject under the "
+                    "averaged-Gram convention; use gram='summed'"
+                )
         try:
-            adj = np.linalg.solve(S, m[:, :, None])[:, :, 0]
+            adj = np.linalg.solve(A[None] - K, m[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"leave-one-subject-out Gram is singular (N={n} too small "
                 f"or design pathological): {exc}"
             ) from exc
-        g_full = m + np.einsum("nij,nj->ni", K, adj)
-    else:
-        # literal dense route: H_i = X_i [avg_j X_j'X_j]^{-1} X_i'
-        g_avg_inv = q_inv_full
-        g_full = np.empty_like(m)
-        T = X.shape[1]
-        eye = np.eye(T)
-        for i in range(n):
-            h = X[i] @ g_avg_inv @ X[i].T
-            imh = eye - h
-            if np.linalg.cond(imh) > _DENSE_COND_CAP:
-                raise NumericError(
-                    "(I - H) is numerically singular for a subject under the "
-                    "averaged-Gram convention; use gram='summed'"
-                )
-            g_full[i] = X[i].T @ np.linalg.solve(imh, e[i])
-    w_hat = (g_full[:, q:, None] * g_full[:, None, q:]).mean(axis=0)
+        g = m + np.einsum("nij,nj->ni", K, adj)
+    w_hat = (g[:, q:, None] * g[:, None, q:]).mean(axis=0)
     sigma = q_inv @ w_hat @ q_inv
     return 0.5 * (sigma + sigma.T)
 

@@ -15,8 +15,8 @@ degrees of freedom n - q - p, so
 The Hotelling small-sample multiplier p(n-q-1)/(n-q-p) scales both the
 critical value and the statistic, so it cancels on the F scale used here.
 The critical value depends only on (alpha0, p, n-q-p); ``f_quantile``
-memoizes it per process, so the solver's repeat evaluations at one n and
-grid cells sharing degrees of freedom pay for its bisection once.
+memoizes it per process, so grid cells sharing degrees of freedom pay for
+its bisection once.
 ``solve_sample_size`` returns the smallest integer n meeting the power target
 together with a minimality certificate.
 """
@@ -174,11 +174,12 @@ def _power(p, q, n, alpha0, lam):
 def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
     """Smallest integer n with power(n) >= the target, with certificate.
 
-    Strategy: geometric bracket upward from the minimal feasible n, integer
-    bisection inside the bracket, and a final linear walk-down confirming
-    minimality.  Raises when no n <= n_cap reaches the target, and when the
-    effect is identically zero (no finite n can ever reach a target above
-    alpha0).
+    Strategy: geometric bracket upward from the minimal feasible n, then
+    integer bisection inside the bracket.  Both keep power(lo) < target <=
+    power(hi) with both ends evaluated, so when hi - lo = 1 the answer is hi,
+    its certificate is power(lo), and no n is evaluated twice.  Raises when
+    no n <= n_cap reaches the target, and when the effect is identically zero
+    (no finite n can ever reach a target above alpha0).
     """
     p = inputs.features.p
     q = inputs.features.q
@@ -198,33 +199,30 @@ def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
         return _power(p, q, n, inputs.alpha0, float(n) * per_subject)
 
     target = inputs.power_target
-    lo = n_min
-    if power_at(lo) >= target:
-        n = lo
+    lo, p_lo = n_min, power_at(n_min)
+    if p_lo >= target:
+        n, achieved, below = n_min, p_lo, 0.0
     else:
-        hi = lo
         while True:
-            hi = min(2 * hi, n_cap)
-            if power_at(hi) >= target:
-                break
-            if hi >= n_cap:
+            if lo >= n_cap:
                 raise NumericError(
                     f"power target {target} not reached by n = {n_cap} "
-                    f"(power there is {power_at(n_cap):.4f})"
+                    f"(power there is {p_lo:.4f})"
                 )
-            lo = hi
+            hi = min(2 * lo, n_cap)
+            p_hi = power_at(hi)
+            if p_hi >= target:
+                break
+            lo, p_lo = hi, p_hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if power_at(mid) >= target:
-                hi = mid
+            p_mid = power_at(mid)
+            if p_mid >= target:
+                hi, p_hi = mid, p_mid
             else:
-                lo = mid
-        n = hi
-        while n > n_min and power_at(n - 1) >= target:
-            n -= 1
+                lo, p_lo = mid, p_mid
+        n, achieved, below = hi, p_hi, p_lo
 
-    achieved = power_at(n)
-    below = power_at(n - 1) if n - 1 >= n_min else 0.0
     return SampleSizeResult(
         n=n,
         c_n=float(n) * per_subject,

@@ -912,8 +912,13 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
         "gram": gram,
         "seed": int(seed),
     }
+    return _canonical_digest(payload)
+
+
+def _canonical_digest(payload):
+    """sha256 hex digest of ``payload`` as sorted, compact, UTF-8 JSON."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", threads=None):

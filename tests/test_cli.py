@@ -127,6 +127,31 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "not valid JSON" in res.stderr and "line 1" in res.stderr
 
+    @pytest.mark.parametrize(
+        "digits,message",
+        [
+            (400, "power must be a number, got an integer too large for a float"),
+            (4400, "cannot read config: Exceeds the limit (4300 digits)"),
+        ],
+        ids=["float-overflow", "digit-limit"],
+    )
+    def test_oversized_integer_is_config_error(self, runner, tmp_path, digits, message):
+        # 10**digits overflows a float; past 4300 digits json.load cannot parse it
+        path = tmp_path / "c.json"
+        text = json.dumps(self.size_doc())
+        path.write_text(text.replace('"power": 0.8', '"power": 1' + "0" * digits))
+        res = runner.invoke(main, ["size", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {message}")
+        assert res.stderr.count("\n") == 1 and "0" * 50 not in res.stderr
+
+    def test_non_utf8_config_is_config_error(self, runner, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"alpha0": "\xff"}')
+        res = runner.invoke(main, ["size", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: cannot read config: 'utf-8' codec")
+
     def test_missing_config_file(self, runner):
         res = runner.invoke(main, ["size", "does-not-exist.json"])
         assert res.exit_code == 2
@@ -443,6 +468,17 @@ class TestSimulate:
         payload = json.loads(base.stdout)
         assert payload["requested"] == 12 and payload["seed"] == 3
         assert len(payload["config_digest"]) == 64
+
+    def test_averaged_gram_thread_invariant(self, runner, tmp_path):
+        # at T = 12 some replicates have a subject whose (I - H) is singular
+        # under the averaged Gram, so the run mixes tests and guard failures
+        path = write_json(tmp_path / "c.json", tiny_sim_config(gram="averaged"))
+        one = runner.invoke(main, ["simulate", path, "--threads", "1"])
+        two = runner.invoke(main, ["simulate", path, "--threads", "2"])
+        assert one.exit_code == 0
+        assert one.stdout == two.stdout
+        payload = json.loads(one.stdout)
+        assert payload["replicates"] == 5 and payload["failures"] == 7
 
     def test_flags_override_config(self, runner, tmp_path):
         path = write_json(tmp_path / "c.json", tiny_sim_config())

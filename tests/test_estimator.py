@@ -20,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtpower import ConfigError, NumericError
-from mrtpower.design import FeaturePaths, TrialDesign, build_quadratic_features, make_availability, project_effect
+from mrtpower.design import (
+    FeaturePaths,
+    TrialDesign,
+    build_quadratic_features,
+    elicit_quadratic_effect,
+    make_availability,
+    project_effect,
+)
 from mrtpower.estimator import (
     Dataset,
     ModelFit,
@@ -30,6 +37,7 @@ from mrtpower.estimator import (
     sandwich_variance,
 )
 from mrtpower.estimator import TestResult as HypothesisResult
+from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 from _tiny_instances import INSTANCE_A, INSTANCE_B, instance_c_arrays
 import _reference_estimator as ref
@@ -85,6 +93,34 @@ def simulate_subjects(design, feats, n, seed, *, beta=None, noise=1.0, avail_rat
         filler = filler_rng.normal(size=T) * 1e12 if garbage else np.nan
         rows.append((avail, action, prob, np.where(avail == 1, y, filler)))
     return Dataset(*map(np.stack, zip(*rows)))
+
+
+def dense_averaged_sandwich(data, fit, feats):
+    """Reference adjusted sandwich under the averaged Gram, computed literally.
+
+    Each subject's T x T matrix I - H_i, H_i = X_i (G/N)^{-1} X_i', is formed
+    and solved densely behind a cond(I - H_i) <= 1e12 guard.
+    """
+    avail = data.avail.astype(float)
+    X = np.concatenate(
+        [
+            avail[:, :, None] * feats.B[None],
+            (avail * (data.action - data.prob))[:, :, None] * feats.Z[None],
+        ],
+        axis=2,
+    )
+    n, T, k = X.shape
+    g_avg_inv = np.linalg.inv(np.einsum("nti,ntj->ij", X, X) / n)
+    g_full = np.empty((n, k))
+    for i in range(n):
+        imh = np.eye(T) - X[i] @ g_avg_inv @ X[i].T
+        if np.linalg.cond(imh) > 1e12:
+            raise NumericError("(I - H) is numerically singular")
+        g_full[i] = X[i].T @ np.linalg.solve(imh, fit.residuals[i])
+    q = feats.q
+    w_hat = (g_full[:, q:, None] * g_full[:, None, q:]).mean(axis=0)
+    q_inv = g_avg_inv[q:, q:]
+    return q_inv @ w_hat @ q_inv
 
 
 # =====================================================================
@@ -386,6 +422,39 @@ class TestSandwichVariance:
         fit = fit_working_model(recs, feats)
         with pytest.raises(NumericError, match="singular"):
             sandwich_variance(recs, fit, feats, adjusted=True, gram="averaged")
+
+    def test_averaged_gram_near_singular_guard(self):
+        # probabilities 1e-13 apart make cond(I - H_i) ~ 9e12 under the
+        # averaged Gram: past the 1e12 bound, though an LU solve succeeds
+        prob = np.full((2, 3), 0.4)
+        prob[1] += 1e-13
+        recs = Dataset(
+            avail=np.ones((2, 3), dtype=np.int8),
+            action=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.int8),
+            prob=prob,
+            outcome=np.array([[0.7, -0.3, 0.2], [0.5, -0.1, 0.4]]),
+        )
+        feats = constant_features(3)
+        fit = fit_working_model(recs, feats)
+        with pytest.raises(NumericError, match="numerically singular"):
+            dense_averaged_sandwich(recs, fit, feats)
+        with pytest.raises(NumericError, match="numerically singular"):
+            sandwich_variance(recs, fit, feats, adjusted=True, gram="averaged")
+
+    def test_averaged_woodbury_equals_dense_solve(self, design, feats):
+        # sized design, N = 42, AR(1) errors: the k x k Woodbury route and the
+        # dense T x T reference round differently, hence a relative tolerance
+        model = GenerativeModel.working_true(
+            design,
+            elicit_quadratic_effect(0.0, 0.1, 29, design),
+            make_availability("constant", 0.5, design),
+            ErrorProcess("ar1", 0.6),
+        )
+        data = generate_dataset(model, 42, seed=5)
+        fit = fit_working_model(data, feats)
+        sigma = sandwich_variance(data, fit, feats, adjusted=True, gram="averaged")
+        dense = dense_averaged_sandwich(data, fit, feats)
+        np.testing.assert_allclose(sigma, dense, rtol=1e-8, atol=0.0)
 
 
 # =====================================================================

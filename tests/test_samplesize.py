@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtpower import ConfigError, NumericError
+from mrtpower import ConfigError, NumericError, samplesize
 from mrtpower.design import (
     EffectPath,
     TrialDesign,
@@ -359,6 +359,37 @@ class TestSolveSampleSize:
         res = solve_sample_size(si)
         assert res.n == 7  # p + q + 1
         assert res.power_at_n_minus_1 == 0.0
+
+    @pytest.mark.parametrize(
+        "coeffs,n_cap",
+        [
+            (None, samplesize.DEFAULT_N_CAP),  # elicited 0.10 effect, n = 42
+            ([5.0, 0.0, 0.0], samplesize.DEFAULT_N_CAP),  # n = p + q + 1
+            ([1e-6, 0.0, 0.0], None),  # target not reached by n_cap = 10_000
+        ],
+        ids=["elicited", "minimal-n", "cap-reached"],
+    )
+    def test_no_sample_size_evaluated_twice(self, design, feats, monkeypatch, coeffs, n_cap):
+        if coeffs is None:
+            effect = elicit_quadratic_effect(0.0, 0.1, 29, design)
+        else:
+            effect = EffectPath.quadratic(coeffs, design)
+        evaluated = []
+        real_power = samplesize._power
+
+        def counting_power(p, q, n, alpha0, lam):
+            evaluated.append(n)
+            return real_power(p, q, n, alpha0, lam)
+
+        monkeypatch.setattr(samplesize, "_power", counting_power)
+        si = _sizing(design, feats, 0.5, effect)
+        if n_cap is None:
+            with pytest.raises(NumericError, match="not reached"):
+                solve_sample_size(si, n_cap=10_000)
+        else:
+            solve_sample_size(si, n_cap=n_cap)
+        assert evaluated
+        assert len(evaluated) == len(set(evaluated))
 
     @settings(deadline=None, max_examples=20)
     @given(
