@@ -390,7 +390,7 @@ def read_dataset(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
     if not lines or lines[0] != DATASET_HEADER:
         raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")

@@ -44,13 +44,18 @@ exponential by rate 1, and the AR families by solving the Yule-Walker
 system and initializing from the exact stationary distribution.
 
 Reproducibility: every (replicate, subject) pair owns a private
-counter-based RNG stream (Philox keyed by ``SeedSequence(seed,
-spawn_key=(replicate, subject))``), and all primitives are drawn from that
-stream in a fixed order, so results are bit-identical for any worker count.
-Streams are drawn per subject, and the per-time-step recursions then run
-across all subjects of a replicate at once, each subject's values taking the
-same float operations in the same order; so a subject drawn alone
-(:func:`generate_subject`) equals its row of :func:`generate_dataset`.
+counter-based RNG stream, Philox keyed by ``SeedSequence(seed,
+spawn_key=(replicate, subject))``, so results are bit-identical for any
+worker count.  A Philox stream is fixed by its key alone (Salmon et al.
+2011), so the engine derives the keys of all subjects of a replicate in one
+pass of numpy's documented ``SeedSequence`` hash (O'Neill's ``seed_seq``)
+and re-keys a single Philox for each subject in turn.  Each subject draws
+all of its primitives in a fixed order before the next subject draws; the
+per-time-step recursions then run across all rows at once -- the subjects
+of one replicate, or of a block of replicates -- each row taking the same
+float operations in the same order.  So a subject drawn alone
+(:func:`generate_subject`) equals its row of :func:`generate_dataset`, and
+k subjects drawn in turn from one stream equal k rows drawn together.
 Lagged quantities at times before the study start contribute zero.
 """
 
@@ -58,6 +63,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -131,8 +137,9 @@ CALIBRATION_MIN_SAMPLES = 100
 # collide with (replicate, subject) generation streams.
 _CALIBRATION_BRANCH = 0xFFFFFFFF
 
-# Calibration subjects simulated together; bounds the engine's working set.
-_CALIBRATION_BLOCK = 64
+# Rows (subjects, across replicates) simulated by one engine call; bounds
+# the engine's working set.
+_ENGINE_ROWS = 96
 
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
@@ -245,7 +252,7 @@ def draw_errors(process, size, rng):
     The draw order per family is fixed, so a given (stream, family) pair
     always produces the same sequence.
     """
-    return _draw_noise(process, int(size), [rng])[0]
+    return _noise(process, _noise_primitives(process, int(size), rng)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +266,38 @@ def draw_errors(process, size, rng):
 # are time-major (T, n), so each step reads and writes contiguous rows.
 
 
-def _draw_noise(process, size, streams):
-    """(len(streams), size) noise, one row per stream.
+def _noise_primitives(process, size, rng):
+    """One subject's noise primitives, drawn from ``rng`` as one call.
 
-    i.i.d. families draw the values directly; AR families draw the
-    stationary initial block (Cholesky factor times k standard normals),
-    then ``size`` standard-normal innovations.
+    AR(k) families draw k standard normals for the stationary initial block
+    followed by ``size`` innovations; i.i.d. families draw the values.
+    """
+    family = process.family
+    if family == "iid-t3-scaled":
+        return rng.standard_t(3.0, size)
+    if family == "iid-exp-centered":
+        return rng.exponential(1.0, size)
+    return rng.standard_normal(process.order + size)
+
+
+def _noise(process, primitives):
+    """Noise rows from stacked :func:`_noise_primitives` rows.
+
+    AR families form the stationary initial block as the Cholesky factor
+    times each row's first k normals, then run the recursion on the scaled
+    innovations.
     """
     family = process.family
     if family == "iid-normal":
-        return np.array([rng.standard_normal(size) for rng in streams])
+        return primitives
     if family == "iid-t3-scaled":
-        t3 = np.array([rng.standard_t(3.0, size) for rng in streams])
-        return t3 * math.sqrt(1.0 / 3.0)
+        return primitives * math.sqrt(1.0 / 3.0)
     if family == "iid-exp-centered":
-        return np.array([rng.exponential(1.0, size) for rng in streams]) - 1.0
+        return primitives - 1.0
     coeffs, sigma_v, chol = _stationary_setup(family, process.phi)
     k = coeffs.shape[0]
-    first, innovations = [], []
-    for rng in streams:
-        first.append(chol @ rng.standard_normal(k))
-        innovations.append(rng.standard_normal(size))
-    return _autoregress(np.array(first), sigma_v * np.array(innovations), coeffs)
+    first = np.array([chol @ v for v in primitives[:, :k]])
+    return _autoregress(first, sigma_v * primitives[:, k:], coeffs)
 
 
 def _autoregress(first, shocks, coeffs):
@@ -367,8 +384,11 @@ def _treatment_feedback(model, u_avail, action, eps):
     es = np.zeros((n, T))
     for j in range(1, lags + 1):
         es[:, j:] += eps[:, :-j]
-    trunc = np.clip(es / lags, -1.0, 1.0)
-    noise_term = list(((tau_path * model.eta2) * trunc).T)
+    # es becomes the noise term (tau_t eta2) Trunc(es_t / L) in place
+    np.divide(es, lags, out=es)
+    np.clip(es, -1.0, 1.0, out=es)
+    np.multiply(es, tau_path * model.eta2, out=es)
+    noise_term = list(es.T)
     tau = tau_path.tolist()
     slope = (tau_path * model.eta1).tolist()
     c_mean = model.c_mean.tolist()
@@ -381,6 +401,7 @@ def _treatment_feedback(model, u_avail, action, eps):
         c = treated[t:t + lags].sum(axis=0, out=c_rows[t])
         np.add(tau[t] + slope[t] * (c - c_mean[t]), noise_term[t], out=prob_rows[t])
         np.less(u_treat[t], prob_rows[t], out=treated_rows[lags + t])
+    del es, noise_term, u_treat  # bound the working set of large blocks
     if ((prob < 0.0) | (prob > 1.0)).any():
         raise ConfigError(
             "availability probability left [0, 1]; the feedback "
@@ -390,17 +411,28 @@ def _treatment_feedback(model, u_avail, action, eps):
 
 
 def _simulate(model, streams):
-    """Trajectories of ``len(streams)`` subjects as (n, T) arrays.
+    """Trajectories of the subjects drawn from ``streams``, as (n, T) arrays.
 
-    Each stream is consumed in the order every scenario shares (T
-    availability uniforms, T action uniforms, then the noise primitives).
-    Returns (avail, action, C path or None, noise).
+    Each subject draws all of its primitives (T availability and T action
+    uniforms as one call, then the noise primitives) before the next subject
+    draws.  So ``streams`` may yield one generator re-keyed per subject
+    (:func:`_keyed_streams`), or one stream k times for k consecutive
+    subjects of that stream.  Returns (avail, action, C path or None, noise).
     """
     T = model.T
-    u_avail = np.array([rng.random(T) for rng in streams])
-    u_action = np.array([rng.random(T) for rng in streams])
-    eps = _draw_noise(model.errors, T, streams)
-    action = (u_action < model.rho).astype(np.int8)
+    process = model.errors
+    uniforms, primitives = [], []
+    for rng in streams:
+        uniforms.append(rng.random(2 * T))
+        primitives.append(_noise_primitives(process, T, rng))
+    # each buffer is dropped once used, which bounds the working set
+    uniforms = np.array(uniforms)
+    action = (uniforms[:, T:] < model.rho).astype(np.int8)
+    u_avail = uniforms[:, :T].copy()
+    del uniforms
+    primitives = np.array(primitives)
+    eps = _noise(process, primitives)
+    del primitives
     c_path = None
     if model.scenario == "availability-feedback":
         avail = _availability_feedback(model, u_avail, action)
@@ -412,7 +444,7 @@ def _simulate(model, streams):
 
 
 def _generate(model, streams):
-    """(avail, action, outcome) of ``len(streams)`` subjects as (n, T) arrays.
+    """(avail, action, outcome) of the subjects drawn from ``streams``, (n, T) each.
 
     Outcomes at unavailable decision points are NaN (absent).
     """
@@ -702,13 +734,118 @@ class GenerativeModel:
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq) over uint32 words, with
+# the constants numpy.random.bit_generator documents.
+_SEED_POOL = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _stream_index(value, name):
+    """``value`` as a nonnegative int: the only values a stream is keyed by."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    return index
+
+
+def _words(value):
+    """Little-endian uint32 words of a nonnegative int (one word for 0)."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _hash_steps(hash_const, mult):
+    """(xor, multiplier) constants of the next four hash steps, as uint32."""
+    consts = [hash_const]
+    for _ in range(_SEED_POOL):
+        consts.append(consts[-1] * mult & _WORD)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _stream_keys(seed, replicate, n):
+    """(n, 2) uint64 Philox keys of the streams (seed, replicate, i), i < n.
+
+    Row i equals ``Philox(SeedSequence(seed, spawn_key=(replicate,
+    i))).state["state"]["key"]``.  The entropy words are the seed's
+    (zero-padded to the pool size), the replicate's, then the subject's.
+    All but the last are hashed into the pool once, as Python ints; the
+    subject word (one word, as n < 2**32) is mixed into each pool word and
+    the pool hashed out to four key words as uint32 arrays, which wrap
+    like the C code.
+    """
+    entropy = _words(_stream_index(seed, "seed"))
+    entropy += [0] * (_SEED_POOL - len(entropy))
+    entropy += _words(_stream_index(replicate, "replicate"))
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _HASH_MULT_A & _WORD
+        value = value * hash_const & _WORD
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_SEED_POOL]]
+    for src in range(_SEED_POOL):
+        for dst in range(_SEED_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SEED_POOL:]:
+        pool = [mix(x, hashmix(word)) for x in pool]
+
+    # the subject word's hashmix into each pool word, then generate_state's
+    # four output words (two uint64 keys), one column each
+    mix_xor, mix_mul = _hash_steps(hash_const, _HASH_MULT_A)
+    out_xor, out_mul = _hash_steps(_HASH_INIT_B, _HASH_MULT_B)
+    pool_term = np.array([_MIX_MULT_L * x & _WORD for x in pool], dtype=np.uint32)
+    shift = np.uint32(16)
+    value = (np.arange(n, dtype=np.uint32)[:, None] ^ mix_xor) * mix_mul
+    value ^= value >> shift
+    value = pool_term - np.uint32(_MIX_MULT_R) * value
+    value ^= value >> shift
+    value = (value ^ out_xor) * out_mul
+    value ^= value >> shift
+    return value.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _keyed_streams(keys):
+    """One generator per row of ``keys``, valid until the next is yielded.
+
+    A single Philox is re-keyed per row.  Philox is counter-based, so a
+    stream is its key with the counter and output buffer at their fresh
+    values, which the first state read below holds.
+    """
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for key in keys:
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
+
+
 def subject_stream(seed, replicate, subject):
     """Private counter-based RNG stream for one (replicate, subject) pair."""
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     key = np.random.SeedSequence(
-        entropy=seed, spawn_key=(int(replicate), int(subject))
+        entropy=_stream_index(seed, "seed"),
+        spawn_key=(
+            _stream_index(replicate, "replicate"),
+            _stream_index(subject, "subject"),
+        ),
     )
     return np.random.Generator(np.random.Philox(key))
 
@@ -733,15 +870,22 @@ def generate_dataset(model, n, *, seed, replicate=0):
     n = int(n)
     if n < 1:
         raise ConfigError(f"need at least 1 subject, got {n}")
-    avail, action, outcome = _generate(
-        model, [subject_stream(seed, replicate, i) for i in range(n)]
-    )
-    return Dataset(
-        avail=avail,
-        action=action,
-        prob=np.broadcast_to(model.rho, avail.shape),
-        outcome=outcome,
-    )
+    (dataset,) = _replicate_datasets(model, n, seed, [replicate])
+    return dataset
+
+
+def _replicate_datasets(model, n, seed, replicates):
+    """Yield the n-subject datasets of ``replicates``, from one engine call.
+
+    The replicates' subjects are stacked as rows; the rows are independent,
+    so each dataset equals the one its replicate gives alone.
+    """
+    keys = np.concatenate([_stream_keys(seed, rep, n) for rep in replicates])
+    avail, action, outcome = _generate(model, _keyed_streams(keys))
+    prob = np.broadcast_to(model.rho, (n, model.T))
+    for i in range(0, avail.shape[0], n):
+        rows = slice(i, i + n)
+        yield Dataset(avail=avail[rows], action=action[rows], prob=prob, outcome=outcome[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -771,16 +915,15 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     count = np.zeros(T)
     total = np.zeros(T)
     total_sq = np.zeros(T)
-    for start in range(0, reps, _CALIBRATION_BLOCK):
-        streams = [
-            subject_stream(seed, _CALIBRATION_BRANCH, i)
-            for i in range(start, min(start + _CALIBRATION_BLOCK, reps))
-        ]
-        avail, _, c_path, _ = _simulate(model, streams)
+    keys = _stream_keys(seed, _CALIBRATION_BRANCH, reps)
+    for start in range(0, reps, _ENGINE_ROWS):
+        streams = _keyed_streams(keys[start:start + _ENGINE_ROWS])
+        avail, action, c_path, eps = _simulate(model, streams)
         c_on = np.where(avail == 1, c_path, 0.0)
         count += avail.sum(axis=0)
         total += c_on.sum(axis=0)
         total_sq += (c_on * c_on).sum(axis=0)
+        del avail, action, c_path, eps, c_on  # free the block before the next
     if count.min() < CALIBRATION_MIN_SAMPLES:
         raise ConfigError(
             f"insufficient calibration replicates: a decision point has only "
@@ -871,20 +1014,26 @@ def _wilson_interval(successes, trials):
 
 
 def _replicate_outcomes(args):
-    """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure."""
+    """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure.
+
+    Replicates are generated in blocks of ``_ENGINE_ROWS // n``, one engine
+    call each; the block size depends on n alone, so the outcomes do not
+    depend on how replicates are split among workers.
+    """
     model, features, n, alpha0, adjusted, gram, seed, indices = args
-    out = np.empty(len(indices), dtype=np.int8)
-    for pos, rep in enumerate(indices):
-        dataset = generate_dataset(model, n, seed=seed, replicate=rep)
-        try:
-            result = hypothesis_test(
-                dataset, features, alpha0, adjusted=adjusted, gram=gram
-            )
-        except NumericError:
-            out[pos] = -1
-        else:
-            out[pos] = 1 if result.reject else 0
-    return out
+    block = max(1, _ENGINE_ROWS // n)
+    out = []
+    for start in range(0, len(indices), block):
+        for dataset in _replicate_datasets(model, n, seed, indices[start:start + block]):
+            try:
+                result = hypothesis_test(
+                    dataset, features, alpha0, adjusted=adjusted, gram=gram
+                )
+            except NumericError:
+                out.append(-1)
+            else:
+                out.append(1 if result.reject else 0)
+    return np.array(out, dtype=np.int8)
 
 
 def resolve_threads(threads=None):
@@ -940,7 +1089,7 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
         )
     _require_calibrated(model)
     threads = resolve_threads(threads)
-    seed = int(seed)
+    seed = _stream_index(seed, "seed")
 
     if threads == 1 or reps == 1:
         outcomes = _replicate_outcomes(

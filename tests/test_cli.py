@@ -434,6 +434,16 @@ class TestAnalyze:
         assert res.exit_code == 2
         assert "line 2" in res.stderr
 
+    def test_non_utf8_dataset_exits_2(self, runner, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_bytes(b"subject,t,avail,action,prob,outcome\n0,1,1,0,0.4,\xff\n")
+        res = runner.invoke(
+            main,
+            ["analyze", str(csv_path), write_json(tmp_path / "c.json", self.analyze_doc())],
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: cannot read dataset: 'utf-8' codec")
+
     def test_numeric_failure_exits_3(self, runner, tmp_path):
         shape = (8, 12)
         records = Dataset(

@@ -79,6 +79,16 @@ def tiny_design():
     return TrialDesign(days=3, decisions_per_day=4, rho=0.4)
 
 
+def one_stream_chunks(model, rng, n_sub, chunk=1000):
+    """(avail, action, outcome) of n_sub consecutive subjects of one stream.
+
+    Each chunk is one engine call on [rng] * k, which draws k subjects from
+    the stream in turn, as k ``generate_subject(model, rng)`` calls would.
+    """
+    for start in range(0, n_sub, chunk):
+        yield simulate._generate(model, [rng] * min(chunk, n_sub - start))
+
+
 def tiny_null_model(tiny_design, average=0.6):
     return GenerativeModel.working_true(
         tiny_design,
@@ -366,14 +376,11 @@ class TestGenerateSubject:
         n_sub = 20_000
         n_avail = np.zeros(design.T)
         resid_sq = np.zeros(design.T)
-        for _ in range(n_sub):
-            rec = generate_subject(m, rng)
-            on = rec.avail == 1
-            n_avail[on] += 1.0
-            eps = rec.outcome[on] - (
-                m.alpha_path[on] + (rec.action[on] - 0.4) * effect_10.path[on]
-            )
-            resid_sq[on] += eps * eps
+        for avail, action, outcome in one_stream_chunks(m, rng, n_sub):
+            on = avail == 1
+            n_avail += on.sum(axis=0)
+            eps = outcome - (m.alpha_path + (action - 0.4) * effect_10.path)
+            resid_sq += np.where(on, eps * eps, 0.0).sum(axis=0)
         se = np.sqrt(0.25 / n_sub)
         assert np.max(np.abs(n_avail / n_sub - 0.5)) <= 3.0 * se
         pooled_var = resid_sq.sum() / n_avail.sum()
@@ -387,8 +394,8 @@ class TestGenerateSubject:
         rng = subject_stream(404, 0, 0)
         n_sub = 20_000
         n_avail = np.zeros(design.T)
-        for _ in range(n_sub):
-            n_avail += generate_subject(m, rng).avail
+        for avail, _, _ in one_stream_chunks(m, rng, n_sub):
+            n_avail += avail.sum(axis=0)
         se = np.sqrt(0.25 / n_sub)
         assert np.max(np.abs(n_avail / n_sub - 0.5)) <= 3.0 * se
 
@@ -402,15 +409,10 @@ class TestGenerateSubject:
         rng = subject_stream(95, 0, 0)
         total = 0.0
         count = 0
-        for _ in range(5000):
-            rec = generate_subject(m, rng)
-            on = rec.avail == 1
-            scale = np.where(rec.action == 1, m.sigma1, m.sigma0)
-            z = (
-                rec.outcome[on]
-                - m.alpha_path[on]
-                - (rec.action[on] - 0.4) * effect_10.path[on]
-            ) / scale[on]
+        for avail, action, outcome in one_stream_chunks(m, rng, 5000):
+            on = avail == 1
+            scale = np.where(action == 1, m.sigma1, m.sigma0)
+            z = ((outcome - m.alpha_path - (action - 0.4) * effect_10.path) / scale)[on]
             total += float(z @ z)
             count += z.size
         assert total / count == pytest.approx(1.0, abs=0.01)
@@ -545,16 +547,16 @@ class TestCalibration:
         T = design.T
         stats = {a: [np.zeros(T), np.zeros(T), np.zeros(T)] for a in (0, 1)}
         n_avail = np.zeros(T)
-        for _ in range(n_sub):
-            rec = generate_subject(cal, rng)
-            on = rec.avail == 1
-            n_avail[on] += 1.0
+        for avail, action, outcome in one_stream_chunks(cal, rng, n_sub):
+            on = avail == 1
+            n_avail += on.sum(axis=0)
             for a in (0, 1):
-                sel = on & (rec.action == a)
+                sel = on & (action == a)
+                y = np.where(sel, outcome, 0.0)
                 cnt, s, ss = stats[a]
-                cnt[sel] += 1.0
-                s[sel] += rec.outcome[sel]
-                ss[sel] += rec.outcome[sel] ** 2
+                cnt += sel.sum(axis=0)
+                s += y.sum(axis=0)
+                ss += (y * y).sum(axis=0)
         per_arm_var = {}
         for a in (0, 1):
             cnt, s, ss = stats[a]

@@ -1,0 +1,157 @@
+"""
+Tests for the keyed stream engine: Philox keys derived without SeedSequence,
+one draw pass per subject, and replicate blocks on stacked rows.
+
+Every test here is exact.  The keys must equal numpy's own, and every array
+the engine returns must equal, byte for byte, the one a per-stream or
+per-replicate call returns; the generation digests in
+``test_generation_digests.py`` pin those calls to recorded values.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrtpower import ConfigError, simulate
+from mrtpower.design import EffectPath, TrialDesign, build_quadratic_features, make_availability
+from mrtpower.estimator import hypothesis_test
+from mrtpower.simulate import (
+    ErrorProcess,
+    GenerativeModel,
+    calibrate_sigma_star,
+    generate_dataset,
+    generate_subject,
+    monte_carlo,
+    subject_stream,
+)
+from test_generation_digests import CASES, N_SUBJECTS, SEED, _model
+
+
+def _numpy_keys(seed, replicate, n):
+    return np.array([
+        np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(replicate, i))
+        ).state["state"]["key"]
+        for i in range(n)
+    ], dtype=np.uint64).reshape(n, 2)
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**160 - 1),
+    replicate=st.integers(0, 2**40 - 1),
+    n=st.integers(1, 64),
+)
+def test_stream_keys_equal_numpy_keys(seed, replicate, n):
+    _same_bytes(simulate._stream_keys(seed, replicate, n), _numpy_keys(seed, replicate, n))
+
+
+@pytest.mark.parametrize("seed,replicate", [(0, 0), (2**32 - 1, 2**32), (2**128, 2**64 + 5)])
+def test_stream_keys_at_word_boundaries(seed, replicate):
+    _same_bytes(simulate._stream_keys(seed, replicate, 5), _numpy_keys(seed, replicate, 5))
+
+
+def test_rekeyed_philox_is_a_fresh_stream():
+    # the whole bit-generator state, not just the key, matches a fresh one
+    keys = simulate._stream_keys(9, 4, 3)
+    for i, rng in enumerate(simulate._keyed_streams(keys)):
+        fresh = subject_stream(9, 4, i)
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        _same_bytes(rng.random(7), fresh.random(7))
+
+
+@pytest.mark.parametrize("scenario,family", CASES)
+def test_one_stream_gives_consecutive_subjects(scenario, family):
+    # k rows drawn from one stream equal k generate_subject calls on it
+    model = _model(scenario, family)
+    k = 5
+    rows = simulate._generate(model, [subject_stream(SEED, 1, 0)] * k)
+    rng = subject_stream(SEED, 1, 0)
+    for i in range(k):
+        alone = generate_subject(model, rng)
+        for got, want in zip(rows, (alone.avail, alone.action, alone.outcome)):
+            _same_bytes(got[i], want)
+
+
+@pytest.mark.parametrize("scenario,family", CASES)
+def test_replicate_block_equals_separate_datasets(scenario, family):
+    model = _model(scenario, family)
+    replicates = [0, 1, 2, 7]
+    block = list(simulate._replicate_datasets(model, N_SUBJECTS, SEED, replicates))
+    assert len(block) == len(replicates)
+    for data, rep in zip(block, replicates):
+        alone = generate_dataset(model, N_SUBJECTS, seed=SEED, replicate=rep)
+        for name in ("avail", "action", "prob", "outcome"):
+            _same_bytes(getattr(data, name), getattr(alone, name))
+
+
+def test_report_is_worker_invariant_for_partial_blocks():
+    design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+    model = GenerativeModel.working_true(
+        design,
+        EffectPath.quadratic(np.zeros(3), design),
+        make_availability("constant", 0.6, design),
+        ErrorProcess("ar1", 0.5),
+    )
+    n = simulate._ENGINE_ROWS // 3  # blocks of 3 replicates
+    reps = 7
+    features = build_quadratic_features(design)
+    rejections = sum(
+        hypothesis_test(generate_dataset(model, n, seed=5, replicate=r), features, 0.05).reject
+        for r in range(reps)
+    )
+    reports = [
+        json.dumps(monte_carlo(model, n, reps, 0.05, seed=5, threads=t).to_dict())
+        for t in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["rejections"] == rejections
+
+
+class TestStreamArguments:
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, "3", None])
+    def test_subject_stream_rejects(self, bad):
+        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ConfigError, match="nonnegative integer"):
+                subject_stream(*args)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_keyed_path_rejects(self, bad):
+        design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+        model = GenerativeModel.working_true(
+            design,
+            EffectPath.quadratic(np.zeros(3), design),
+            make_availability("constant", 0.6, design),
+            ErrorProcess("iid-normal"),
+        )
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            generate_dataset(model, 3, seed=bad)
+        with pytest.raises(ConfigError, match="replicate must be a nonnegative integer"):
+            generate_dataset(model, 3, seed=1, replicate=bad)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            monte_carlo(model, 10, 2, 0.05, seed=bad)
+        feedback = GenerativeModel.treatment_feedback(
+            design,
+            EffectPath.quadratic(np.zeros(3), design),
+            make_availability("constant", 0.6, design),
+            ErrorProcess("iid-normal"),
+            eta1=0.1, eta2=0.1, gamma1=0.1, gamma2=0.1,
+        )
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            calibrate_sigma_star(feedback, reps=10, seed=bad)
+
+    def test_numpy_integers_are_accepted(self):
+        rng = subject_stream(np.int64(3), np.uint32(1), np.int16(2))
+        _same_bytes(rng.random(4), subject_stream(3, 1, 2).random(4))
+        _same_bytes(
+            simulate._stream_keys(np.uint64(2**63), np.int8(4), 3),
+            simulate._stream_keys(2**63, 4, 3),
+        )
