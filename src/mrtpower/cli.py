@@ -25,6 +25,7 @@ literally empty when avail=0.
 """
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -52,10 +53,10 @@ from .simulate import (
     ErrorProcess,
     GenerativeModel,
     calibrate_sigma_star,
-    generate_dataset,
     monte_carlo,
     shaped_effect,
     _canonical_digest,
+    _replicate_datasets,
 )
 
 __all__ = [
@@ -365,18 +366,9 @@ def write_dataset(dataset, path):
         raise ConfigError(f"cannot write dataset: {exc}") from None
 
 
-def _parse_int(text, label):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{label} must be an integer, got {text!r}") from None
-
-
-def _parse_float(text, label):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{label} must be a number, got {text!r}") from None
+_READ_CHUNK = 4096  # lines per columnar pass: bounds the reader's temporaries
+_BINARY = frozenset(("0", "1"))
+_INT64 = np.iinfo(np.int64)
 
 
 def read_dataset(path):
@@ -384,8 +376,13 @@ def read_dataset(path):
 
     Subjects must appear as contiguous blocks numbered from 0, decision
     times must run 1..T within each block, and every block must have the
-    same length.  All violations are reported with the offending line
-    number.
+    same length.  A bad file is reported at its first bad line in file
+    order, with that line's number and the first check it fails.  Numbers
+    are read by ``int`` and ``float``, so exactly what they accept is
+    accepted.
+
+    The body is parsed column by column, ``_READ_CHUNK`` lines at a time;
+    the block rules then run once on the whole subject and t columns.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -394,72 +391,202 @@ def read_dataset(path):
         raise ConfigError(f"cannot read dataset: {exc}") from None
     if not lines or lines[0] != DATASET_HEADER:
         raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
-
-    rows = []
-    block_rows = []  # rows read so far for each subject, in subject order
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ConfigError(
-                f"line {line_no}: expected 6 comma-separated fields, got {len(fields)}"
-            )
-        subject = _parse_int(fields[0], f"line {line_no}: subject")
-        t = _parse_int(fields[1], f"line {line_no}: t")
-        if fields[2] not in ("0", "1"):
-            raise ConfigError(f"line {line_no}: avail must be 0 or 1, got {fields[2]!r}")
-        if fields[3] not in ("0", "1"):
-            raise ConfigError(f"line {line_no}: action must be 0 or 1, got {fields[3]!r}")
-        avail = int(fields[2])
-        action = int(fields[3])
-        prob = _parse_float(fields[4], f"line {line_no}: prob")
-        if not (0.0 < prob < 1.0):
-            raise ConfigError(
-                f"line {line_no}: randomization probability must lie in (0, 1), "
-                f"got {fields[4]}"
-            )
-        if avail == 0:
-            if fields[5] != "":
-                raise ConfigError(
-                    f"line {line_no}: outcome must be empty when avail is 0, "
-                    f"got {fields[5]!r}"
-                )
-            outcome = math.nan
-        else:
-            outcome = _parse_float(fields[5], f"line {line_no}: outcome")
-            if not math.isfinite(outcome):
-                raise ConfigError(
-                    f"line {line_no}: outcome must be a finite number, got {fields[5]!r}"
-                )
-        if not block_rows or subject != len(block_rows) - 1:
-            _check_block_length(block_rows, line_no)
-            if subject != len(block_rows):
-                raise ConfigError(
-                    f"line {line_no}: subject ids must be contiguous from 0 "
-                    f"(expected {len(block_rows)}, got {subject})"
-                )
-            block_rows.append(0)
-        block_rows[-1] += 1
-        if t != block_rows[-1]:
-            raise ConfigError(
-                f"line {line_no}: expected decision time {block_rows[-1]} for "
-                f"subject {subject}, got {t}"
-            )
-        rows.append((avail, action, prob, outcome))
-
-    if not block_rows:
+    n_rows = len(lines) - 1
+    if n_rows == 0:
         raise ConfigError("dataset has no data rows")
-    _check_block_length(block_rows, len(lines))
-    shape = (len(block_rows), block_rows[0])
-    return Dataset(*(np.array(column).reshape(shape) for column in zip(*rows)))
+
+    columns = _Columns(n_rows)
+    bad_row, field_error = n_rows, None
+    for start in range(0, n_rows, _READ_CHUNK):
+        chunk = lines[start + 1:start + 1 + _READ_CHUNK]
+        if not columns.parse(start, chunk):
+            offset, field_error = _first_field_error(chunk, start + 2)
+            if offset:
+                columns.parse(start, chunk[:offset])
+            bad_row = start + offset
+            break
+    # rows before the first line failing a field check: their block error wins
+    shape = _block_shape(columns.subject[:bad_row], columns.t[:bad_row], lines,
+                         complete=field_error is None)
+    if field_error is not None:
+        raise ConfigError(field_error)
+    return Dataset(*(getattr(columns, name).reshape(shape)
+                     for name in ("avail", "action", "prob", "outcome")))
 
 
-def _check_block_length(block_rows, line_no):
-    """The subject whose block ends at ``line_no`` must have subject 0's length."""
-    if block_rows and block_rows[-1] != block_rows[0]:
+class _Columns:
+    """Preallocated (R,) columns of a dataset CSV body, filled chunk by chunk."""
+
+    def __init__(self, n_rows):
+        self.subject = np.empty(n_rows, dtype=np.int64)
+        self.t = np.empty(n_rows, dtype=np.int64)
+        self.avail = np.empty(n_rows, dtype=np.int8)
+        self.action = np.empty(n_rows, dtype=np.int8)
+        self.prob = np.empty(n_rows)
+        self.outcome = np.full(n_rows, np.nan)
+        self.prob_memo = {}  # prob text -> value, NaN if it fails its checks
+
+    def parse(self, start, chunk):
+        """Fill rows ``start:start + len(chunk)``; False if a line fails a field check."""
+        size = len(chunk)
+        rows = slice(start, start + size)
+        if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
+            return False
+        flat = ",".join(chunk).split(",")
+        subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
+        try:
+            self.subject[rows] = _int_column(subject)
+            self.t[rows] = _int_column(t)
+        except ValueError:
+            return False
+        if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
+            return False
+        avail = _binary_column(avail)
+        self.avail[rows] = avail
+        self.action[rows] = _binary_column(action)
+
+        memo = self.prob_memo
+        new = set(prob).difference(memo)
+        memo.update(zip(new, map(_prob_value, new)))
+        self.prob[rows] = np.fromiter(map(memo.__getitem__, prob), np.float64, size)
+        if np.isnan(self.prob[rows]).any():
+            return False
+
+        if any(itertools.compress(outcome, (~avail).tolist())):
+            return False  # an outcome on an unavailable row
+        on = np.flatnonzero(avail)
+        try:
+            values = np.fromiter(map(float, itertools.compress(outcome, avail.tolist())),
+                                 np.float64, on.size)
+        except ValueError:
+            return False
+        self.outcome[start + on] = values
+        return bool(np.isfinite(values).all())
+
+
+def _int_column(texts):
+    """``int`` of each text as int64; a value beyond int64 becomes -1.
+
+    -1 breaks the block rules wherever such a value would, and error
+    messages take the value from the line itself.
+    """
+    values = list(map(int, texts))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if _INT64.min <= v <= _INT64.max else -1 for v in values],
+                        dtype=np.int64)
+
+
+def _binary_column(texts):
+    """Texts known to be "0" or "1" as a bool array."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint8) == ord("1")
+
+
+def _prob_value(text):
+    """``float(text)`` if it lies in (0, 1), else NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if 0.0 < value < 1.0 else math.nan
+
+
+def _first_field_error(chunk, first_line_no):
+    """(offset, message) of the first line of ``chunk`` failing a field check."""
+    for offset, line in enumerate(chunk):
+        message = _field_error(line, first_line_no + offset)
+        if message is not None:
+            return offset, message
+    raise AssertionError("a chunk failed its columnar checks but no line fails")
+
+
+def _field_error(line, line_no):
+    """The message of the first field check ``line`` fails, or None."""
+    fields = line.split(",")
+    if len(fields) != 6:
+        return f"line {line_no}: expected 6 comma-separated fields, got {len(fields)}"
+    subject, t, avail, action, prob, outcome = fields
+    for label, text in (("subject", subject), ("t", t)):
+        try:
+            int(text)
+        except ValueError:
+            return f"line {line_no}: {label} must be an integer, got {text!r}"
+    if avail not in _BINARY:
+        return f"line {line_no}: avail must be 0 or 1, got {avail!r}"
+    if action not in _BINARY:
+        return f"line {line_no}: action must be 0 or 1, got {action!r}"
+    try:
+        value = float(prob)
+    except ValueError:
+        return f"line {line_no}: prob must be a number, got {prob!r}"
+    if not (0.0 < value < 1.0):
+        return (f"line {line_no}: randomization probability must lie in (0, 1), "
+                f"got {prob}")
+    if avail == "0":
+        if outcome != "":
+            return f"line {line_no}: outcome must be empty when avail is 0, got {outcome!r}"
+        return None
+    try:
+        value = float(outcome)
+    except ValueError:
+        return f"line {line_no}: outcome must be a number, got {outcome!r}"
+    if not math.isfinite(value):
+        return f"line {line_no}: outcome must be a finite number, got {outcome!r}"
+    return None
+
+
+def _block_shape(subject, t, lines, *, complete):
+    """(N, T) of the subject blocks; ConfigError at the first line breaking a rule.
+
+    ``subject`` and ``t`` hold the first rows of the body, every one of
+    which passed the field checks.  A row starts a block when its subject
+    differs from the row before; at that row the previous block must have
+    subject 0's length and the subject must be the block's index, and
+    every row's t must be its position in its block.  Each row's checks
+    depend only on the rows before it, so the first failing row is the
+    line the file order reaches first.  With ``complete``, the rows are
+    the whole body and the last block's length is checked at the last line.
+    """
+    n = subject.shape[0]
+    if n == 0:
+        return None
+    new_block = np.empty(n, dtype=bool)
+    new_block[0] = True
+    np.not_equal(subject[1:], subject[:-1], out=new_block[1:])
+    starts = np.flatnonzero(new_block)
+    lengths = np.diff(starts, append=n)
+    block = np.cumsum(new_block) - 1
+    position = np.arange(1, n + 1) - starts[block]
+    bad_length = starts[1:][lengths[:-1] != lengths[0]]
+    bad_subject = starts[subject[starts] != np.arange(starts.size)]
+    bad_t = np.flatnonzero(t != position)
+    firsts = [rows[0] for rows in (bad_length, bad_subject, bad_t) if rows.size]
+    if firsts:
+        row = min(firsts)
+        line_no = row + 2
+        k = block[row]
+        fields = lines[row + 1].split(",")
+        if bad_length.size and bad_length[0] == row:
+            raise ConfigError(
+                f"line {line_no}: subject {k - 1} has {lengths[k - 1]} "
+                f"rows but subject 0 has {lengths[0]}"
+            )
+        if bad_subject.size and bad_subject[0] == row:
+            raise ConfigError(
+                f"line {line_no}: subject ids must be contiguous from 0 "
+                f"(expected {k}, got {int(fields[0])})"
+            )
         raise ConfigError(
-            f"line {line_no}: subject {len(block_rows) - 1} has {block_rows[-1]} "
-            f"rows but subject 0 has {block_rows[0]}"
+            f"line {line_no}: expected decision time {position[row]} for "
+            f"subject {int(fields[0])}, got {int(fields[1])}"
         )
+    if complete and lengths[-1] != lengths[0]:
+        raise ConfigError(
+            f"line {n + 1}: subject {starts.size - 1} has {lengths[-1]} "
+            f"rows but subject 0 has {lengths[0]}"
+        )
+    return starts.size, int(lengths[0])
 
 
 # ---------------------------------------------------------------------
@@ -764,8 +891,7 @@ def _run_paper_table(name, *, reps, seed, threads):
 
 def _export_replicates(model, n, reps, seed, directory):
     width = max(4, len(str(reps - 1)))
-    for replicate in range(reps):
-        data = generate_dataset(model, n, seed=seed, replicate=replicate)
+    for replicate, data in enumerate(_replicate_datasets(model, n, seed, range(reps))):
         write_dataset(data, os.path.join(directory, f"replicate-{replicate:0{width}d}.csv"))
     click.echo(f"wrote {reps} replicate dataset(s) to {directory}", err=True)
 

@@ -743,6 +743,14 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
+def _integer(value, name):
+    """``value`` as an int by ``operator.index``: numpy ints pass, 2.9 does not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _stream_index(value, name):
     """``value`` as a nonnegative int: the only values a stream is keyed by."""
     try:
@@ -867,7 +875,7 @@ def generate_subject(model, rng):
 
 def generate_dataset(model, n, *, seed, replicate=0):
     """n subjects drawn from per-subject streams keyed by (seed, replicate)."""
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ConfigError(f"need at least 1 subject, got {n}")
     (dataset,) = _replicate_datasets(model, n, seed, [replicate])
@@ -875,17 +883,26 @@ def generate_dataset(model, n, *, seed, replicate=0):
 
 
 def _replicate_datasets(model, n, seed, replicates):
-    """Yield the n-subject datasets of ``replicates``, from one engine call.
+    """Yield the n-subject datasets of ``replicates``, in order.
 
-    The replicates' subjects are stacked as rows; the rows are independent,
-    so each dataset equals the one its replicate gives alone.
+    Replicates are generated B = max(1, ``_ENGINE_ROWS`` // n) at a time,
+    one engine call per block with the block's subjects stacked as rows.
+    The rows are independent, so each dataset equals the one its replicate
+    gives alone; B depends on n alone.
     """
-    keys = np.concatenate([_stream_keys(seed, rep, n) for rep in replicates])
-    avail, action, outcome = _generate(model, _keyed_streams(keys))
+    replicates = list(replicates)
+    block = max(1, _ENGINE_ROWS // n)
     prob = np.broadcast_to(model.rho, (n, model.T))
-    for i in range(0, avail.shape[0], n):
-        rows = slice(i, i + n)
-        yield Dataset(avail=avail[rows], action=action[rows], prob=prob, outcome=outcome[rows])
+    for start in range(0, len(replicates), block):
+        keys = np.concatenate(
+            [_stream_keys(seed, rep, n) for rep in replicates[start:start + block]]
+        )
+        avail, action, outcome = _generate(model, _keyed_streams(keys))
+        for i in range(0, avail.shape[0], n):
+            rows = slice(i, i + n)
+            yield Dataset(
+                avail=avail[rows], action=action[rows], prob=prob, outcome=outcome[rows]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +923,7 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
             f"calibration applies to the treatment-feedback scenario, "
             f"not {model.scenario!r}"
         )
-    reps = int(reps)
+    reps = _integer(reps, "reps")
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     T = model.T
@@ -1016,23 +1033,19 @@ def _wilson_interval(successes, trials):
 def _replicate_outcomes(args):
     """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure.
 
-    Replicates are generated in blocks of ``_ENGINE_ROWS // n``, one engine
-    call each; the block size depends on n alone, so the outcomes do not
-    depend on how replicates are split among workers.
+    The datasets come from :func:`_replicate_datasets`, whose block size
+    depends on n alone, so the outcomes do not depend on how replicates are
+    split among workers.
     """
     model, features, n, alpha0, adjusted, gram, seed, indices = args
-    block = max(1, _ENGINE_ROWS // n)
     out = []
-    for start in range(0, len(indices), block):
-        for dataset in _replicate_datasets(model, n, seed, indices[start:start + block]):
-            try:
-                result = hypothesis_test(
-                    dataset, features, alpha0, adjusted=adjusted, gram=gram
-                )
-            except NumericError:
-                out.append(-1)
-            else:
-                out.append(1 if result.reject else 0)
+    for dataset in _replicate_datasets(model, n, seed, indices):
+        try:
+            result = hypothesis_test(dataset, features, alpha0, adjusted=adjusted, gram=gram)
+        except NumericError:
+            out.append(-1)
+        else:
+            out.append(1 if result.reject else 0)
     return np.array(out, dtype=np.int8)
 
 
@@ -1078,8 +1091,8 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     worker count because per-replicate outcomes depend only on (seed,
     replicate) and the tally is order-independent.
     """
-    n = int(n)
-    reps = int(reps)
+    n = _integer(n, "n")
+    reps = _integer(reps, "reps")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     features = build_quadratic_features(model.design)

@@ -11,12 +11,14 @@ produce byte-identical output).  No statistical bands are needed here.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mrtpower.cli import main, read_dataset, write_dataset
+from _reference_csv import reference_read_dataset
+from mrtpower.cli import DATASET_HEADER, _READ_CHUNK, main, read_dataset, write_dataset
 from mrtpower.design import (
     TrialDesign,
     build_quadratic_features,
@@ -316,7 +318,7 @@ class TestDatasetIO:
 
     def test_bad_header(self, tmp_path):
         path = self.write_lines(tmp_path, ["subject,t,avail,action,p,outcome"])
-        with pytest.raises(Exception, match="line 1"):
+        with pytest.raises(ConfigError, match="line 1"):
             read_dataset(path)
 
     def test_field_count(self, tmp_path):
@@ -324,7 +326,7 @@ class TestDatasetIO:
             tmp_path,
             ["subject,t,avail,action,prob,outcome", "0,1,1,0,0.4"],
         )
-        with pytest.raises(Exception, match="line 2: expected 6"):
+        with pytest.raises(ConfigError, match="line 2: expected 6"):
             read_dataset(path)
 
     def test_probability_out_of_range(self, tmp_path):
@@ -336,7 +338,7 @@ class TestDatasetIO:
                 "0,2,1,1,1.5,0.2",
             ],
         )
-        with pytest.raises(Exception, match=r"line 3.*\(0, 1\)"):
+        with pytest.raises(ConfigError, match=r"line 3.*\(0, 1\)"):
             read_dataset(path)
 
     def test_outcome_must_be_empty_when_unavailable(self, tmp_path):
@@ -344,7 +346,7 @@ class TestDatasetIO:
             tmp_path,
             ["subject,t,avail,action,prob,outcome", "0,1,0,0,0.4,1.0"],
         )
-        with pytest.raises(Exception, match="line 2.*empty"):
+        with pytest.raises(ConfigError, match="line 2.*empty"):
             read_dataset(path)
 
     def test_subject_contiguity(self, tmp_path):
@@ -356,7 +358,7 @@ class TestDatasetIO:
                 "2,1,1,0,0.4,1.0",
             ],
         )
-        with pytest.raises(Exception, match="line 3.*contiguous"):
+        with pytest.raises(ConfigError, match="line 3.*contiguous"):
             read_dataset(path)
 
     def test_decision_time_sequence(self, tmp_path):
@@ -368,7 +370,7 @@ class TestDatasetIO:
                 "0,3,1,0,0.4,1.0",
             ],
         )
-        with pytest.raises(Exception, match="line 3: expected decision time 2"):
+        with pytest.raises(ConfigError, match="line 3: expected decision time 2"):
             read_dataset(path)
 
     def test_ragged_subjects(self, tmp_path):
@@ -381,7 +383,70 @@ class TestDatasetIO:
                 "1,1,1,0,0.4,1.0",
             ],
         )
-        with pytest.raises(Exception, match="subject 1 has 1 rows"):
+        with pytest.raises(ConfigError, match="subject 1 has 1 rows"):
+            read_dataset(path)
+
+    # chunk boundaries: bodies longer than one columnar pass of the reader
+
+    def long_body(self, n_sub=5, n_t=1000):
+        # with 1000 rows per subject, subject 4's block spans rows 4000-4999,
+        # across the chunk boundary after row _READ_CHUNK = 4096
+        return [DATASET_HEADER] + [
+            f"{s},{t},1,{t % 3 == 0:d},0.4,{0.5 + s}" if (s + t) % 2
+            else f"{s},{t},0,{t % 3 == 0:d},0.4,"
+            for s in range(n_sub) for t in range(1, n_t + 1)
+        ]
+
+    def test_block_spanning_two_chunks_reads_like_the_oracle(self, tmp_path):
+        lines = self.long_body()
+        assert len(lines) - 1 > _READ_CHUNK
+        path = self.write_lines(tmp_path, lines)
+        new, old = read_dataset(path), reference_read_dataset(path)
+        assert new.avail.shape == (5, 1000)
+        for name in ("avail", "action", "prob", "outcome"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_bad_line_first_in_second_chunk(self, tmp_path):
+        lines = self.long_body()
+        line_no = _READ_CHUNK + 2
+        lines[line_no - 1] = lines[line_no - 1].replace(",0.4,", ",1.5,")
+        path = self.write_lines(tmp_path, lines)
+        with pytest.raises(ConfigError, match=rf"^line {line_no}: randomization probability"):
+            read_dataset(path)
+
+    def test_ragged_last_block(self, tmp_path):
+        lines = self.long_body()[:-1]
+        path = self.write_lines(tmp_path, lines)
+        with pytest.raises(
+            ConfigError,
+            match=rf"^line {len(lines)}: subject 4 has 999 rows but subject 0 has 1000$",
+        ):
+            read_dataset(path)
+
+    def test_short_middle_block_reported_where_the_next_block_starts(self, tmp_path):
+        lines = self.long_body()
+        del lines[4000]  # subject 3, t = 1000
+        path = self.write_lines(tmp_path, lines)
+        with pytest.raises(
+            ConfigError, match=r"^line 4001: subject 3 has 999 rows but subject 0 has 1000$"
+        ):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "first,first_message",
+        [
+            ("0,7,1,0,0.4,1.0", "expected decision time 8 for subject 0, got 7"),
+            ("0,8,1,2,0.4,1.0", "action must be 0 or 1, got '2'"),
+        ],
+        ids=["block-rule", "field-check"],
+    )
+    def test_earlier_of_two_bad_lines_in_different_chunks(self, tmp_path, first, first_message):
+        lines = self.long_body()
+        lines[8] = first  # line 9: subject 0, t = 8
+        lines[_READ_CHUNK + 50] = "4,1,1,0,0.4"  # a field-count error in the second chunk
+        path = self.write_lines(tmp_path, lines)
+        with pytest.raises(ConfigError, match=rf"^line 9: {re.escape(first_message)}$"):
             read_dataset(path)
 
 
@@ -519,6 +584,21 @@ class TestSimulate:
             data = generate_dataset(model, 9, seed=3, replicate=replicate)
             expected = hypothesis_test(data, build_quadratic_features(design), 0.05)
             assert payload == expected.to_dict()
+
+    def test_export_bytes_equal_per_replicate_writes(self, runner, tmp_path):
+        # n = 9 gives engine blocks of 96 // 9 = 10 replicates: 10, 10 and 3
+        path = write_json(tmp_path / "c.json", tiny_sim_config(reps=23))
+        out_dir = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", path, "--export", str(out_dir)])
+        assert res.exit_code == 0
+        model, _ = tiny_model()
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 23
+        for replicate, exported in enumerate(files):
+            single = tmp_path / "single.csv"
+            write_dataset(generate_dataset(model, 9, seed=3, replicate=replicate), single)
+            assert exported.name == f"replicate-{replicate:04d}.csv"
+            assert exported.read_bytes() == single.read_bytes()
 
     def test_export_to_a_file_is_config_error(self, runner, tmp_path):
         path = write_json(tmp_path / "c.json", tiny_sim_config(reps=4))

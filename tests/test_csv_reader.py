@@ -1,0 +1,220 @@
+"""
+Equivalence of the columnar dataset CSV reader and the line-by-line oracle.
+
+Tolerance strategy
+------------------
+None: ``cli.read_dataset`` must agree with ``_reference_csv`` exactly.  On
+each input both readers either return a ``Dataset`` whose arrays have the
+same dtype, shape and bytes, or raise ``ConfigError`` with the same message
+(which names the first bad line in file order).  Inputs are small random
+datasets written by ``write_dataset`` and then damaged by up to two
+mutations, read with chunk sizes small enough that the chunk boundaries
+fall among the damage.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _reference_csv import reference_read_dataset
+from mrtpower import cli
+from mrtpower.cli import DATASET_HEADER, read_dataset, write_dataset
+from mrtpower.estimator import Dataset
+from mrtpower.exceptions import ConfigError
+
+INT_TEXTS = [
+    "+{v}", " 0{v}", "{v}\t", "{v}_0", "{v}.0", "0x{v}", "-{v}", "", "a",
+    "٣", "99999999999999999999", "-99999999999999999999",
+]
+BINARY_TEXTS = ["0", "1", "2", "", " 1", "+1", "01", "1.0", "-0"]
+PROB_TEXTS = [
+    "0", "1", "nan", "inf", "-0.5", " 0.5", "0.5\t", "1e-1", "0x1", "", "0.4",
+    "1_0", "5e-324", "0.99999999999999989", "NaN", "0,5",
+]
+OUTCOME_TEXTS = [
+    "1.0", "inf", "-inf", "nan", "", "abc", " 2", "1e308", "1e309", "-0.0",
+    "1_000.5", "0x10",
+]
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 4))
+    cells = n * t
+    binary = st.lists(st.integers(0, 1), min_size=cells, max_size=cells)
+    prob = st.one_of(
+        st.sampled_from([0.4, 0.1 + 0.2, 0.5]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    outcome = st.floats(allow_nan=False, allow_infinity=False)
+    return Dataset(
+        avail=np.reshape(draw(binary), (n, t)),
+        action=np.reshape(draw(binary), (n, t)),
+        prob=np.reshape(draw(st.lists(prob, min_size=cells, max_size=cells)), (n, t)),
+        outcome=np.reshape(draw(st.lists(outcome, min_size=cells, max_size=cells)), (n, t)),
+    )
+
+
+def _body_line(draw, lines):
+    return draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else None
+
+
+def _set_field(draw, lines, column, texts):
+    i = _body_line(draw, lines)
+    if i is None:
+        return
+    fields = lines[i].split(",")
+    if column < len(fields):
+        value = fields[column]
+        fields[column] = draw(st.sampled_from(texts)).format(v=value)
+        lines[i] = ",".join(fields)
+
+
+def drop_field(draw, lines):
+    i = _body_line(draw, lines)
+    if i is not None:
+        fields = lines[i].split(",")
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        lines[i] = ",".join(fields)
+
+
+def add_field(draw, lines):
+    i = _body_line(draw, lines)
+    if i is not None:
+        fields = lines[i].split(",")
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from(["", "0", "1"])))
+        lines[i] = ",".join(fields)
+
+
+def blank_line(draw, lines):
+    position = draw(st.integers(min(1, len(lines)), len(lines)))
+    lines.insert(position, draw(st.sampled_from(["", " ", ","])))
+
+
+def int_text(draw, lines):
+    _set_field(draw, lines, draw(st.sampled_from([0, 1])), INT_TEXTS)
+
+
+def binary_text(draw, lines):
+    _set_field(draw, lines, draw(st.sampled_from([2, 3])), BINARY_TEXTS)
+
+
+def prob_text(draw, lines):
+    _set_field(draw, lines, 4, PROB_TEXTS)
+
+
+def outcome_text(draw, lines):
+    _set_field(draw, lines, 5, OUTCOME_TEXTS)
+
+
+def shift_number(draw, lines):
+    # a skipped or repeated subject or t
+    i = _body_line(draw, lines)
+    if i is not None:
+        fields = lines[i].split(",")
+        column = draw(st.sampled_from([0, 1]))
+        if column < len(fields) and fields[column].isdigit():
+            fields[column] = str(int(fields[column]) + draw(st.sampled_from([-1, 1, 2])))
+            lines[i] = ",".join(fields)
+
+
+def drop_line(draw, lines):
+    i = _body_line(draw, lines)
+    if i is not None:
+        del lines[i]
+
+
+def repeat_line(draw, lines):
+    i = _body_line(draw, lines)
+    if i is not None:
+        lines.insert(i, lines[i])
+
+
+def ragged_block(draw, lines):
+    # end a subject block one row early or one row late
+    ends = [
+        i for i in range(1, len(lines))
+        if i + 1 == len(lines) or lines[i + 1].split(",")[0] != lines[i].split(",")[0]
+    ]
+    if not ends:
+        return
+    i = draw(st.sampled_from(ends))
+    if draw(st.booleans()):
+        del lines[i]
+        return
+    fields = lines[i].split(",")
+    if len(fields) > 1 and fields[1].isdigit():
+        fields[1] = str(int(fields[1]) + 1)
+        lines.insert(i + 1, ",".join(fields))
+
+
+def truncate(draw, lines):
+    del lines[draw(st.integers(0, len(lines))):]
+
+
+def header(draw, lines):
+    if lines:
+        lines[0] = draw(st.sampled_from([DATASET_HEADER[1:], DATASET_HEADER + ",", ""]))
+
+
+MUTATIONS = [
+    drop_field, add_field, blank_line, int_text, binary_text, prob_text,
+    outcome_text, shift_number, drop_line, repeat_line, ragged_block, truncate,
+    header,
+]
+
+
+def read_result(reader, path):
+    try:
+        data = reader(path)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return "data", [
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (data.avail, data.action, data.prob, data.outcome)
+    ]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    data=datasets(),
+    mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+    chunk=st.sampled_from([1, 2, 3, 5, cli._READ_CHUNK]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    trailing=st.booleans(),
+    draw=st.data(),
+)
+def test_columnar_reader_matches_oracle(csv_dir, data, mutations, chunk, newline,
+                                        trailing, draw):
+    path = csv_dir / "d.csv"
+    write_dataset(data, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for mutate in mutations:
+        mutate(draw.draw, lines)
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+        got = read_result(read_dataset, path)
+    assert got == read_result(reference_read_dataset, path)
+
+
+def test_clean_round_trip_matches_oracle_and_input(csv_dir):
+    data = Dataset(
+        avail=[[1, 0, 1], [0, 1, 1]],
+        action=[[0, 1, 1], [1, 0, 0]],
+        prob=[[0.4, 0.1 + 0.2, 0.5], [0.4, 0.1 + 0.2, 0.5]],
+        outcome=[[-0.0, np.nan, 5e-324], [np.nan, 1e308, -2.5]],
+    )
+    path = csv_dir / "clean.csv"
+    write_dataset(data, path)
+    got = read_result(read_dataset, path)
+    assert got == read_result(reference_read_dataset, path)
+    assert got == read_result(lambda _: data, path)

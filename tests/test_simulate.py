@@ -14,6 +14,7 @@ deterministic, not flaky.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -77,6 +78,14 @@ def null_effect(design):
 @pytest.fixture(scope="module")
 def tiny_design():
     return TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+
+
+@functools.lru_cache(maxsize=None)
+def million_draws(family, phi):
+    """1e6 consecutive errors of one stream, drawn once per (family, phi)."""
+    e = draw_errors(ErrorProcess(family, phi), 1_000_000, subject_stream(97, 0, 0))
+    e.setflags(write=False)
+    return e
 
 
 def one_stream_chunks(model, rng, n_sub, chunk=1000):
@@ -143,26 +152,30 @@ class TestErrorProcess:
         ],
     )
     def test_marginal_moments_one_million_draws(self, family, phi, var_tol):
-        e = draw_errors(ErrorProcess(family, phi), 1_000_000, subject_stream(97, 0, 0))
+        e = million_draws(family, phi)
         assert abs(e.mean()) <= 0.005
         assert abs(e.var() - 1.0) <= var_tol
 
     @pytest.mark.parametrize("family,phi", [("ar1", 0.6), ("ar1", -0.6), ("ar5", 0.6), ("ar5", -0.6)])
     def test_lag_one_autocorrelation(self, family, phi):
-        e = draw_errors(ErrorProcess(family, phi), 1_000_000, subject_stream(97, 0, 0))
+        e = million_draws(family, phi)
         lag1 = float(np.corrcoef(e[:-1], e[1:])[0, 1])
         want = phi if family == "ar1" else phi / (5.0 - 4.0 * phi)
         assert lag1 == pytest.approx(want, abs=0.01)
 
     def test_iid_draws_uncorrelated(self):
-        e = draw_errors(ErrorProcess("iid-exp-centered"), 1_000_000, subject_stream(97, 0, 0))
+        e = million_draws("iid-exp-centered", 0.0)
         assert abs(np.corrcoef(e[:-1], e[1:])[0, 1]) <= 0.01
 
     def test_stationary_initialization_every_position(self):
         # no burn-in bias: the variance is 1 at t=1 as much as at t=210
         proc = ErrorProcess("ar5", 0.6)
-        rng = subject_stream(96, 0, 0)
-        paths = np.stack([draw_errors(proc, 210, rng) for _ in range(5000)])
+        # 5000 consecutive 210-step paths of one stream, as rows of one call
+        paths = simulate._noise(
+            proc,
+            np.stack([simulate._noise_primitives(proc, 210, rng)
+                      for rng in [subject_stream(96, 0, 0)] * 5000]),
+        )
         v = paths.var(axis=0)
         assert np.max(np.abs(v - 1.0)) <= 3.0 * np.sqrt(2.0 / 5000.0)
 

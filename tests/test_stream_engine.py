@@ -155,3 +155,56 @@ class TestStreamArguments:
             simulate._stream_keys(np.uint64(2**63), np.int8(4), 3),
             simulate._stream_keys(2**63, 4, 3),
         )
+
+
+class TestCountArguments:
+    """Subject and replicate counts follow the stream indices' ``operator.index`` rule."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+        args = (
+            design,
+            EffectPath.quadratic(np.zeros(3), design),
+            make_availability("constant", 0.6, design),
+            ErrorProcess("iid-normal"),
+        )
+        return (
+            GenerativeModel.working_true(*args),
+            GenerativeModel.treatment_feedback(
+                *args, eta1=0.1, eta2=0.1, gamma1=0.1, gamma2=0.1
+            ),
+        )
+
+    @pytest.mark.parametrize("bad", [2.9, 3.0, "3", None])
+    def test_generate_dataset_rejects_non_integer_n(self, models, bad):
+        with pytest.raises(ConfigError, match="^n must be an integer"):
+            generate_dataset(models[0], bad, seed=1)
+
+    @pytest.mark.parametrize(
+        "n,reps,name", [(10.7, 3, "n"), ("10", 3, "n"), (10, 3.9, "reps"), (10, 3.0, "reps")]
+    )
+    def test_monte_carlo_rejects_non_integer_n_and_reps(self, models, n, reps, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            monte_carlo(models[0], n, reps, 0.05, seed=1)
+
+    @pytest.mark.parametrize("bad", [150.5, 150.0, "150"])
+    def test_calibrate_sigma_star_rejects_non_integer_reps(self, models, bad):
+        with pytest.raises(ConfigError, match="^reps must be an integer"):
+            calibrate_sigma_star(models[1], reps=bad, seed=1)
+
+    def test_numpy_integers_are_accepted(self, models):
+        working, feedback = models
+        for name in ("avail", "action", "prob", "outcome"):
+            _same_bytes(
+                getattr(generate_dataset(working, np.int64(4), seed=1), name),
+                getattr(generate_dataset(working, 4, seed=1), name),
+            )
+        assert (
+            monte_carlo(working, np.int32(10), np.uint16(3), 0.05, seed=1).to_dict()
+            == monte_carlo(working, 10, 3, 0.05, seed=1).to_dict()
+        )
+        _same_bytes(
+            calibrate_sigma_star(feedback, reps=np.int64(250), seed=1).c_mean_avail,
+            calibrate_sigma_star(feedback, reps=250, seed=1).c_mean_avail,
+        )
