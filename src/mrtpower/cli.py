@@ -222,13 +222,8 @@ class _Section:
         if not present:
             return value
         if isinstance(value, list):
-            return np.asarray(
-                [
-                    _check_number(f"{self._label(key)}[{i}]", item,
-                                  low, high, open_low, open_high)
-                    for i, item in enumerate(value)
-                ]
-            )
+            return np.asarray(self.number_list(key, low=low, high=high,
+                                               open_low=open_low, open_high=open_high))
         return _check_number(self._label(key), value, low, high, open_low, open_high)
 
     def finish(self):
@@ -368,7 +363,6 @@ def write_dataset(dataset, path):
 
 _READ_CHUNK = 4096  # lines per columnar pass: bounds the reader's temporaries
 _BINARY = frozenset(("0", "1"))
-_INT64 = np.iinfo(np.int64)
 
 
 def read_dataset(path):
@@ -381,8 +375,11 @@ def read_dataset(path):
     are read by ``int`` and ``float``, so exactly what they accept is
     accepted.
 
-    The body is parsed column by column, ``_READ_CHUNK`` lines at a time;
-    the block rules then run once on the whole subject and t columns.
+    A valid file takes one path: the body is parsed column by column,
+    ``_READ_CHUNK`` lines at a time, and the subject and t columns must
+    then match the one layout the block rules allow.  A file that fails
+    any of this takes the other: its lines are replayed once, in file
+    order, until the first bad one.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -396,20 +393,12 @@ def read_dataset(path):
         raise ConfigError("dataset has no data rows")
 
     columns = _Columns(n_rows)
-    bad_row, field_error = n_rows, None
-    for start in range(0, n_rows, _READ_CHUNK):
-        chunk = lines[start + 1:start + 1 + _READ_CHUNK]
-        if not columns.parse(start, chunk):
-            offset, field_error = _first_field_error(chunk, start + 2)
-            if offset:
-                columns.parse(start, chunk[:offset])
-            bad_row = start + offset
-            break
-    # rows before the first line failing a field check: their block error wins
-    shape = _block_shape(columns.subject[:bad_row], columns.t[:bad_row], lines,
-                         complete=field_error is None)
-    if field_error is not None:
-        raise ConfigError(field_error)
+    shape = None
+    if all(columns.parse(start, lines[start + 1:start + 1 + _READ_CHUNK])
+           for start in range(0, n_rows, _READ_CHUNK)):
+        shape = _block_shape(columns.subject, columns.t)
+    if shape is None:
+        _raise_first_error(lines)
     return Dataset(*(getattr(columns, name).reshape(shape)
                      for name in ("avail", "action", "prob", "outcome")))
 
@@ -427,7 +416,10 @@ class _Columns:
         self.prob_memo = {}  # prob text -> value, NaN if it fails its checks
 
     def parse(self, start, chunk):
-        """Fill rows ``start:start + len(chunk)``; False if a line fails a field check."""
+        """Fill rows ``start:start + len(chunk)``; False if a line fails a field check.
+
+        A subject or t beyond int64 fails too: the replay names it.
+        """
         size = len(chunk)
         rows = slice(start, start + size)
         if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
@@ -435,9 +427,9 @@ class _Columns:
         flat = ",".join(chunk).split(",")
         subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
         try:
-            self.subject[rows] = _int_column(subject)
-            self.t[rows] = _int_column(t)
-        except ValueError:
+            self.subject[rows] = np.array(list(map(int, subject)), dtype=np.int64)
+            self.t[rows] = np.array(list(map(int, t)), dtype=np.int64)
+        except (ValueError, OverflowError):
             return False
         if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
             return False
@@ -464,20 +456,6 @@ class _Columns:
         return bool(np.isfinite(values).all())
 
 
-def _int_column(texts):
-    """``int`` of each text as int64; a value beyond int64 becomes -1.
-
-    -1 breaks the block rules wherever such a value would, and error
-    messages take the value from the line itself.
-    """
-    values = list(map(int, texts))
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if _INT64.min <= v <= _INT64.max else -1 for v in values],
-                        dtype=np.int64)
-
-
 def _binary_column(texts):
     """Texts known to be "0" or "1" as a bool array."""
     return np.frombuffer("".join(texts).encode(), dtype=np.uint8) == ord("1")
@@ -492,13 +470,19 @@ def _prob_value(text):
     return value if 0.0 < value < 1.0 else math.nan
 
 
-def _first_field_error(chunk, first_line_no):
-    """(offset, message) of the first line of ``chunk`` failing a field check."""
-    for offset, line in enumerate(chunk):
-        message = _field_error(line, first_line_no + offset)
-        if message is not None:
-            return offset, message
-    raise AssertionError("a chunk failed its columnar checks but no line fails")
+def _block_shape(subject, t):
+    """(N, T) if the columns hold subjects 0..N-1 in blocks of t = 1..T, else None.
+
+    T is the length of the first block.  The block rules hold exactly when
+    the subject column is ``repeat(arange(N), T)`` and the t column is
+    ``tile(arange(1, T + 1), N)``.
+    """
+    T = int(np.argmax(subject != subject[0])) or subject.shape[0]
+    N = subject.shape[0] // T
+    if (np.array_equal(subject, np.repeat(np.arange(N), T))
+            and np.array_equal(t, np.tile(np.arange(1, T + 1), N))):
+        return N, T
+    return None
 
 
 def _field_error(line, line_no):
@@ -536,57 +520,46 @@ def _field_error(line, line_no):
     return None
 
 
-def _block_shape(subject, t, lines, *, complete):
-    """(N, T) of the subject blocks; ConfigError at the first line breaking a rule.
+def _raise_first_error(lines):
+    """Raise ConfigError at the first bad line of a dataset CSV, in file order.
 
-    ``subject`` and ``t`` hold the first rows of the body, every one of
-    which passed the field checks.  A row starts a block when its subject
-    differs from the row before; at that row the previous block must have
-    subject 0's length and the subject must be the block's index, and
-    every row's t must be its position in its block.  Each row's checks
-    depend only on the rows before it, so the first failing row is the
-    line the file order reaches first.  With ``complete``, the rows are
-    the whole body and the last block's length is checked at the last line.
+    Each body line gets its field checks, then the block rules: a block
+    starts where the subject changes, the previous block must be as long
+    as subject 0's, the subject must be the block's index and t its
+    position in the block.  The last block's length is checked at the
+    last line.
     """
-    n = subject.shape[0]
-    if n == 0:
-        return None
-    new_block = np.empty(n, dtype=bool)
-    new_block[0] = True
-    np.not_equal(subject[1:], subject[:-1], out=new_block[1:])
-    starts = np.flatnonzero(new_block)
-    lengths = np.diff(starts, append=n)
-    block = np.cumsum(new_block) - 1
-    position = np.arange(1, n + 1) - starts[block]
-    bad_length = starts[1:][lengths[:-1] != lengths[0]]
-    bad_subject = starts[subject[starts] != np.arange(starts.size)]
-    bad_t = np.flatnonzero(t != position)
-    firsts = [rows[0] for rows in (bad_length, bad_subject, bad_t) if rows.size]
-    if firsts:
-        row = min(firsts)
-        line_no = row + 2
-        k = block[row]
-        fields = lines[row + 1].split(",")
-        if bad_length.size and bad_length[0] == row:
+    blocks = []  # rows of each subject block so far, in subject order
+    for line_no, line in enumerate(lines[1:], start=2):
+        message = _field_error(line, line_no)
+        if message is not None:
+            raise ConfigError(message)
+        subject, t = map(int, line.split(",")[:2])
+        if not blocks or subject != len(blocks) - 1:
+            _check_block_length(blocks, line_no)
+            if subject != len(blocks):
+                raise ConfigError(
+                    f"line {line_no}: subject ids must be contiguous from 0 "
+                    f"(expected {len(blocks)}, got {subject})"
+                )
+            blocks.append(0)
+        blocks[-1] += 1
+        if t != blocks[-1]:
             raise ConfigError(
-                f"line {line_no}: subject {k - 1} has {lengths[k - 1]} "
-                f"rows but subject 0 has {lengths[0]}"
+                f"line {line_no}: expected decision time {blocks[-1]} for "
+                f"subject {subject}, got {t}"
             )
-        if bad_subject.size and bad_subject[0] == row:
-            raise ConfigError(
-                f"line {line_no}: subject ids must be contiguous from 0 "
-                f"(expected {k}, got {int(fields[0])})"
-            )
+    _check_block_length(blocks, len(lines))
+    raise AssertionError("a dataset failed its columnar checks but no line fails")
+
+
+def _check_block_length(blocks, line_no):
+    """The block that ends at ``line_no`` must be as long as subject 0's."""
+    if blocks and blocks[-1] != blocks[0]:
         raise ConfigError(
-            f"line {line_no}: expected decision time {position[row]} for "
-            f"subject {int(fields[0])}, got {int(fields[1])}"
+            f"line {line_no}: subject {len(blocks) - 1} has {blocks[-1]} "
+            f"rows but subject 0 has {blocks[0]}"
         )
-    if complete and lengths[-1] != lengths[0]:
-        raise ConfigError(
-            f"line {n + 1}: subject {starts.size - 1} has {lengths[-1]} "
-            f"rows but subject 0 has {lengths[0]}"
-        )
-    return starts.size, int(lengths[0])
 
 
 # ---------------------------------------------------------------------
@@ -670,7 +643,7 @@ def size_command(config_file, grid):
 
     def solve(effect_average=None, avail_average=None):
         average = effect_params["average"] if effect_average is None else effect_average
-        if average == 0.0:
+        if average == 0.0 and effect_params.get("initial", 0.0) == 0.0:
             raise ConfigError(
                 "no solution: null effect (a zero average standardized effect "
                 "can never reach the power target)"

@@ -76,7 +76,12 @@ class TrialDesign:
             raise ConfigError(
                 f"rho must be a scalar or have length {self.T}, got shape {rho.shape}"
             )
-        rho = np.broadcast_to(rho, (self.T,)).copy()
+        try:
+            rho = np.broadcast_to(rho, (self.T,)).copy()
+        except ValueError:  # numpy's "Maximum allowed dimension exceeded"
+            raise ConfigError(
+                f"the design has T = {self.T} decision times, more than an array can hold"
+            ) from None
         if not np.all((rho > 0.0) & (rho < 1.0)):
             raise ConfigError("all randomization probabilities must lie in (0, 1)")
         object.__setattr__(self, "rho", _freeze(rho))

@@ -154,6 +154,13 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: cannot read config: 'utf-8' codec")
 
+    def test_empty_rho_list_reports_the_path(self, runner, tmp_path):
+        doc = self.size_doc()
+        doc["design"]["rho"] = []
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr == "error: design.rho must be a non-empty array of numbers, got []\n"
+
     def test_missing_config_file(self, runner):
         res = runner.invoke(main, ["size", "does-not-exist.json"])
         assert res.exit_code == 2
@@ -205,6 +212,23 @@ class TestSize:
         res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
         assert res.exit_code == 2
         assert "no solution: null effect" in res.stderr
+
+    def test_zero_average_with_nonzero_initial_is_not_null(self, runner, tmp_path):
+        doc = TestConfigValidation().size_doc()
+        doc["availability"]["average"] = 0.5
+        doc["effect"] = {"form": "quadratic", "initial": 0.3, "average": 0.0, "max_day": 3}
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["n"] == 12
+        assert "minimal sample size n = 12" in res.stderr
+
+    def test_unrepresentable_design_length_is_config_error(self, runner, tmp_path):
+        doc = TestConfigValidation().size_doc()
+        doc["design"]["days"] = 10**30
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: the design has T = {5 * 10**30} decision times")
+        assert len(res.stderr.splitlines()) == 1
 
     def test_fewer_than_three_days_is_config_error(self, runner, tmp_path):
         # with two days u^2 = u, so the quadratic day features are singular
@@ -414,6 +438,19 @@ class TestDatasetIO:
         path = self.write_lines(tmp_path, lines)
         with pytest.raises(ConfigError, match=rf"^line {line_no}: randomization probability"):
             read_dataset(path)
+
+    def test_subject_beyond_int64_in_second_chunk_reads_like_the_oracle(self, tmp_path):
+        lines = self.long_body()
+        line_no = _READ_CHUNK + 2
+        fields = lines[line_no - 1].split(",")
+        lines[line_no - 1] = ",".join(["99999999999999999999"] + fields[1:])
+        path = self.write_lines(tmp_path, lines)
+        with pytest.raises(ConfigError) as expected:
+            reference_read_dataset(path)
+        assert str(expected.value).startswith(f"line {line_no}: ")
+        with pytest.raises(ConfigError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(expected.value)
 
     def test_ragged_last_block(self, tmp_path):
         lines = self.long_body()[:-1]

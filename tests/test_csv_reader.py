@@ -218,3 +218,41 @@ def test_clean_round_trip_matches_oracle_and_input(csv_dir):
     got = read_result(read_dataset, path)
     assert got == read_result(reference_read_dataset, path)
     assert got == read_result(lambda _: data, path)
+
+
+@st.composite
+def layouts(draw):
+    """(subject, t) columns: a canonical N x T layout, then up to two cells
+    changed, dropped or repeated."""
+    n = draw(st.integers(1, 5))
+    t_len = draw(st.integers(1, 4))
+    subject = [s for s in range(n) for _ in range(t_len)]
+    t = [k for _ in range(n) for k in range(1, t_len + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(subject) - 1))
+        edit = draw(st.sampled_from(["change", "drop", "repeat"]))
+        if edit == "change":
+            column = draw(st.sampled_from([subject, t]))
+            column[i] = draw(st.integers(-1, 6))
+        elif edit == "drop" and len(subject) > 1:
+            del subject[i], t[i]
+        elif edit == "repeat":
+            subject.insert(i, subject[i])
+            t.insert(i, t[i])
+    return subject, t
+
+
+@settings(deadline=None, max_examples=300)
+@given(columns=layouts())
+def test_layout_check_accepts_what_the_oracle_accepts(csv_dir, columns):
+    # the columnar reader's one layout check stands for every block rule
+    subject, t = columns
+    path = csv_dir / "layout.csv"
+    rows = [f"{s},{k},1,0,0.5,1.0" for s, k in zip(subject, t)]
+    path.write_text("\n".join([DATASET_HEADER] + rows) + "\n", encoding="utf-8")
+    try:
+        expected = reference_read_dataset(path).avail.shape
+    except ConfigError:
+        expected = None
+    got = cli._block_shape(np.array(subject, dtype=np.int64), np.array(t, dtype=np.int64))
+    assert got == expected

@@ -87,6 +87,14 @@ class TestTrialDesign:
         with pytest.raises(ConfigError):
             TrialDesign(days=days, decisions_per_day=per_day, rho=0.4)
 
+    @pytest.mark.parametrize(
+        "days,per_day,T", [(10**30, 1, 10**30), (2**62, 2, 2**63)], ids=["1e30", "2^63"]
+    )
+    def test_unrepresentable_length_rejected(self, days, per_day, T):
+        # numpy refuses the shape itself, so nothing is allocated
+        with pytest.raises(ConfigError, match=rf"^the design has T = {T} decision times"):
+            TrialDesign(days=days, decisions_per_day=per_day, rho=0.4)
+
     def test_arrays_are_read_only(self, design):
         with pytest.raises(ValueError):
             design.rho[0] = 0.5
