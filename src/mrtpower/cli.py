@@ -343,25 +343,41 @@ def _instantiate_model(spec, design, effect, tau, errors, *, seed):
 # ---------------------------------------------------------------------
 
 
+_READ_CHUNK = 4096  # lines per columnar pass: bounds the reader's and writer's temporaries
+
+
 def write_dataset(dataset, path):
-    """Write a :class:`~mrtpower.estimator.Dataset` as round-trip CSV."""
-    lines = [DATASET_HEADER]
-    for subject, row in enumerate(dataset):
-        for t, (avail, action, prob, outcome) in enumerate(
-            zip(*(column.tolist() for column in row)), start=1
-        ):
-            outcome = format(outcome, ".17g") if avail == 1 else ""
-            lines.append(
-                f"{subject},{t},{avail},{action},{format(prob, '.17g')},{outcome}"
-            )
+    """Write a :class:`~mrtpower.estimator.Dataset` as round-trip CSV.
+
+    Columns are formatted a block of subjects, about ``_READ_CHUNK`` lines,
+    at a time, and each block is one ``write``.
+    """
+    n, t_len = dataset.avail.shape
+    block = max(1, _READ_CHUNK // t_len)
+    flags = ("0,0,", "0,1,", "1,0,", "1,1,")  # "avail,action," at 2 * avail + action
+    t_texts = [f",{t}," for t in range(1, t_len + 1)]
+    prob_texts = {}
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(DATASET_HEADER + "\n")
+            for start in range(0, n, block):
+                rows = slice(start, start + block)
+                avail = dataset.avail[rows]
+                on = avail == 1
+                prob = dataset.prob[rows].ravel().tolist()
+                prob_texts.update({p: f"{p:.17g}" for p in set(prob).difference(prob_texts)})
+                outcome = np.full(avail.shape, ",\n", dtype=object)  # empty if unavailable
+                outcome[on] = [f",{y:.17g}\n" for y in dataset.outcome[rows][on].tolist()]
+                fh.write("".join(map("".join, zip(
+                    [s for s in map(str, range(start, start + len(avail))) for _ in t_texts],
+                    t_texts * len(avail),
+                    map(flags.__getitem__, (2 * avail + dataset.action[rows]).ravel().tolist()),
+                    map(prob_texts.__getitem__, prob),
+                    outcome.ravel().tolist()))))
     except OSError as exc:
         raise ConfigError(f"cannot write dataset: {exc}") from None
 
 
-_READ_CHUNK = 4096  # lines per columnar pass: bounds the reader's temporaries
 _BINARY = frozenset(("0", "1"))
 
 

@@ -96,9 +96,9 @@ class Dataset:
             )
         if not (action.shape == prob.shape == outcome.shape == avail.shape):
             raise ConfigError("subject arrays must share one length")
-        if not np.isin(avail, (0, 1)).all():
+        if not ((avail == 0) | (avail == 1)).all():
             raise ConfigError("availability indicators must be 0 or 1")
-        if not np.isin(action, (0, 1)).all():
+        if not ((action == 0) | (action == 1)).all():
             raise ConfigError("action indicators must be 0 or 1")
         if not ((prob > 0.0) & (prob < 1.0)).all():
             raise ConfigError("randomization probabilities must lie in (0, 1)")

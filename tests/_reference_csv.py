@@ -1,10 +1,12 @@
-"""Line-by-line dataset CSV reader: the test oracle for ``cli.read_dataset``.
+"""Line-by-line dataset CSV reader and writer: the test oracles for
+``cli.read_dataset`` and ``cli.write_dataset``.
 
-This is the reader ``mrtpower.cli`` used before its columnar rewrite, kept
-unchanged as the definition of what the columnar reader must do: the same
-accepted inputs, the same ``Dataset`` bits, and for bad input the same
-``ConfigError`` message, naming the first bad line in file order and, for
-that line, the first failed check in the order below.
+These are the reader and writer ``mrtpower.cli`` used before their columnar
+rewrites, kept unchanged as the definition of what the columnar code must
+do.  The reader: the same accepted inputs, the same ``Dataset`` bits, and
+for bad input the same ``ConfigError`` message, naming the first bad line in
+file order and, for that line, the first failed check in the order below.
+The writer: the same file bytes for every ``Dataset``.
 """
 
 import math
@@ -28,6 +30,24 @@ def _parse_float(text, label):
         return float(text)
     except ValueError:
         raise ConfigError(f"{label} must be a number, got {text!r}") from None
+
+
+def reference_write_dataset(dataset, path):
+    """Write a :class:`~mrtpower.estimator.Dataset` as round-trip CSV."""
+    lines = [DATASET_HEADER]
+    for subject, row in enumerate(dataset):
+        for t, (avail, action, prob, outcome) in enumerate(
+            zip(*(column.tolist() for column in row)), start=1
+        ):
+            outcome = format(outcome, ".17g") if avail == 1 else ""
+            lines.append(
+                f"{subject},{t},{avail},{action},{format(prob, '.17g')},{outcome}"
+            )
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write dataset: {exc}") from None
 
 
 def reference_read_dataset(path):

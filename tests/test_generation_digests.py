@@ -31,7 +31,7 @@ from mrtpower.simulate import (
 SEED = 314
 N_SUBJECTS = 6
 REPLICATE = 2
-CALIBRATION_REPS = 400  # six full blocks of 64 and a partial one
+CALIBRATION_REPS = 400  # four full blocks of 96 and a partial one of 16
 
 # Eight days of three decisions (T = 24 > the five feedback lags), with a
 # weekend in the grid and time-varying availability.
