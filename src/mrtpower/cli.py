@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 DATASET_HEADER = "subject,t,avail,action,prob,outcome"
-PAPER_TABLES = ("typeI-6wk", "power-hetero")
 EFFECT_FORMS = ("quadratic", "shaped")
 
 _MISSING = object()
@@ -812,47 +811,47 @@ def analyze_command(dataset_file, config_file):
     _emit(payload)
 
 
+# name -> (row label, row values, column label, column values, model(design,
+# errors, row value, column value)); one monte_carlo run per cell, N = 42
+_PAPER_TABLES = {
+    "typeI-6wk": (
+        "scenario", ("null-6wk",), "availability average", (0.5, 0.7),
+        lambda design, errors, _scenario, avg: GenerativeModel.working_true(
+            design, EffectPath.quadratic(np.zeros(3), design),
+            make_availability("constant", avg, design), errors,
+        ),
+    ),
+    "power-hetero": (
+        "variance ratio", (1.2, 1.0, 0.8),
+        "variance trend", ("constant", "increasing", "decreasing"),
+        lambda design, errors, ratio, trend: GenerativeModel.heteroscedastic(
+            design, elicit_quadratic_effect(0.0, 0.10, 29, design),
+            make_availability("constant", 0.5, design), errors,
+            variance_ratio=ratio, variance_trend=trend,
+        ),
+    ),
+}
+PAPER_TABLES = tuple(_PAPER_TABLES)
+
+
 def _run_paper_table(name, *, reps, seed, threads):
-    design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
-    errors = ErrorProcess("iid-normal")
-    if name == "typeI-6wk":
-        effect = EffectPath.quadratic(np.zeros(3), design)
-        row_label, row_values = "scenario", ["null-6wk"]
-        col_label, col_values = "availability average", [0.5, 0.7]
-        reports = [
-            [
-                monte_carlo(
-                    GenerativeModel.working_true(
-                        design, effect,
-                        make_availability("constant", avg, design), errors,
-                    ),
-                    42, reps, 0.05, seed=seed, threads=threads,
-                )
-                for avg in col_values
-            ]
-        ]
-    elif name == "power-hetero":
-        effect = elicit_quadratic_effect(0.0, 0.10, 29, design)
-        tau = make_availability("constant", 0.5, design)
-        row_label, row_values = "variance ratio", [1.2, 1.0, 0.8]
-        col_label, col_values = "variance trend", ["constant", "increasing", "decreasing"]
-        reports = [
-            [
-                monte_carlo(
-                    GenerativeModel.heteroscedastic(
-                        design, effect, tau, errors,
-                        variance_ratio=ratio, variance_trend=trend,
-                    ),
-                    42, reps, 0.05, seed=seed, threads=threads,
-                )
-                for trend in col_values
-            ]
-            for ratio in row_values
-        ]
-    else:
+    if name not in _PAPER_TABLES:
         raise ConfigError(
             f"unknown table id {name!r}; expected one of {', '.join(PAPER_TABLES)}"
         )
+    row_label, row_values, col_label, col_values, model = _PAPER_TABLES[name]
+    design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
+    errors = ErrorProcess("iid-normal")
+    reports = [
+        [
+            monte_carlo(
+                model(design, errors, row, col), 42, reps, 0.05,
+                seed=seed, threads=threads,
+            )
+            for col in col_values
+        ]
+        for row in row_values
+    ]
     payload = {
         "table": name,
         "n": 42,
@@ -860,9 +859,9 @@ def _run_paper_table(name, *, reps, seed, threads):
         "reps": reps,
         "seed": seed,
         "row_label": row_label,
-        "row_values": row_values,
+        "row_values": list(row_values),
         "col_label": col_label,
-        "col_values": col_values,
+        "col_values": list(col_values),
         "rates": [[r.rate for r in row] for row in reports],
         "reports": [[r.to_dict() for r in row] for row in reports],
         "config_digest": _digest(

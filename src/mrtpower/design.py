@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * the (zero-based) day index of decision t is u_t = floor((t-1)/m), so the
   quadratic feature path is Z_t = B_t = (1, u_t, u_t^2)';
 * an effect path d(t) is the proximal treatment effect standardized by the
-  average conditional outcome standard deviation.
+  average conditional outcome standard deviation;
+* every Gram matrix is guarded and solved on its equilibrated (unit-diagonal)
+  form by :func:`_equilibrated_eigh`, so long trials' large u^2 column is harmless.
 
 All returned objects are immutable value types (arrays are marked
 read-only), so they can be shared freely across threads and processes.
@@ -34,7 +36,8 @@ __all__ = [
 AVAILABILITY_KINDS = ("constant", "linear", "weekly-periodic", "piecewise")
 
 # Relative eigenvalue threshold below which a symmetric matrix is treated as
-# singular (scaled by its trace); the estimator and the sizing code use it too.
+# singular, applied to the equilibrated (unit-diagonal) matrix and scaled by
+# its trace; the estimator's (I - H) guard uses it too.
 _SINGULAR_REL_TOL = 1e-12
 
 
@@ -44,10 +47,37 @@ def _freeze(arr, dtype=np.float64):
     return arr
 
 
-def _check_invertible(gram, what):
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] <= _SINGULAR_REL_TOL * np.trace(gram):
+def _equilibrated_eigh(mat, what):
+    """Symmetric eigendecomposition after diagonal equilibration.
+
+    Feature columns span orders of magnitude (1 vs day^2); scaling to unit
+    diagonal recovers the digits the raw Gram loses.  Returns (scale d,
+    eigenvalues, eigenvectors) of mat / (d d'), whose trace is its dimension.
+    """
+    d = np.sqrt(np.diag(mat))
+    if not np.all(d > 0.0):
         raise NumericError(f"{what} is singular or nearly singular")
+    scaled = mat / d[:, None] / d[None, :]
+    w, v = np.linalg.eigh(scaled)
+    if w[0] <= _SINGULAR_REL_TOL * np.trace(scaled):
+        raise NumericError(f"{what} is singular or nearly singular")
+    return d, w, v
+
+
+def _solve_sym(mat, rhs, what):
+    """Solve a symmetric positive-definite system with a singularity guard."""
+    d, w, v = _equilibrated_eigh(mat, what)
+    return (v @ ((v.T @ (rhs / d)) / w)) / d
+
+
+def _inv_eigh(d, w, v):
+    """Inverse of a matrix from its :func:`_equilibrated_eigh` decomposition."""
+    return ((v / w) @ v.T) / d[:, None] / d[None, :]
+
+
+def _weighted_projection(F, w, values, what):
+    """Weighted least-squares coefficients (F' W F)^{-1} F' W values, W = diag(w)."""
+    return _solve_sym(F.T @ (w[:, None] * F), F.T @ (w * values), what)
 
 
 @dataclass(frozen=True)
@@ -93,7 +123,7 @@ class TrialDesign:
     @property
     def day_index(self):
         """Zero-based day index u_t for t = 1..T, as a float array."""
-        return np.arange(self.T) // self.decisions_per_day
+        return np.arange(self.T, dtype=np.float64) // self.decisions_per_day
 
 
 @dataclass(frozen=True)
@@ -101,9 +131,9 @@ class FeaturePaths:
     """Per-time feature vectors Z_t (effect, p-dim) and B_t (nuisance, q-dim).
 
     Construction verifies that the unweighted Grams sum_t Z_t Z_t' and
-    sum_t B_t B_t' are invertible; availability-weighted invertibility is
-    checked wherever an availability pattern is actually paired with the
-    features (Q-matrix construction, fitting).
+    sum_t B_t B_t' are invertible at unit diagonal, whatever a column's units;
+    availability-weighted invertibility is checked wherever an availability
+    pattern is paired with the features (Q-matrix construction, fitting).
     """
 
     Z: np.ndarray
@@ -114,8 +144,8 @@ class FeaturePaths:
         B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
         if Z.shape[0] != B.shape[0]:
             raise ConfigError("Z and B must have one row per decision time")
-        _check_invertible(Z.T @ Z, "effect-feature Gram matrix")
-        _check_invertible(B.T @ B, "nuisance-feature Gram matrix")
+        _equilibrated_eigh(Z.T @ Z, "effect-feature Gram matrix")
+        _equilibrated_eigh(B.T @ B, "nuisance-feature Gram matrix")
         object.__setattr__(self, "Z", _freeze(Z))
         object.__setattr__(self, "B", _freeze(B))
 
@@ -179,7 +209,7 @@ class EffectPath:
     @classmethod
     def quadratic(cls, coeffs, design):
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        u = design.day_index.astype(np.float64)
+        u = design.day_index
         path = coeffs[0] + coeffs[1] * u + coeffs[2] * u * u
         return cls(form="quadratic", path=path, coeffs=coeffs)
 
@@ -199,7 +229,7 @@ def build_quadratic_features(design):
             f"quadratic day features need at least 3 days (u^2 = u on days 0 and 1), "
             f"got days={design.days}"
         )
-    u = design.day_index.astype(np.float64)
+    u = design.day_index
     Z = np.column_stack([np.ones(design.T), u, u * u])
     return FeaturePaths(Z=Z, B=Z.copy())
 
@@ -226,7 +256,7 @@ def elicit_quadratic_effect(initial, average, max_day, design):
             "average effect equal to the initial effect gives a flat path "
             "with no interior maximum"
         )
-    u = design.day_index.astype(np.float64)
+    u = design.day_index
     system = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -272,7 +302,7 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
             f"target average availability must be in (0, 1], got {target_average}"
         )
     T = design.T
-    u = design.day_index.astype(np.float64)
+    u = design.day_index
     if kind == "constant":
         tau = np.full(T, target_average)
     elif kind == "linear":
@@ -325,7 +355,5 @@ def project_effect(path, tau, features, rho):
         raise ConfigError("effect path and feature path lengths differ")
     rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), (Z.shape[0],))
     w = tau.tau * rho_arr * (1.0 - rho_arr)
-    gram = Z.T @ (w[:, None] * Z)
-    _check_invertible(gram, "projection Gram matrix")
-    coeffs = np.linalg.solve(gram, Z.T @ (w * values))
+    coeffs = _weighted_projection(Z, w, values, "projection Gram matrix")
     return EffectPath(form="quadratic", path=Z @ coeffs, coeffs=coeffs)

@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _SINGULAR_REL_TOL, _freeze
+from .design import _SINGULAR_REL_TOL, _equilibrated_eigh, _freeze, _inv_eigh
+from .design import _solve_sym, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -174,36 +175,6 @@ class TestResult:
             "reject": self.reject,
             "adjustment": self.adjustment,
         }
-
-
-def _equilibrated_eigh(mat, what):
-    """Symmetric eigendecomposition after diagonal equilibration.
-
-    Feature columns span several orders of magnitude (1 vs day^2), so the raw
-    Gram is ill-conditioned; scaling to unit diagonal recovers the lost
-    digits.  Returns (scale d, eigenvalues, eigenvectors) for mat scaled as
-    mat / (d d'), with the singularity threshold applied on the scaled matrix
-    (whose trace equals its dimension).
-    """
-    d = np.sqrt(np.diag(mat))
-    if not np.all(d > 0.0):
-        raise NumericError(f"{what} is singular or nearly singular")
-    scaled = mat / d[:, None] / d[None, :]
-    w, v = np.linalg.eigh(scaled)
-    if w[0] <= _SINGULAR_REL_TOL * np.trace(scaled):
-        raise NumericError(f"{what} is singular or nearly singular")
-    return d, w, v
-
-
-def _solve_sym(mat, rhs, what):
-    """Solve a symmetric positive-definite system with a singularity guard."""
-    d, w, v = _equilibrated_eigh(mat, what)
-    return (v @ ((v.T @ (rhs / d)) / w)) / d
-
-
-def _inv_eigh(d, w, v):
-    """Inverse of a matrix from its :func:`_equilibrated_eigh` decomposition."""
-    return ((v / w) @ v.T) / d[:, None] / d[None, :]
 
 
 def _stack(dataset, features):
@@ -366,10 +337,7 @@ def asymptotic_targets(generative, features):
     rho = np.broadcast_to(
         np.asarray(generative.rho, dtype=np.float64), (features.T,)
     )
-    B, Z = features.B, features.Z
-    gram_a = B.T @ (tau[:, None] * B)
-    alpha_tilde = _solve_sym(gram_a, B.T @ (tau * alpha_path), "nuisance projection")
+    alpha_tilde = _weighted_projection(features.B, tau, alpha_path, "nuisance projection")
     w = tau * rho * (1.0 - rho)
-    gram_b = Z.T @ (w[:, None] * Z)
-    beta_tilde = _solve_sym(gram_b, Z.T @ (w * beta_path), "effect projection")
+    beta_tilde = _weighted_projection(features.Z, w, beta_path, "effect projection")
     return alpha_tilde, beta_tilde

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .design import (
-    _SINGULAR_REL_TOL, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _freeze,
+    AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh, _freeze,
 )
 from .distributions import FDistParams, f_quantile, ncf_cdf
 from .exceptions import ConfigError, NumericError
@@ -117,7 +117,7 @@ def compute_q_matrix(tau, rho, features):
 
     Q = sum_t tau_t rho_t (1 - rho_t) Z_t Z_t'.  ``tau`` may be an
     AvailabilityPattern or a bare array; ``rho`` a scalar or per-time array.
-    Raises when Q is not numerically positive definite.
+    Raises when Q, scaled to unit diagonal, is not numerically positive definite.
     """
     tau_arr = np.asarray(getattr(tau, "tau", tau), dtype=np.float64)
     Z = features.Z
@@ -127,12 +127,13 @@ def compute_q_matrix(tau, rho, features):
     w = tau_arr * rho_arr * (1.0 - rho_arr)
     q = Z.T @ (w[:, None] * Z)
     q = 0.5 * (q + q.T)
-    eigvals = np.linalg.eigvalsh(q)
-    if eigvals[0] <= _SINGULAR_REL_TOL * np.trace(q):
+    try:
+        _equilibrated_eigh(q, "information matrix")
+    except NumericError:
         raise NumericError(
             "information matrix is not positive definite for this "
             "availability/feature combination"
-        )
+        ) from None
     return q
 
 

@@ -524,7 +524,7 @@ def shaped_effect(design, average, max_day, plateau_fraction):
         )
     if average == 0.0:
         raise ConfigError("average effect must be nonzero (null paths need no shape)")
-    u = design.day_index.astype(np.float64)
+    u = design.day_index
     peak = float(max_day - 1)
     shape = 1.0 - ((u - peak) / peak) ** 2
     tail = u > peak
@@ -574,7 +574,7 @@ class GenerativeModel:
         T = self.design.T
         if self.alpha_path is None:
             a0, a1, a2 = ALPHA_COEFFS
-            u = self.design.day_index.astype(np.float64)
+            u = self.design.day_index
             object.__setattr__(self, "alpha_path", a0 + a1 * u + a2 * u * u)
         for name in ("sigma1", "sigma0"):
             if getattr(self, name) is None:

@@ -10,6 +10,7 @@ reproduce the in-memory test result, and repeated runs with one seed must
 produce byte-identical output).  No statistical bands are needed here.
 """
 
+import hashlib
 import json
 import re
 
@@ -238,6 +239,56 @@ class TestSize:
         res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
         assert res.exit_code == 2
         assert "at least 3 days" in res.stderr
+
+
+def long_size_doc(days, availability):
+    # one decision a day; the effect peaks halfway through the trial
+    return {
+        "design": {"days": days, "decisions_per_day": 1, "rho": 0.4},
+        "availability": availability,
+        "effect": {"form": "quadratic", "initial": 0.0, "average": 0.10, "max_day": days // 2},
+        "alpha0": 0.05,
+        "power": 0.8,
+    }
+
+
+CONSTANT_HALF = {"kind": "constant", "average": 0.5}
+LINEAR_HALF = {"kind": "linear", "average": 0.5, "amplitude": 1.0}
+
+
+class TestLongDesigns:
+    # The Gram guards test the unit-diagonal (equilibrated) matrix, so trial
+    # length is not capped by the growth of the u^2 feature column.
+
+    @pytest.mark.parametrize(
+        "days, availability, digest",
+        [
+            (864, CONSTANT_HALF,
+             "50882b28e87faf0afef22abad5dc361aaf888c9ddaff3ebfbe68c112dff78b60"),
+            (537, LINEAR_HALF,
+             "a93225a78a9baf882205743cce10ad2cd2bc002ac71de5ab27b07232a388ed03"),
+        ],
+        ids=["864-constant", "537-linear"],
+    )
+    def test_stdout_pinned_below_the_old_length_limit(
+        self, runner, tmp_path, days, availability, digest
+    ):
+        doc = long_size_doc(days, availability)
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "days, availability",
+        [(1000, CONSTANT_HALF), (538, LINEAR_HALF)],
+        ids=["1000-constant", "538-linear"],
+    )
+    def test_long_design_sizes_with_a_certificate(self, runner, tmp_path, days, availability):
+        doc = long_size_doc(days, availability)
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["achieved_power"] >= doc["power"] > payload["power_at_n_minus_1"]
 
 
 # =====================================================================
@@ -725,6 +776,26 @@ class TestPaperTables:
         assert payload["row_values"] == [1.2, 1.0, 0.8]
         assert payload["col_values"] == ["constant", "increasing", "decreasing"]
         assert [len(row) for row in payload["rates"]] == [3, 3, 3]
+
+    @pytest.mark.parametrize(
+        "name, stdout_digest, stderr_digest",
+        [
+            ("typeI-6wk",
+             "a74fa5afee785d6abc6ac4e284d0594800b0e627bfae84bc0df17104b7b4a2e2",
+             "b7a923f61601421639b6986e63bb2ec51e7a5044303fde0ecdbadf5cc4427c16"),
+            ("power-hetero",
+             "78430b3fbf31aa06f8a2326be1f65f338e9b6f01cea09960dcd0e16744ecd006",
+             "d6ad181639bf653640ffadd4af911c0b46537b9c6b613c447e21f22a061054f5"),
+        ],
+        ids=["typeI-6wk", "power-hetero"],
+    )
+    def test_preset_output_pinned(self, runner, name, stdout_digest, stderr_digest):
+        res = runner.invoke(
+            main, ["simulate", "--paper-table", name, "--reps", "4", "--seed", "3"]
+        )
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(res.stderr.encode()).hexdigest() == stderr_digest
 
     def test_unknown_preset(self, runner):
         res = runner.invoke(main, ["simulate", "--paper-table", "nope"])

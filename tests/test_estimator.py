@@ -597,7 +597,7 @@ class TestAsymptoticTargets:
         )
         _, beta_t = asymptotic_targets(gen, feats)
         proj = project_effect(path, tau, feats, np.full(design.T, 0.4))
-        assert np.max(np.abs(beta_t - proj.coeffs)) <= 1e-10
+        assert np.array_equal(beta_t, proj.coeffs)
 
     def test_degenerate_availability_is_singular(self, design, feats):
         gen = _Generative(
