@@ -5,8 +5,9 @@ Four commands cover the user workflows:
 * ``size``     -- minimal sample size for a target power; ``--grid`` sweeps
   the effect and availability averages from the config's ``grid`` block and
   renders the results as an aligned table;
-* ``power``    -- analytic power at a fixed sample size, optionally with a
-  Monte Carlo estimate side by side (``--mc``);
+* ``power``    -- analytic power at a fixed sample size and whether it
+  reaches the power target, optionally with a Monte Carlo estimate side by
+  side (``--mc``);
 * ``analyze``  -- run the proximal-effect test on a CSV dataset;
 * ``simulate`` -- Monte Carlo rejection rates for a generative scenario;
   ``--export`` writes every replicate's dataset as CSV and ``--paper-table``
@@ -38,6 +39,7 @@ from .design import (
     AVAILABILITY_KINDS,
     EffectPath,
     TrialDesign,
+    _integer,
     build_quadratic_features,
     elicit_quadratic_effect,
     make_availability,
@@ -170,8 +172,7 @@ class _Section:
         present, value = self._fetch(key, default)
         if not present:
             return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self._label(key)} must be an integer, got {value!r}")
+        value = _integer(value, self._label(key))
         lo_ok = low is None or value >= low
         hi_ok = high is None or value <= high
         if not (lo_ok and hi_ok):
@@ -251,9 +252,12 @@ def _availability_params(cfg):
     params = {
         "kind": sec.string("kind", choices=AVAILABILITY_KINDS),
         "average": sec.number("average", low=0.0, high=1.0, open_low=True),
-        "amplitude": sec.number("amplitude", None),
-        "break_day": sec.integer("break_day", None, low=1),
+        "shape": {},
     }
+    if params["kind"] != "constant":
+        params["shape"]["amplitude"] = sec.number("amplitude")
+    if params["kind"] == "piecewise":
+        params["shape"]["break_day"] = sec.integer("break_day", low=1)
     sec.finish()
     return params
 
@@ -263,8 +267,7 @@ def _build_availability(params, design, average=None):
         params["kind"],
         params["average"] if average is None else average,
         design,
-        amplitude=params["amplitude"],
-        break_day=params["break_day"],
+        **params["shape"],
     )
 
 
@@ -728,7 +731,7 @@ def size_command(config_file, grid):
 @click.option("--threads", type=int, default=None, help="Worker processes for --mc.")
 @_guarded
 def power_command(config_file, mc, reps, seed, threads):
-    """Analytic power at a fixed sample size."""
+    """Analytic power at a fixed sample size, against the power target."""
     raw = load_config(config_file)
     cfg = _Section(raw)
     design = _parse_design(cfg)
@@ -755,11 +758,15 @@ def power_command(config_file, mc, reps, seed, threads):
         alpha0=alpha0, power_target=target,
     )
     value = analytic_power(n, inputs)
+    reached = value >= target
+    verdict = f"{'reaches' if reached else 'misses'} the target {target:g}"
     payload = {
         "n": n,
         "alpha0": alpha0,
         "noncentrality": noncentrality(n, effect, inputs.q_matrix),
         "analytic_power": value,
+        "power_target": target,
+        "target_reached": reached,
         "config_digest": _digest(
             "power", raw, {"mc": mc, "reps": reps if mc else None,
                            "seed": seed if mc else None}
@@ -772,13 +779,13 @@ def power_command(config_file, mc, reps, seed, threads):
         )
         payload["monte_carlo"] = report.to_dict()
         click.echo(
-            f"analytic power {value:.4f}; simulated rate {report.rate:.4f} "
+            f"analytic power {value:.4f} ({verdict}); simulated rate {report.rate:.4f} "
             f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}, "
             f"{report.replicates}/{report.requested} replicates)",
             err=True,
         )
     else:
-        click.echo(f"analytic power at n = {n}: {value:.4f}", err=True)
+        click.echo(f"analytic power at n = {n}: {value:.4f} ({verdict})", err=True)
     _emit(payload)
 
 

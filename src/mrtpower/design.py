@@ -16,6 +16,7 @@ All returned objects are immutable value types (arrays are marked
 read-only), so they can be shared freely across threads and processes.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,14 @@ __all__ = [
     "project_effect",
 ]
 
-AVAILABILITY_KINDS = ("constant", "linear", "weekly-periodic", "piecewise")
+# availability kind -> the shape parameters it reads
+_SHAPE_PARAMS = {
+    "constant": (),
+    "linear": ("amplitude",),
+    "weekly-periodic": ("amplitude",),
+    "piecewise": ("amplitude", "break_day"),
+}
+AVAILABILITY_KINDS = tuple(_SHAPE_PARAMS)
 
 # Relative eigenvalue threshold below which a symmetric matrix is treated as
 # singular, applied to the equilibrated (unit-diagonal) matrix and scaled by
@@ -45,6 +53,23 @@ def _freeze(arr, dtype=np.float64):
     arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _integer(value, name, low=None):
+    """``value`` as an int by ``operator.index`` (bools refused), at least ``low``.
+
+    Anything else, 2.0 included, raises :class:`ConfigError` naming ``name``.
+    """
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low is None or index >= low:
+                return index
+    kind = {None: "an integer", 0: "a nonnegative integer"}.get(low, f"an integer >= {low}")
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def _equilibrated_eigh(mat, what):
@@ -93,14 +118,8 @@ class TrialDesign:
     rho: np.ndarray
 
     def __post_init__(self):
-        if int(self.days) != self.days or self.days < 1:
-            raise ConfigError(f"days must be a positive integer, got {self.days}")
-        if int(self.decisions_per_day) != self.decisions_per_day or self.decisions_per_day < 1:
-            raise ConfigError(
-                f"decisions_per_day must be a positive integer, got {self.decisions_per_day}"
-            )
-        object.__setattr__(self, "days", int(self.days))
-        object.__setattr__(self, "decisions_per_day", int(self.decisions_per_day))
+        for name in ("days", "decisions_per_day"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         rho = np.asarray(self.rho, dtype=np.float64)
         if rho.shape not in ((), (1,), (self.T,)):
             raise ConfigError(
@@ -131,7 +150,8 @@ class FeaturePaths:
     """Per-time feature vectors Z_t (effect, p-dim) and B_t (nuisance, q-dim).
 
     Construction verifies that the unweighted Grams sum_t Z_t Z_t' and
-    sum_t B_t B_t' are invertible at unit diagonal, whatever a column's units;
+    sum_t B_t B_t' are invertible at unit diagonal, whatever a column's units
+    (one array, stored and checked once, when ``B`` is ``Z``);
     availability-weighted invertibility is checked wherever an availability
     pattern is paired with the features (Q-matrix construction, fitting).
     """
@@ -141,13 +161,15 @@ class FeaturePaths:
 
     def __post_init__(self):
         Z = np.atleast_2d(np.asarray(self.Z, dtype=np.float64))
-        B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
+        shared = self.B is self.Z
+        B = Z if shared else np.atleast_2d(np.asarray(self.B, dtype=np.float64))
         if Z.shape[0] != B.shape[0]:
             raise ConfigError("Z and B must have one row per decision time")
         _equilibrated_eigh(Z.T @ Z, "effect-feature Gram matrix")
-        _equilibrated_eigh(B.T @ B, "nuisance-feature Gram matrix")
+        if not shared:
+            _equilibrated_eigh(B.T @ B, "nuisance-feature Gram matrix")
         object.__setattr__(self, "Z", _freeze(Z))
-        object.__setattr__(self, "B", _freeze(B))
+        object.__setattr__(self, "B", self.Z if shared else _freeze(B))
 
     @property
     def T(self):
@@ -231,7 +253,7 @@ def build_quadratic_features(design):
         )
     u = design.day_index
     Z = np.column_stack([np.ones(design.T), u, u * u])
-    return FeaturePaths(Z=Z, B=Z.copy())
+    return FeaturePaths(Z=Z, B=Z)
 
 
 def elicit_quadratic_effect(initial, average, max_day, design):
@@ -244,9 +266,7 @@ def elicit_quadratic_effect(initial, average, max_day, design):
     """
     initial = float(initial)
     average = float(average)
-    if int(max_day) != max_day:
-        raise ConfigError(f"max_day must be an integer, got {max_day}")
-    max_day = int(max_day)
+    max_day = _integer(max_day, "max_day")
     if not (1 < max_day <= design.days):
         raise ConfigError(
             f"max_day must satisfy 1 < max_day <= days={design.days}, got {max_day}"
@@ -293,41 +313,39 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
     * ``piecewise``       -- step of height ``amplitude`` at ``break_day``
                              (one-based), recentered.
 
+    A kind requires the shape parameters it reads and refuses the others.
     Raises an infeasible-pattern error when the requested combination cannot
     stay inside [0, 1].
     """
+    if kind not in _SHAPE_PARAMS:
+        raise ConfigError(
+            f"unknown availability kind {kind!r}; expected one of {AVAILABILITY_KINDS}"
+        )
+    for key, value in (("amplitude", amplitude), ("break_day", break_day)):
+        if (value is None) == (key in _SHAPE_PARAMS[kind]):
+            verb = "requires" if value is None else "takes no"
+            raise ConfigError(f"{kind} availability {verb} {key}")
     target_average = float(target_average)
     if not (0.0 < target_average <= 1.0):
         raise ConfigError(
             f"target average availability must be in (0, 1], got {target_average}"
         )
-    T = design.T
     u = design.day_index
     if kind == "constant":
-        tau = np.full(T, target_average)
+        tau = np.full(design.T, target_average)
     elif kind == "linear":
-        if amplitude is None:
-            raise ConfigError("linear availability requires an amplitude")
-        shape = np.linspace(-0.5, 0.5, T)
-        tau = target_average + float(amplitude) * shape
+        tau = target_average + float(amplitude) * np.linspace(-0.5, 0.5, design.T)
     elif kind == "weekly-periodic":
-        if amplitude is None:
-            raise ConfigError("weekly-periodic availability requires an amplitude")
         weekend = ((u % 7) >= 5).astype(np.float64)
         tau = target_average + float(amplitude) * (weekend - weekend.mean())
-    elif kind == "piecewise":
-        if amplitude is None or break_day is None:
-            raise ConfigError("piecewise availability requires amplitude and break_day")
-        if not (1 <= int(break_day) <= design.days):
+    else:
+        break_day = _integer(break_day, "break_day")
+        if not (1 <= break_day <= design.days):
             raise ConfigError(
                 f"break_day must be in [1, {design.days}], got {break_day}"
             )
-        step = (u >= (int(break_day) - 1)).astype(np.float64)
+        step = (u >= (break_day - 1)).astype(np.float64)
         tau = target_average + float(amplitude) * (step - step.mean())
-    else:
-        raise ConfigError(
-            f"unknown availability kind {kind!r}; expected one of {AVAILABILITY_KINDS}"
-        )
     # tolerate only float-level spill before declaring the shape infeasible
     if tau.min() < -1e-12 or tau.max() > 1.0 + 1e-12:
         raise ConfigError(

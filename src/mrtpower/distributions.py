@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .design import _integer
 from .exceptions import NumericError
 
 __all__ = [
@@ -316,10 +317,8 @@ class FDistParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if int(self.d1) != self.d1 or self.d1 < 1:
-            raise ValueError(f"d1 must be an integer >= 1, got {self.d1}")
-        if int(self.d2) != self.d2 or self.d2 < 1:
-            raise ValueError(f"d2 must be an integer >= 1, got {self.d2}")
+        object.__setattr__(self, "d1", _integer(self.d1, "d1", 1))
+        object.__setattr__(self, "d2", _integer(self.d2, "d2", 1))
         if not (self.lam >= 0.0):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
@@ -428,7 +427,7 @@ def hotelling_critical(p, q, n, alpha0):
     quantile comes from :func:`f_quantile`'s per-key memo, so a Monte Carlo
     run, which asks for the same value on every replicate, solves it once.
     """
-    p, q, n, alpha0 = int(p), int(q), int(n), float(alpha0)
+    p, q, n, alpha0 = _integer(p, "p"), _integer(q, "q"), _integer(n, "n"), float(alpha0)
     if n <= p + q:
         raise ValueError(
             f"hotelling_critical requires n > p + q (got n={n}, p={p}, q={q})"

@@ -11,7 +11,9 @@ Two broad classes matter to callers (and to the CLI's exit codes):
 
 Scalar kernels raise plain :class:`ValueError` for domain violations
 (``ln_gamma(-1)`` and the like); those are programming errors at call sites,
-not run-level failures.
+not run-level failures.  An integer argument (a count, a day, an index or
+a degree of freedom) that is not an integer raises :class:`ConfigError`
+everywhere, kernels included; it is a ``ValueError`` too.
 """
 
 __all__ = ["ConfigError", "NumericError"]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .design import (
     AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh, _freeze,
+    _integer,
 )
 from .distributions import FDistParams, f_quantile, ncf_cdf
 from .exceptions import ConfigError, NumericError
@@ -139,8 +140,7 @@ def compute_q_matrix(tau, rho, features):
 
 def noncentrality(n, effect, q_matrix):
     """Noncentrality c_n = n * d'Qd of the alternative distribution."""
-    if n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n}")
+    n = _integer(n, "n", 1)
     if effect.form != "quadratic" or effect.coeffs is None:
         raise ConfigError("noncentrality requires the effect in quadratic form")
     d = effect.coeffs
@@ -154,6 +154,7 @@ def power(n, inputs):
 
     Requires n > p + q so the denominator degrees of freedom are positive.
     """
+    n = _integer(n, "n")
     p = inputs.features.p
     q = inputs.features.q
     if n <= p + q:
@@ -182,6 +183,7 @@ def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
     no n <= n_cap reaches the target, and when the effect is identically zero
     (no finite n can ever reach a target above alpha0).
     """
+    n_cap = _integer(n_cap, "n_cap")
     p = inputs.features.p
     q = inputs.features.q
     n_min = p + q + 1

@@ -63,7 +63,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -76,6 +75,7 @@ from .design import (
     EffectPath,
     TrialDesign,
     _freeze,
+    _integer,
     build_quadratic_features,
     elicit_quadratic_effect,
 )
@@ -252,7 +252,7 @@ def draw_errors(process, size, rng):
     The draw order per family is fixed, so a given (stream, family) pair
     always produces the same sequence.
     """
-    return _noise(process, _noise_primitives(process, int(size), rng)[None])[0]
+    return _noise(process, _noise_primitives(process, _integer(size, "size", 0), rng)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +515,7 @@ def shaped_effect(design, average, max_day, plateau_fraction):
     fraction = float(plateau_fraction)
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"plateau_fraction must be in [0, 1], got {fraction}")
-    if int(max_day) != max_day:
-        raise ConfigError(f"max_day must be an integer, got {max_day}")
-    max_day = int(max_day)
+    max_day = _integer(max_day, "max_day")
     if not 1 < max_day <= design.days:
         raise ConfigError(
             f"max_day must lie in (1, {design.days}], got {max_day}"
@@ -743,25 +741,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
-def _integer(value, name):
-    """``value`` as an int by ``operator.index``: numpy ints pass, 2.9 does not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _stream_index(value, name):
-    """``value`` as a nonnegative int: the only values a stream is keyed by."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = -1
-    if index < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
-    return index
-
-
 def _words(value):
     """Little-endian uint32 words of a nonnegative int (one word for 0)."""
     words = [value & _WORD]
@@ -791,9 +770,9 @@ def _stream_keys(seed, replicate, n):
     the pool hashed out to four key words as uint32 arrays, which wrap
     like the C code.
     """
-    entropy = _words(_stream_index(seed, "seed"))
+    entropy = _words(_integer(seed, "seed", 0))
     entropy += [0] * (_SEED_POOL - len(entropy))
-    entropy += _words(_stream_index(replicate, "replicate"))
+    entropy += _words(_integer(replicate, "replicate", 0))
     hash_const = _HASH_INIT_A
 
     def hashmix(value):
@@ -849,10 +828,10 @@ def _keyed_streams(keys):
 def subject_stream(seed, replicate, subject):
     """Private counter-based RNG stream for one (replicate, subject) pair."""
     key = np.random.SeedSequence(
-        entropy=_stream_index(seed, "seed"),
+        entropy=_integer(seed, "seed", 0),
         spawn_key=(
-            _stream_index(replicate, "replicate"),
-            _stream_index(subject, "subject"),
+            _integer(replicate, "replicate", 0),
+            _integer(subject, "subject", 0),
         ),
     )
     return np.random.Generator(np.random.Philox(key))
@@ -875,9 +854,7 @@ def generate_subject(model, rng):
 
 def generate_dataset(model, n, *, seed, replicate=0):
     """n subjects drawn from per-subject streams keyed by (seed, replicate)."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ConfigError(f"need at least 1 subject, got {n}")
+    n = _integer(n, "n", 1)
     (dataset,) = _replicate_datasets(model, n, seed, [replicate])
     return dataset
 
@@ -923,9 +900,7 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
             f"calibration applies to the treatment-feedback scenario, "
             f"not {model.scenario!r}"
         )
-    reps = _integer(reps, "reps")
-    if reps < 1:
-        raise ConfigError(f"reps must be positive, got {reps}")
+    reps = _integer(reps, "reps", 1)
     T = model.T
     rho = model.rho
     # C is a small integer count, so these sums are exact in any order
@@ -974,30 +949,35 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
 class MonteCarloReport:
     """Rejection tally over independent simulated trials.
 
-    ``replicates`` counts completed replicates; replicates aborted by a
-    numeric estimation failure are tallied in ``failures`` instead (their
-    sum is ``requested``).  ``rate`` is rejections / replicates with a 95%
-    score (Wilson) interval.
+    Only counts are stored.  ``replicates`` counts completed replicates;
+    replicates aborted by a numeric estimation failure are tallied in
+    ``failures`` instead (their sum is ``requested``).  ``rate`` is
+    rejections / replicates, and ``ci_low``/``ci_high`` its 95% score
+    (Wilson) interval.
     """
 
     requested: int
-    replicates: int
     failures: int
     rejections: int
-    rate: float
-    ci_low: float
-    ci_high: float
     alpha0: float
     seed: int
     config_digest: str
 
-    def __post_init__(self):
-        if self.replicates + self.failures != self.requested:
-            raise ConfigError("replicates + failures must equal requested")
-        if self.replicates > 0 and self.rate != self.rejections / self.replicates:
-            raise ConfigError("rate must equal rejections / replicates")
-        if not self.ci_low <= self.rate <= self.ci_high:
-            raise ConfigError("ci95 must contain the rate")
+    @property
+    def replicates(self):
+        return self.requested - self.failures
+
+    @property
+    def rate(self):
+        return self.rejections / self.replicates
+
+    @property
+    def ci_low(self):
+        return _wilson_interval(self.rejections, self.replicates)[0]
+
+    @property
+    def ci_high(self):
+        return _wilson_interval(self.rejections, self.replicates)[1]
 
     def to_dict(self):
         return {
@@ -1057,22 +1037,19 @@ def resolve_threads(threads=None):
             threads = int(raw)
         except ValueError as exc:
             raise ConfigError(f"MRTPOWER_THREADS must be an integer, got {raw!r}") from exc
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
+    return _integer(threads, "thread count", 1)
 
 
 def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
     """sha256 digest of the full run configuration (excludes worker count)."""
     payload = {
         "model": model.describe(),
-        "n": int(n),
-        "reps": int(reps),
+        "n": _integer(n, "n"),
+        "reps": _integer(reps, "reps"),
         "alpha0": float(alpha0),
         "adjusted": bool(adjusted),
         "gram": gram,
-        "seed": int(seed),
+        "seed": _integer(seed, "seed", 0),
     }
     return _canonical_digest(payload)
 
@@ -1092,19 +1069,18 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     replicate) and the tally is order-independent.
     """
     n = _integer(n, "n")
-    reps = _integer(reps, "reps")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    reps = _integer(reps, "reps", 1)
     features = build_quadratic_features(model.design)
     if n <= features.p + features.q:
         raise ConfigError(
             f"need more than p + q = {features.p + features.q} subjects, got {n}"
         )
     _require_calibrated(model)
-    threads = resolve_threads(threads)
-    seed = _stream_index(seed, "seed")
+    # a worker beyond the reps-th would get no replicate
+    threads = min(resolve_threads(threads), reps)
+    seed = _integer(seed, "seed", 0)
 
-    if threads == 1 or reps == 1:
+    if threads == 1:
         outcomes = _replicate_outcomes(
             (model, features, n, alpha0, adjusted, gram, seed, range(reps))
         )
@@ -1118,20 +1094,13 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
             parts = list(pool.map(_replicate_outcomes, batches))
         outcomes = np.concatenate(parts)
 
-    rejections = int(np.sum(outcomes == 1))
     failures = int(np.sum(outcomes == -1))
-    completed = reps - failures
-    if completed == 0:
+    if failures == reps:
         raise NumericError("every replicate failed; the configuration is pathological")
-    ci_low, ci_high = _wilson_interval(rejections, completed)
     return MonteCarloReport(
         requested=reps,
-        replicates=completed,
         failures=failures,
-        rejections=rejections,
-        rate=rejections / completed,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        rejections=int(np.sum(outcomes == 1)),
         alpha0=float(alpha0),
         seed=seed,
         config_digest=config_digest(model, n, reps, alpha0, adjusted, gram, seed),

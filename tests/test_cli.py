@@ -162,6 +162,40 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert res.stderr == "error: design.rho must be a non-empty array of numbers, got []\n"
 
+    @pytest.mark.parametrize(
+        "availability,message",
+        [
+            (
+                {"kind": "constant", "average": 0.5, "amplitude": 0.9},
+                "unknown configuration key(s): 'availability.amplitude'",
+            ),
+            (
+                {"kind": "linear", "average": 0.5, "amplitude": 0.2, "break_day": 7},
+                "unknown configuration key(s): 'availability.break_day'",
+            ),
+            (
+                {"kind": "piecewise", "average": 0.5, "amplitude": 0.2, "break_day": 7.5},
+                "availability.break_day must be an integer, got 7.5",
+            ),
+            (
+                {"kind": "piecewise", "average": 0.5, "amplitude": 0.2, "break_day": 7.0},
+                "availability.break_day must be an integer, got 7.0",
+            ),
+            (
+                {"kind": "piecewise", "average": 0.5, "amplitude": 0.2},
+                "missing required configuration key 'availability.break_day'",
+            ),
+        ],
+        ids=["amplitude-on-constant", "break_day-on-linear", "fractional-break_day",
+             "integral-float-break_day", "piecewise-without-break_day"],
+    )
+    def test_shape_keys_follow_the_kind(self, runner, tmp_path, availability, message):
+        doc = self.size_doc()
+        doc["availability"] = availability
+        res = runner.invoke(main, ["size", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
+
     def test_missing_config_file(self, runner):
         res = runner.invoke(main, ["size", "does-not-exist.json"])
         assert res.exit_code == 2
@@ -324,6 +358,20 @@ class TestPower:
         doc["availability"]["average"] = 0.7
         res = runner.invoke(main, ["power", write_json(tmp_path / "p.json", doc)])
         assert json.loads(res.stdout)["analytic_power"] >= sized["power"]
+
+    @pytest.mark.parametrize("target,reached", [(None, True), (0.8, True), (0.95, False)])
+    def test_power_target_is_reported(self, runner, tmp_path, target, reached):
+        doc = self.power_doc(42)
+        if target is not None:
+            doc["power"] = target
+        res = runner.invoke(main, ["power", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert payload["power_target"] == (0.8 if target is None else target)
+        assert payload["target_reached"] is reached
+        assert payload["target_reached"] == (payload["analytic_power"] >= payload["power_target"])
+        verdict = "reaches" if reached else "misses"
+        assert f"({verdict} the target {payload['power_target']:g})" in res.stderr
 
     def test_degrees_of_freedom_guard(self, runner, tmp_path):
         res = runner.invoke(

@@ -117,6 +117,27 @@ class TestQuadraticFeatures:
         assert np.array_equal(feats.Z, feats.B)
         assert feats.p == 3 and feats.q == 3 and feats.T == 210
 
+    def test_one_array_serves_both_paths(self, design):
+        feats = build_quadratic_features(design)
+        assert feats.B is feats.Z
+        assert not feats.Z.flags.writeable
+
+    def test_shared_path_is_guarded_once(self, design, monkeypatch):
+        from mrtpower import design as design_module
+
+        guarded = []
+        real = design_module._equilibrated_eigh
+
+        def record(mat, what):
+            guarded.append(what)
+            return real(mat, what)
+
+        monkeypatch.setattr(design_module, "_equilibrated_eigh", record)
+        feats = build_quadratic_features(design)
+        assert guarded == ["effect-feature Gram matrix"]
+        design_module.FeaturePaths(Z=feats.Z, B=feats.Z[:, :2])
+        assert guarded[1:] == ["effect-feature Gram matrix", "nuisance-feature Gram matrix"]
+
     def test_degenerate_features_rejected(self):
         # a rank-deficient Z (third column duplicates the second)
         u = np.arange(10.0)
@@ -233,6 +254,16 @@ class TestAvailability:
     def test_infeasible_pattern_rejected(self, design):
         with pytest.raises(ConfigError, match="infeasible"):
             make_availability("linear", 0.9, design, amplitude=0.4)
+
+    def test_shape_parameters_follow_the_kind(self, design):
+        with pytest.raises(ConfigError, match="constant availability takes no amplitude"):
+            make_availability("constant", 0.5, design, amplitude=0.9)
+        with pytest.raises(ConfigError, match="weekly-periodic availability takes no break_day"):
+            make_availability("weekly-periodic", 0.5, design, amplitude=0.1, break_day=2)
+        with pytest.raises(ConfigError, match="linear availability requires amplitude"):
+            make_availability("linear", 0.5, design)
+        with pytest.raises(ConfigError, match="piecewise availability requires break_day"):
+            make_availability("piecewise", 0.5, design, amplitude=0.1)
 
     def test_unknown_kind_rejected(self, design):
         with pytest.raises(ConfigError):

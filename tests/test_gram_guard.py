@@ -18,6 +18,7 @@ import pytest
 
 from _reference_guard import reference_check_invertible, reference_q_matrix
 from mrtpower.design import (
+    _SHAPE_PARAMS,
     AVAILABILITY_KINDS,
     FeaturePaths,
     TrialDesign,
@@ -72,7 +73,12 @@ def _sweep_case(rng):
     # within these amplitudes every pattern stays inside [0, 1]
     amplitude = rng.uniform(0.0, 2.0 if kind == "linear" else 1.0) * min(average, 1.0 - average)
     break_day = int(rng.integers(1, days + 1))
-    tau = make_availability(kind, average, design, amplitude=amplitude, break_day=break_day).tau
+    # both shape parameters are drawn for every kind, so the cases do not
+    # depend on which ones a kind reads
+    shape = {"amplitude": amplitude, "break_day": break_day}
+    tau = make_availability(
+        kind, average, design, **{key: shape[key] for key in _SHAPE_PARAMS[kind]}
+    ).tau
     u = design.day_index
     if rng.random() < 0.25:
         # availability on a window of 1-4 days: singular Q, or barely regular

@@ -632,25 +632,42 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="subjects"):
             monte_carlo(m, 6, 5, 0.05, seed=1)
 
-    def test_report_invariants_enforced(self):
-        with pytest.raises(ConfigError, match="requested"):
-            MonteCarloReport(
-                requested=10, replicates=8, failures=1, rejections=2,
-                rate=0.25, ci_low=0.0, ci_high=0.6, alpha0=0.05, seed=1,
-                config_digest="x",
-            )
-        with pytest.raises(ConfigError, match="rate"):
-            MonteCarloReport(
-                requested=10, replicates=10, failures=0, rejections=2,
-                rate=0.3, ci_low=0.0, ci_high=0.6, alpha0=0.05, seed=1,
-                config_digest="x",
-            )
-        with pytest.raises(ConfigError, match="ci95"):
-            MonteCarloReport(
-                requested=10, replicates=10, failures=0, rejections=2,
-                rate=0.2, ci_low=0.3, ci_high=0.6, alpha0=0.05, seed=1,
-                config_digest="x",
-            )
+    def test_report_stores_counts_only(self):
+        rep = MonteCarloReport(
+            requested=10, failures=2, rejections=3, alpha0=0.05, seed=1, config_digest="x"
+        )
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "requested", "failures", "rejections", "alpha0", "seed", "config_digest"
+        ]
+        assert rep.replicates == 8 and rep.rate == 3 / 8
+        assert (rep.ci_low, rep.ci_high) == simulate._wilson_interval(3, 8)
+        assert json.dumps(rep.to_dict()) == json.dumps({
+            "requested": 10, "replicates": 8, "failures": 2, "rejections": 3,
+            "rate": 3 / 8, "ci95": [rep.ci_low, rep.ci_high], "alpha0": 0.05,
+            "seed": 1, "config_digest": "x",
+        })
+
+    def test_no_worker_is_started_without_a_replicate(self, tiny_design, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        m = tiny_null_model(tiny_design)
+        alone = monte_carlo(m, 10, 3, 0.05, seed=7).to_dict()
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        assert monte_carlo(m, 10, 3, 0.05, seed=7, threads=64).to_dict() == alone
+        assert started == [3]
 
     def test_zero_rejections_interval_is_anchored_at_zero(self, tiny_design):
         m = tiny_null_model(tiny_design, average=0.25)
@@ -677,3 +694,14 @@ class TestMonteCarlo:
         report, _ = null_mc
         assert report.failures == 0
         assert 0.037 <= report.rate <= 0.065
+
+
+def test_wilson_interval_contains_the_rate_for_every_count():
+    """0 <= ci_low <= rate <= ci_high <= 1 at every (successes, trials), trials <= 1000."""
+    outside = []
+    for trials in range(1, 1001):
+        for successes in range(trials + 1):
+            low, high = simulate._wilson_interval(successes, trials)
+            if not 0.0 <= low <= successes / trials <= high <= 1.0:
+                outside.append((successes, trials, low, high))
+    assert outside == []
