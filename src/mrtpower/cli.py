@@ -58,7 +58,6 @@ from .simulate import (
     monte_carlo,
     shaped_effect,
     _canonical_digest,
-    _replicate_datasets,
 )
 
 __all__ = [
@@ -328,6 +327,17 @@ def _scenario_spec(cfg, *, required):
         spec["calibration_reps"] = sec.integer("calibration_reps", 10_000, low=1)
     sec.finish()
     return spec
+
+
+def _monte_carlo_keys(cfg, reps, seed):
+    """(reps, seed, adjusted, gram) from the config, ``--reps``/``--seed`` overriding."""
+    config_reps = cfg.integer("reps", 1000, low=1)
+    config_seed = cfg.integer("seed", 0, low=0)
+    adjusted = cfg.boolean("adjusted", True)
+    gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
+    reps = config_reps if reps is None else reps
+    seed = config_seed if seed is None else seed
+    return reps, seed, adjusted, gram
 
 
 def _instantiate_model(spec, design, effect, tau, errors, *, seed):
@@ -743,13 +753,8 @@ def power_command(config_file, mc, reps, seed, threads):
     target = cfg.number("power", 0.8, low=0.0, high=1.0, open_low=True, open_high=True)
     errors = _parse_errors(cfg)
     spec = _scenario_spec(cfg, required=False)
-    config_reps = cfg.integer("reps", 1000, low=1)
-    config_seed = cfg.integer("seed", 0, low=0)
-    adjusted = cfg.boolean("adjusted", True)
-    gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
+    reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
     cfg.finish()
-    reps = reps if reps is not None else config_reps
-    seed = seed if seed is not None else config_seed
 
     tau = _build_availability(avail_params, design)
     effect = _build_effect(effect_params, design)
@@ -884,11 +889,8 @@ def _run_paper_table(name, *, reps, seed, threads):
     return payload, table
 
 
-def _export_replicates(model, n, reps, seed, directory):
-    width = max(4, len(str(reps - 1)))
-    for replicate, data in enumerate(_replicate_datasets(model, n, seed, range(reps))):
-        write_dataset(data, os.path.join(directory, f"replicate-{replicate:0{width}d}.csv"))
-    click.echo(f"wrote {reps} replicate dataset(s) to {directory}", err=True)
+def _export_replicate(directory, width, replicate, dataset):
+    write_dataset(dataset, os.path.join(directory, f"replicate-{replicate:0{width}d}.csv"))
 
 
 @main.command("simulate")
@@ -929,27 +931,25 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
     spec = _scenario_spec(cfg, required=True)
     n = cfg.integer("n", low=1)
     alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
-    config_reps = cfg.integer("reps", 1000, low=1)
-    config_seed = cfg.integer("seed", 0, low=0)
-    adjusted = cfg.boolean("adjusted", True)
-    gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
+    reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
     cfg.finish()
-    reps = reps if reps is not None else config_reps
-    seed = seed if seed is not None else config_seed
 
     tau = _build_availability(avail_params, design)
     effect = _build_effect(effect_params, design)
     model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
+    export = None
     if export_dir is not None:
         try:
             os.makedirs(export_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create export directory: {exc}") from None
+        export = functools.partial(_export_replicate, export_dir, max(4, len(str(reps - 1))))
     report = monte_carlo(
-        model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads
+        model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads,
+        each_dataset=export,
     )
     if export_dir is not None:
-        _export_replicates(model, n, reps, seed, export_dir)
+        click.echo(f"wrote {reps} replicate dataset(s) to {export_dir}", err=True)
     click.echo(
         f"rejection rate {report.rate:.4f} "
         f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}) from "

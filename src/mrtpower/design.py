@@ -55,10 +55,12 @@ def _freeze(arr, dtype=np.float64):
     return arr
 
 
-def _integer(value, name, low=None):
-    """``value`` as an int by ``operator.index`` (bools refused), at least ``low``.
+def _integer(value, name, low=None, high=None):
+    """``value`` as an int by ``operator.index`` (bools refused), in [low, high].
 
     Anything else, 2.0 included, raises :class:`ConfigError` naming ``name``.
+    A count that sizes an array passes the largest size it may take as
+    ``high``, so a value numpy cannot hold fails here, before any allocation.
     """
     if not isinstance(value, bool):
         try:
@@ -66,9 +68,11 @@ def _integer(value, name, low=None):
         except TypeError:
             pass
         else:
-            if low is None or index >= low:
+            if (low is None or index >= low) and (high is None or index <= high):
                 return index
     kind = {None: "an integer", 0: "a nonnegative integer"}.get(low, f"an integer >= {low}")
+    if high is not None:
+        kind += f" {'and ' if low else ''}<= {high}"
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 

@@ -141,6 +141,12 @@ _CALIBRATION_BRANCH = 0xFFFFFFFF
 # the engine's working set.
 _ENGINE_ROWS = 96
 
+# Largest counts that size an array: _stream_keys holds a subject index in
+# one uint32 word, which np.arange would wrap past silently, and numpy
+# cannot hold any other count above intp.
+_MAX_SUBJECTS = 2**32 - 1
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
 
@@ -252,7 +258,8 @@ def draw_errors(process, size, rng):
     The draw order per family is fixed, so a given (stream, family) pair
     always produces the same sequence.
     """
-    return _noise(process, _noise_primitives(process, _integer(size, "size", 0), rng)[None])[0]
+    size = _integer(size, "size", 0, _MAX_COUNT)
+    return _noise(process, _noise_primitives(process, size, rng)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +861,7 @@ def generate_subject(model, rng):
 
 def generate_dataset(model, n, *, seed, replicate=0):
     """n subjects drawn from per-subject streams keyed by (seed, replicate)."""
-    n = _integer(n, "n", 1)
+    n = _integer(n, "n", 1, _MAX_SUBJECTS)
     (dataset,) = _replicate_datasets(model, n, seed, [replicate])
     return dataset
 
@@ -900,7 +907,7 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
             f"calibration applies to the treatment-feedback scenario, "
             f"not {model.scenario!r}"
         )
-    reps = _integer(reps, "reps", 1)
+    reps = _integer(reps, "reps", 1, _MAX_SUBJECTS)  # one calibration subject each
     T = model.T
     rho = model.rho
     # C is a small integer count, so these sums are exact in any order
@@ -1017,9 +1024,11 @@ def _replicate_outcomes(args):
     depends on n alone, so the outcomes do not depend on how replicates are
     split among workers.
     """
-    model, features, n, alpha0, adjusted, gram, seed, indices = args
+    model, features, n, alpha0, adjusted, gram, seed, each_dataset, indices = args
     out = []
-    for dataset in _replicate_datasets(model, n, seed, indices):
+    for replicate, dataset in zip(indices, _replicate_datasets(model, n, seed, indices)):
+        if each_dataset is not None:
+            each_dataset(replicate, dataset)
         try:
             result = hypothesis_test(dataset, features, alpha0, adjusted=adjusted, gram=gram)
         except NumericError:
@@ -1060,16 +1069,20 @@ def _canonical_digest(payload):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", threads=None):
+def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", threads=None,
+                each_dataset=None):
     """Estimate the test's rejection rate over ``reps`` simulated trials.
 
     Each replicate generates ``n`` subjects on its own deterministic RNG
     streams and runs the hypothesis test; the report is identical for any
     worker count because per-replicate outcomes depend only on (seed,
-    replicate) and the tally is order-independent.
+    replicate) and the tally is order-independent.  ``each_dataset(replicate,
+    dataset)``, if given, sees each replicate once, before its test, in the
+    process that generated it; it must pickle when ``threads > 1``, enters
+    neither the report nor its digest, and ends the run if it raises.
     """
-    n = _integer(n, "n")
-    reps = _integer(reps, "reps", 1)
+    n = _integer(n, "n", high=_MAX_SUBJECTS)
+    reps = _integer(reps, "reps", 1, _MAX_COUNT)
     features = build_quadratic_features(model.design)
     if n <= features.p + features.q:
         raise ConfigError(
@@ -1080,19 +1093,14 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     threads = min(resolve_threads(threads), reps)
     seed = _integer(seed, "seed", 0)
 
+    batches = [(model, features, n, alpha0, adjusted, gram, seed, each_dataset,
+                range(w, reps, threads)) for w in range(threads)]
     if threads == 1:
-        outcomes = _replicate_outcomes(
-            (model, features, n, alpha0, adjusted, gram, seed, range(reps))
-        )
+        parts = list(map(_replicate_outcomes, batches))
     else:
-        batches = [
-            (model, features, n, alpha0, adjusted, gram, seed,
-             list(range(w, reps, threads)))
-            for w in range(threads)
-        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_replicate_outcomes, batches))
-        outcomes = np.concatenate(parts)
+    outcomes = np.concatenate(parts)
 
     failures = int(np.sum(outcomes == -1))
     if failures == reps:

@@ -26,6 +26,7 @@ from mrtpower.design import (
     elicit_quadratic_effect,
     make_availability,
 )
+from mrtpower import simulate
 from mrtpower.estimator import Dataset, hypothesis_test
 from mrtpower.exceptions import ConfigError
 from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
@@ -735,6 +736,79 @@ class TestSimulate:
             write_dataset(generate_dataset(model, 9, seed=3, replicate=replicate), single)
             assert exported.name == f"replicate-{replicate:04d}.csv"
             assert exported.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("threads, generated_here", [(1, 9 * 23), (2, 0)])
+    def test_export_generates_each_replicate_once(
+        self, runner, tmp_path, monkeypatch, threads, generated_here
+    ):
+        # rows generated in this process: every one with one worker, none
+        # with two, where the workers generate, test and write
+        rows = []
+
+        def counting(model, streams):
+            out = generate(model, streams)
+            rows.append(out[0].shape[0])
+            return out
+
+        generate = simulate._generate
+        monkeypatch.setattr(simulate, "_generate", counting)
+        path = write_json(tmp_path / "c.json", tiny_sim_config(reps=23))
+        out_dir = tmp_path / "out"
+        res = runner.invoke(
+            main, ["simulate", path, "--threads", str(threads), "--export", str(out_dir)]
+        )
+        assert res.exit_code == 0
+        assert sum(rows) == generated_here
+        assert len(list(out_dir.iterdir())) == 23
+
+    def test_export_is_thread_invariant(self, runner, tmp_path):
+        path = write_json(tmp_path / "c.json", tiny_sim_config(reps=23))
+        one = runner.invoke(main, ["simulate", path, "--export", str(tmp_path / "one")])
+        two = runner.invoke(
+            main, ["simulate", path, "--threads", "2", "--export", str(tmp_path / "two")]
+        )
+        assert one.exit_code == two.exit_code == 0
+        assert one.stdout == two.stdout
+        ones = sorted((tmp_path / "one").iterdir())
+        twos = sorted((tmp_path / "two").iterdir())
+        assert [f.name for f in ones] == [f.name for f in twos]
+        assert len(ones) == 23
+        for a, b in zip(ones, twos):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_all_failures_keep_the_export(self, runner, tmp_path):
+        doc = tiny_sim_config(n=7, reps=6)
+        doc["availability"]["average"] = 0.04
+        out_dir = tmp_path / "out"
+        res = runner.invoke(
+            main, ["simulate", write_json(tmp_path / "c.json", doc), "--export", str(out_dir)]
+        )
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: every replicate failed")
+        assert len(res.stderr.splitlines()) == 1
+        files = sorted(out_dir.iterdir())
+        assert [f.name for f in files] == [f"replicate-000{r}.csv" for r in range(6)]
+        # each exported dataset replays its replicate's failure
+        analyze_doc = {"design": dict(TINY_DESIGN), "alpha0": 0.05}
+        res = runner.invoke(
+            main, ["analyze", str(files[0]), write_json(tmp_path / "a.json", analyze_doc)]
+        )
+        assert res.exit_code == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_write_failure_in_a_worker_is_config_error(self, runner, tmp_path, threads):
+        # a directory where replicate 1's file goes: worker 1 of 2 fails to open it
+        path = write_json(tmp_path / "c.json", tiny_sim_config(reps=4))
+        out_dir = tmp_path / "out"
+        (out_dir / "replicate-0001.csv").mkdir(parents=True)
+        res = runner.invoke(
+            main, ["simulate", path, "--threads", str(threads), "--export", str(out_dir)]
+        )
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: cannot write dataset")
+        assert len(res.stderr.splitlines()) == 1
 
     def test_export_to_a_file_is_config_error(self, runner, tmp_path):
         path = write_json(tmp_path / "c.json", tiny_sim_config(reps=4))

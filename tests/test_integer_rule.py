@@ -8,9 +8,12 @@ integers, each giving the same result as the plain int.  Every other input
 string, None -- raises ConfigError naming the argument.  Nothing raises
 TypeError, and nothing is truncated.
 
-2**70 is an integer too.  It is asked only where the argument does not size
-an allocation or a loop, and there it must give a result or one of the
-package's errors, never a TypeError or an OverflowError.
+2**70 is an integer too.  Where the argument does not size an allocation
+or a loop, it must give a result or one of the package's errors, never a
+TypeError or an OverflowError.  Where it does (a subject count, a replicate
+count, a draw size), it and the first count past what numpy can hold raise
+ConfigError before anything is allocated, in the library and through the
+CLI.
 """
 
 import functools
@@ -19,10 +22,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtpower import ConfigError, NumericError
+from mrtpower.cli import main
 from mrtpower.design import (
     EffectPath,
     TrialDesign,
@@ -197,3 +202,84 @@ def test_every_integer_argument_follows_one_rule(index, kind, data):
 def test_huge_seeds_are_not_reduced():
     """A seed past 2**64 keys its own stream, not the stream of its low word."""
     assert subject_stream(HUGE, 0, 0).random() != subject_stream(HUGE % 2**64, 0, 0).random()
+
+
+# A subject index must fit the one uint32 word of its stream key; any other
+# count must fit numpy's intp.
+SUBJECT_BOUND = 2**32
+COUNT_BOUND = int(np.iinfo(np.intp).max) + 1
+SIZING_ARGUMENTS = [
+    ("n", lambda v: generate_dataset(WORKING, v, seed=5), SUBJECT_BOUND),
+    ("size", lambda v: draw_errors(ErrorProcess("ar1", 0.5), v, subject_stream(5, 1, 2)),
+     COUNT_BOUND),
+    ("n", lambda v: monte_carlo(WORKING, v, 3, 0.05, seed=5), SUBJECT_BOUND),
+    ("reps", lambda v: monte_carlo(WORKING, 10, v, 0.05, seed=5), COUNT_BOUND),
+    ("reps", lambda v: calibrate_sigma_star(FEEDBACK, reps=v, seed=5), SUBJECT_BOUND),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call,value",
+    [
+        pytest.param(name, call, value, id=f"{name}-{index}-{label}")
+        for index, (name, call, bound) in enumerate(SIZING_ARGUMENTS)
+        for label, value in (("first-past-bound", bound), ("2**70", HUGE))
+    ],
+)
+def test_a_count_numpy_cannot_hold_is_config_error(name, call, value):
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    message = str(info.value)
+    assert message.startswith(f"{name} must be") and message.endswith(f"got {value}"), message
+
+
+def _tiny_config(**overrides):
+    """A small simulate config; an override of None drops the key."""
+    doc = {
+        "design": {"days": 3, "decisions_per_day": 4, "rho": 0.4},
+        "availability": {"kind": "constant", "average": 0.6},
+        "effect": {"form": "quadratic", "initial": 0.0, "average": 0.3, "max_day": 2},
+        "errors": {"family": "iid-normal"},
+        "scenario": {"name": "working-true"},
+        "n": 9,
+        "alpha0": 0.05,
+        "reps": 4,
+    }
+    doc.update(overrides)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+_FEEDBACK_SCENARIO = {
+    "name": "treatment-feedback", "eta1": 0.1, "eta2": 0.1, "gamma1": 0.1, "gamma2": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "command,doc,flags,name",
+    [
+        ("simulate", _tiny_config(n=HUGE), [], "n"),
+        ("simulate", _tiny_config(n=SUBJECT_BOUND), [], "n"),
+        ("simulate", _tiny_config(reps=HUGE), [], "reps"),
+        ("simulate", _tiny_config(), ["--reps", str(HUGE)], "reps"),
+        ("simulate", _tiny_config(), ["--reps", str(HUGE), "--threads", "2"], "reps"),
+        (
+            "simulate",
+            _tiny_config(scenario={**_FEEDBACK_SCENARIO, "calibration_reps": HUGE}),
+            [],
+            "reps",
+        ),
+        ("power", _tiny_config(scenario=None, reps=HUGE), ["--mc"], "reps"),
+        ("power", _tiny_config(scenario=None), ["--mc", "--reps", str(HUGE)], "reps"),
+    ],
+    ids=["simulate-n", "simulate-n-2**32", "simulate-reps", "simulate---reps",
+         "simulate---reps-2-threads", "simulate-calibration_reps", "power-reps",
+         "power---reps"],
+)
+def test_a_count_numpy_cannot_hold_exits_2(tmp_path, command, doc, flags, name):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, [command, str(path), *flags])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {name} must be an integer"), res.stderr
+    assert len(res.stderr.splitlines()) == 1
