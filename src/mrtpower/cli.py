@@ -410,10 +410,13 @@ def read_dataset(path):
     order, until the first bad one.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+        # universal newlines: \n, \r\n and \r end a line, and nothing else
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()  # the final line's newline, or an empty file
     if not lines or lines[0] != DATASET_HEADER:
         raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
     n_rows = len(lines) - 1

@@ -344,6 +344,11 @@ def reg_inc_beta(a, b, x):
             f"incomplete-beta continued fraction failed to converge "
             f"(a={a}, b={b}, x={x})"
         )
+    if not 0.0 <= value <= 1.0:
+        raise NumericError(
+            f"incomplete beta {value} is not a probability (a={a}, b={b}, x={x}): "
+            f"the log-beta normalizer has lost its precision"
+        )
     return value
 
 
@@ -364,6 +369,11 @@ def f_cdf(x, params):
     value = _f_cdf_kernel(x, d1, d2, _ln_beta_norm(0.5 * d1, 0.5 * d2))
     if math.isnan(value):
         raise NumericError(f"F CDF evaluation failed (x={x}, d1={d1}, d2={d2})")
+    if not 0.0 <= value <= 1.0:
+        raise NumericError(
+            f"F CDF {value} is not a probability (x={x}, d1={d1}, d2={d2}): "
+            f"the log-beta normalizer has lost its precision"
+        )
     return value
 
 

@@ -18,11 +18,20 @@ The critical value depends only on (alpha0, p, n-q-p); ``f_quantile``
 memoizes it per process, so grid cells sharing degrees of freedom pay for
 its bisection once.
 ``solve_sample_size`` returns the smallest integer n meeting the power target
-together with a minimality certificate.
+together with a minimality certificate.  Its search starts near the answer.
+The F(p, d2) test reaches the target at a noncentrality of about
+lambda (1 + shift / d2), lambda being the large-d2 limit; with c_n = n d'Qd and
+d2 = n - q - p, the answer is then about lambda / d'Qd + shift.  lambda and
+shift are bisected once per (p, alpha0, target), at d2 = 5e4 and d2 = 100,
+and memoized.  From the start the search gallops by 1, 2, 4, ... towards the
+target and bisects: 2 power evaluations for each criterion 01 cell.
+``power`` is a pure function of n, so wherever it rises with n the start
+changes which n are evaluated, not the answer.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +39,9 @@ from .design import (
     AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh, _freeze,
     _integer,
 )
-from .distributions import FDistParams, f_quantile, ncf_cdf
+from .distributions import (
+    FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
+)
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -43,6 +54,15 @@ __all__ = [
 ]
 
 DEFAULT_N_CAP = 1_000_000
+# The search start's two F tests (module docstring): d2 = 5e4 is near the
+# large-sample limit and inside the kernels' accurate range (the log-beta
+# normalizer cancels above ~5e4).  Halving a noncentrality bracket 20 times
+# leaves a relative width of about 1e-6; the start is an integer, so more is
+# waste.  Noncentralities past _START_LAM_MAX make the series hit its cap.
+_START_DFD = 50_000.0
+_SHIFT_DFD = 100.0
+_START_BISECTIONS = 20
+_START_LAM_MAX = 1.0e8
 
 
 @dataclass(frozen=True)
@@ -173,15 +193,53 @@ def _power(p, q, n, alpha0, lam):
     return 1.0 - ncf_cdf(crit, FDistParams(p, dfd, lam))
 
 
+@lru_cache(maxsize=64)
+def _start_terms(p, alpha0, target):
+    """(lambda, shift) of the search start; (0.0, 0.0) when the kernels give
+    no noncentrality that reaches the target."""
+    if 1.0 - alpha0 == 1.0:  # no level-alpha0 test in double precision
+        return 0.0, 0.0
+    lam = _needed_noncentrality(p, alpha0, target, _START_DFD)
+    near = _needed_noncentrality(p, alpha0, target, _SHIFT_DFD)
+    if lam == 0.0 or near == 0.0:
+        return 0.0, 0.0
+    return lam, _SHIFT_DFD * (near / lam - 1.0)
+
+
+def _needed_noncentrality(p, alpha0, target, d2):
+    # noncentrality at which the level-alpha0 F(p, d2) test reaches the
+    # target power, bisected on the kernels; 0.0 when none is found
+    d1 = float(p)
+    crit = _f_quantile_kernel(1.0 - alpha0, d1, d2)
+
+    def reached(lam):
+        return 1.0 - _ncf_cdf_kernel(crit, d1, d2, lam) >= target
+
+    lo, hi = 0.0, 1.0
+    while not reached(hi):  # False while crit or the series is NaN
+        lo, hi = hi, 2.0 * hi
+        if hi > _START_LAM_MAX:
+            return 0.0
+    for _ in range(_START_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
     """Smallest integer n with power(n) >= the target, with certificate.
 
-    Strategy: geometric bracket upward from the minimal feasible n, then
-    integer bisection inside the bracket.  Both keep power(lo) < target <=
-    power(hi) with both ends evaluated, so when hi - lo = 1 the answer is hi,
-    its certificate is power(lo), and no n is evaluated twice.  Raises when
-    no n <= n_cap reaches the target, and when the effect is identically zero
-    (no finite n can ever reach a target above alpha0).
+    Strategy: start at lambda / d'Qd + shift (module docstring) clamped to
+    [n_min, n_cap], gallop by 1, 2, 4, ... in the direction its power
+    points, then bisect the integer bracket.  The search keeps
+    power(lo) < target <= power(hi) with both ends evaluated, so when
+    hi - lo = 1 the answer is hi, its certificate is power(lo), and no n is
+    evaluated twice.  Raises when no n <= n_cap reaches the target, and when
+    the effect is identically zero (no finite n can ever reach a target
+    above alpha0).
     """
     n_cap = _integer(n_cap, "n_cap")
     p = inputs.features.p
@@ -202,34 +260,47 @@ def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
         return _power(p, q, n, inputs.alpha0, float(n) * per_subject)
 
     target = inputs.power_target
-    lo, p_lo = n_min, power_at(n_min)
-    if p_lo >= target:
-        n, achieved, below = n_min, p_lo, 0.0
+    lam, shift = _start_terms(p, inputs.alpha0, target)
+    start = max(n_min, math.ceil(min(lam / per_subject + shift, n_cap)))
+    p_start = power_at(start)
+    step = 1
+    if p_start >= target:
+        hi, p_hi = start, p_start
+        lo, p_lo = n_min - 1, 0.0  # no valid test below n_min
+        while hi > n_min:
+            n = max(hi - step, n_min)
+            p_n = power_at(n)
+            if p_n < target:
+                lo, p_lo = n, p_n
+                break
+            hi, p_hi = n, p_n
+            step *= 2
     else:
+        lo, p_lo = start, p_start
         while True:
-            if lo >= n_cap:
+            if lo == n_cap:
                 raise NumericError(
                     f"power target {target} not reached by n = {n_cap} "
                     f"(power there is {p_lo:.4f})"
                 )
-            hi = min(2 * lo, n_cap)
+            hi = min(lo + step, n_cap)
             p_hi = power_at(hi)
             if p_hi >= target:
                 break
             lo, p_lo = hi, p_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            p_mid = power_at(mid)
-            if p_mid >= target:
-                hi, p_hi = mid, p_mid
-            else:
-                lo, p_lo = mid, p_mid
-        n, achieved, below = hi, p_hi, p_lo
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        p_mid = power_at(mid)
+        if p_mid >= target:
+            hi, p_hi = mid, p_mid
+        else:
+            lo, p_lo = mid, p_mid
 
     return SampleSizeResult(
-        n=n,
-        c_n=float(n) * per_subject,
-        achieved_power=achieved,
-        power_at_n_minus_1=below,
+        n=hi,
+        c_n=float(hi) * per_subject,
+        achieved_power=p_hi,
+        power_at_n_minus_1=p_lo,
         power_target=target,
     )

@@ -2,8 +2,9 @@
 ``cli.read_dataset`` and ``cli.write_dataset``.
 
 These are the reader and writer ``mrtpower.cli`` used before their columnar
-rewrites, kept unchanged as the definition of what the columnar code must
-do.  The reader: the same accepted inputs, the same ``Dataset`` bits, and
+rewrites, kept as the definition of what the columnar code must do.  The one
+later change, made in both readers: lines end at ``\n``, ``\r\n`` and ``\r``
+only, not at every break ``str.splitlines`` knows.  The reader: the same accepted inputs, the same ``Dataset`` bits, and
 for bad input the same ``ConfigError`` message, naming the first bad line in
 file order and, for that line, the first failed check in the order below.
 The writer: the same file bytes for every ``Dataset``.
@@ -52,10 +53,13 @@ def reference_write_dataset(dataset, path):
 
 def reference_read_dataset(path):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
+        # universal newlines: \n, \r\n and \r end a line, and nothing else
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
+    if lines[-1] == "":
+        lines.pop()  # the final line's newline, or an empty file
     if not lines or lines[0] != DATASET_HEADER:
         raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
 

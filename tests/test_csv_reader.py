@@ -220,6 +220,20 @@ def test_clean_round_trip_matches_oracle_and_input(csv_dir):
     assert got == read_result(lambda _: data, path)
 
 
+@pytest.mark.parametrize("reader", [read_dataset, reference_read_dataset])
+def test_only_newlines_end_a_line(csv_dir, reader):
+    # a form feed ends line 2's outcome (float strips it); the line numbers
+    # of later lines must not shift
+    path = csv_dir / "formfeed.csv"
+    body = ["0,1,1,0,0.4,1.0\f", "0,2,1,0,0.4,oops"]
+    path.write_text("\n".join([DATASET_HEADER] + body) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^line 3: outcome must be a number, got 'oops'$"):
+        reader(path)
+    body[1] = "0,2,1,0,0.4,2.0"
+    path.write_text("\n".join([DATASET_HEADER] + body) + "\n", encoding="utf-8")
+    np.testing.assert_array_equal(reader(path).outcome, [[1.0, 2.0]])
+
+
 @st.composite
 def layouts(draw):
     """(subject, t) columns: a canonical N x T layout, then up to two cells

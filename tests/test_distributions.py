@@ -120,6 +120,12 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 1.0, -0.1)
 
+    def test_non_probability_raises(self):
+        # the log-beta normalizer cancels at these arguments, and the kernel
+        # returns about 3106
+        with pytest.raises(NumericError, match="not a probability"):
+            reg_inc_beta(1.5, 5e15, 1e-16)
+
     @settings(max_examples=80, deadline=None)
     @given(
         a=st.floats(0.05, 500.0),
@@ -161,6 +167,12 @@ class TestFCdf:
 
     def test_infinity(self):
         assert f_cdf(math.inf, FDistParams(3, 36)) == 1.0
+
+    def test_non_probability_raises(self):
+        # the log-beta normalizer cancels at d2 = 1e16, and the kernel
+        # returns about 9508
+        with pytest.raises(NumericError, match="not a probability"):
+            f_cdf(1.0, FDistParams(3, 10**16))
 
     @settings(max_examples=60, deadline=None)
     @given(

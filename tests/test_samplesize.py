@@ -87,6 +87,20 @@ def feats(design):
     return build_quadratic_features(design)
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The n of every power evaluation the solver makes, in order."""
+    ns = []
+    real_power = samplesize._power
+
+    def counting_power(p, q, n, alpha0, lam):
+        ns.append(n)
+        return real_power(p, q, n, alpha0, lam)
+
+    monkeypatch.setattr(samplesize, "_power", counting_power)
+    return ns
+
+
 def _effect_with_peak(dbar, max_day, design):
     """Quadratic effect with zero initial value, given average and peak day.
 
@@ -366,30 +380,51 @@ class TestSolveSampleSize:
             (None, samplesize.DEFAULT_N_CAP),  # elicited 0.10 effect, n = 42
             ([5.0, 0.0, 0.0], samplesize.DEFAULT_N_CAP),  # n = p + q + 1
             ([1e-6, 0.0, 0.0], None),  # target not reached by n_cap = 10_000
+            ([0.00757, 0.0, 0.0], samplesize.DEFAULT_N_CAP),  # starts above n = 7554
+            ([0.0055, 0.0, 0.0], None),  # starts at n_cap = 10_000, power there 0.63
+            ([0.406, 0.0, 0.0], samplesize.DEFAULT_N_CAP),  # starts at n_min, n = 10
         ],
-        ids=["elicited", "minimal-n", "cap-reached"],
+        ids=["elicited", "minimal-n", "cap-reached", "start-above", "start-at-cap",
+             "start-at-n-min"],
     )
-    def test_no_sample_size_evaluated_twice(self, design, feats, monkeypatch, coeffs, n_cap):
+    def test_no_sample_size_evaluated_twice(self, design, feats, evaluated, coeffs, n_cap):
         if coeffs is None:
             effect = elicit_quadratic_effect(0.0, 0.1, 29, design)
         else:
             effect = EffectPath.quadratic(coeffs, design)
-        evaluated = []
-        real_power = samplesize._power
-
-        def counting_power(p, q, n, alpha0, lam):
-            evaluated.append(n)
-            return real_power(p, q, n, alpha0, lam)
-
-        monkeypatch.setattr(samplesize, "_power", counting_power)
         si = _sizing(design, feats, 0.5, effect)
         if n_cap is None:
-            with pytest.raises(NumericError, match="not reached"):
-                solve_sample_size(si, n_cap=10_000)
+            n_cap = 10_000
+            with pytest.raises(NumericError, match=(
+                r"^power target 0\.8 not reached by n = 10000 \(power there is 0\.\d{4}\)$"
+            )):
+                solve_sample_size(si, n_cap=n_cap)
         else:
             solve_sample_size(si, n_cap=n_cap)
         assert evaluated
         assert len(evaluated) == len(set(evaluated))
+        assert all(7 <= n <= n_cap for n in evaluated)  # n_min = p + q + 1
+
+    @pytest.mark.parametrize(
+        "c,n_cap,direction",
+        [(0.00757, samplesize.DEFAULT_N_CAP, "down"), (0.0055, 10_000, "cap"),
+         (0.406, samplesize.DEFAULT_N_CAP, "up")],
+    )
+    def test_search_start(self, design, feats, evaluated, c, n_cap, direction):
+        # the cases above start where their ids say: above the answer (power
+        # there reaches the target, so the search gallops down), clamped at
+        # n_cap, and clamped at n_min below the answer
+        si = _sizing(design, feats, 0.5, EffectPath.quadratic([c, 0.0, 0.0], design))
+        if direction == "cap":
+            with pytest.raises(NumericError, match="power there is 0.6305"):
+                solve_sample_size(si, n_cap=n_cap)
+            assert evaluated == [n_cap]
+            return
+        res = solve_sample_size(si, n_cap=n_cap)
+        if direction == "down":
+            assert evaluated[0] > res.n
+        else:
+            assert evaluated[0] == 7 < res.n
 
     @settings(deadline=None, max_examples=20)
     @given(
