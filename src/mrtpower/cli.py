@@ -40,6 +40,7 @@ from .design import (
     EffectPath,
     TrialDesign,
     _integer,
+    _level,
     build_quadratic_features,
     elicit_quadratic_effect,
     make_availability,
@@ -327,6 +328,12 @@ def _scenario_spec(cfg, *, required):
         spec["calibration_reps"] = sec.integer("calibration_reps", 10_000, low=1)
     sec.finish()
     return spec
+
+
+def _alpha0(cfg):
+    """The significance level: in (0, 0.5), with 1 - alpha0 below 1.0."""
+    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
+    return _level(alpha0, cfg._label("alpha0"))
 
 
 def _monte_carlo_keys(cfg, reps, seed):
@@ -659,7 +666,7 @@ def size_command(config_file, grid):
     features = build_quadratic_features(design)
     avail_params = _availability_params(cfg)
     effect_params = _effect_params(cfg)
-    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
+    alpha0 = _alpha0(cfg)
     target = cfg.number("power", low=0.0, high=1.0, open_low=True, open_high=True)
     grid_sec = cfg.section("grid", required=False)
     effect_axis = avail_axis = None
@@ -751,7 +758,7 @@ def power_command(config_file, mc, reps, seed, threads):
     features = build_quadratic_features(design)
     avail_params = _availability_params(cfg)
     effect_params = _effect_params(cfg)
-    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
+    alpha0 = _alpha0(cfg)
     n = cfg.integer("n", low=1)
     target = cfg.number("power", 0.8, low=0.0, high=1.0, open_low=True, open_high=True)
     errors = _parse_errors(cfg)
@@ -806,7 +813,7 @@ def analyze_command(dataset_file, config_file):
     raw = load_config(config_file)
     cfg = _Section(raw)
     design = _parse_design(cfg)
-    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
+    alpha0 = _alpha0(cfg)
     adjusted = cfg.boolean("adjusted", True)
     gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
     cfg.finish()
@@ -933,7 +940,7 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
     errors = _parse_errors(cfg)
     spec = _scenario_spec(cfg, required=True)
     n = cfg.integer("n", low=1)
-    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
+    alpha0 = _alpha0(cfg)
     reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
     cfg.finish()
 

@@ -10,14 +10,29 @@ Conventions used throughout the package:
 * an effect path d(t) is the proximal treatment effect standardized by the
   average conditional outcome standard deviation;
 * every Gram matrix is guarded and solved on its equilibrated (unit-diagonal)
-  form by :func:`_equilibrated_eigh`, so long trials' large u^2 column is harmless.
+  form by :func:`_equilibrated_eigh`, so long trials' large u^2 column is harmless;
+* the four design types are immutable value types: arrays are read-only, and
+  two instances are equal, and hash alike, when their scalar fields and the
+  dtype, shape and bytes of their arrays agree.  The hash is computed once
+  per instance, and pickling re-runs the constructor, so neither a hash nor
+  a cached array travels to another process;
+* :func:`make_availability`, :func:`elicit_quadratic_effect` and
+  :func:`build_quadratic_features` validate their arguments on every call,
+  then return the object built for the same normalized arguments and design
+  if there is one.  Each keeps a bounded memo (floats keyed by their bits;
+  errors are never cached), so every guard runs once per distinct input and
+  a sizing grid builds each distinct availability, effect and feature set
+  once (``samplesize`` keeps each distinct Q the same way).  A memo keeps
+  at most ``_MEMO_SIZE`` = 32 entries of up to 9 T-length float arrays each,
+  32 x 9 x T x 8 bytes (473 KiB at T = 210).
 
-All returned objects are immutable value types (arrays are marked
-read-only), so they can be shared freely across threads and processes.
+Returned objects can be shared freely across threads and processes.
 """
 
 import operator
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +58,14 @@ _SHAPE_PARAMS = {
 }
 AVAILABILITY_KINDS = tuple(_SHAPE_PARAMS)
 
+# Entries kept by each builder memo, and by samplesize's Q memo.  An entry
+# keeps alive its result and its key: at most a design (rho and its day
+# index), an availability pattern and a feature set (Z and B), 9 T-length
+# float arrays, so a memo holds at most 32 x 9 x T x 8 bytes, 473 KiB at
+# T = 210.  A 96-cell sizing grid needs 4 availability, 6 effect, 1 feature
+# and 4 Q entries.
+_MEMO_SIZE = 32
+
 # Relative eigenvalue threshold below which a symmetric matrix is treated as
 # singular, applied to the equilibrated (unit-diagonal) matrix and scaled by
 # its trace; the estimator's (I - H) guard uses it too.
@@ -53,6 +76,52 @@ def _freeze(arr, dtype=np.float64):
     arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+_FLOAT = struct.Struct("<d")
+
+
+def _bits(value):
+    """A float's 8 bytes, as a memo key that keeps -0.0 and 0.0 apart."""
+    return _FLOAT.pack(value)
+
+
+def _unbits(key):
+    return _FLOAT.unpack(key)[0]
+
+
+def _value_key(obj):
+    # a frozen dataclass's content: scalar fields as they are, each array as
+    # (dtype, shape, bytes)
+    return tuple(
+        (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+        for v in (getattr(obj, f.name) for f in fields(obj))
+    )
+
+
+def _value_eq(self, other):
+    """``==`` by content (see :func:`_value_key`); never an array comparison."""
+    if other is self:
+        return True
+    if type(other) is not type(self):
+        return NotImplemented
+    return _value_key(self) == _value_key(other)
+
+
+def _value_hash(self):
+    """Hash of the content, computed once per instance."""
+    try:
+        return self.__dict__["_hash"]
+    except KeyError:
+        value = self.__dict__["_hash"] = hash(_value_key(self))
+        return value
+
+
+def _reduce_through_init(self):
+    # Pickle a frozen dataclass as a constructor call, so a copy is validated
+    # and read-only again (restoring __dict__ would leave writeable arrays,
+    # and carry a hash of per-process salted bytes or a cached array).
+    return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
 def _integer(value, name, low=None, high=None):
@@ -74,6 +143,16 @@ def _integer(value, name, low=None, high=None):
     if high is not None:
         kind += f" {'and ' if low else ''}<= {high}"
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _level(alpha0, name="alpha0"):
+    """Return ``alpha0``; a level whose 1 - alpha0 rounds to 1.0 raises
+    :class:`ConfigError`, as no level-alpha0 test exists in double precision."""
+    if 1.0 - alpha0 == 1.0:
+        raise ConfigError(
+            f"{name} must leave 1 - {name} below 1.0 in double precision, got {alpha0!r}"
+        )
+    return alpha0
 
 
 def _equilibrated_eigh(mat, what):
@@ -109,7 +188,7 @@ def _weighted_projection(F, w, values, what):
     return _solve_sym(F.T @ (w[:, None] * F), F.T @ (w * values), what)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDesign:
     """Decision-time grid and randomization probabilities of a trial.
 
@@ -139,17 +218,27 @@ class TrialDesign:
             raise ConfigError("all randomization probabilities must lie in (0, 1)")
         object.__setattr__(self, "rho", _freeze(rho))
 
+    __eq__ = _value_eq
+    __hash__ = _value_hash
+    __reduce__ = _reduce_through_init
+
     @property
     def T(self):
         return self.days * self.decisions_per_day
 
-    @property
+    @cached_property
     def day_index(self):
-        """Zero-based day index u_t for t = 1..T, as a float array."""
-        return np.arange(self.T, dtype=np.float64) // self.decisions_per_day
+        """Zero-based day index u_t for t = 1..T, as a read-only float array."""
+        return _freeze(np.arange(self.T, dtype=np.float64) // self.decisions_per_day)
+
+    @cached_property
+    def _day_moments(self):
+        # time averages of u_t and u_t^2, the elicitation system's middle row
+        u = self.day_index
+        return u.mean(), (u * u).mean()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeaturePaths:
     """Per-time feature vectors Z_t (effect, p-dim) and B_t (nuisance, q-dim).
 
@@ -175,6 +264,10 @@ class FeaturePaths:
         object.__setattr__(self, "Z", _freeze(Z))
         object.__setattr__(self, "B", self.Z if shared else _freeze(B))
 
+    __eq__ = _value_eq
+    __hash__ = _value_hash
+    __reduce__ = _reduce_through_init
+
     @property
     def T(self):
         return self.Z.shape[0]
@@ -188,7 +281,7 @@ class FeaturePaths:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AvailabilityPattern:
     """Expected availability tau_t = E[I_t] per decision time."""
 
@@ -210,8 +303,12 @@ class AvailabilityPattern:
             )
         object.__setattr__(self, "tau", _freeze(tau))
 
+    __eq__ = _value_eq
+    __hash__ = _value_hash
+    __reduce__ = _reduce_through_init
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EffectPath:
     """Standardized proximal effect d(t), quadratic-in-day or explicit.
 
@@ -232,6 +329,10 @@ class EffectPath:
             object.__setattr__(self, "coeffs", _freeze(self.coeffs))
         object.__setattr__(self, "path", _freeze(self.path))
 
+    __eq__ = _value_eq
+    __hash__ = _value_hash
+    __reduce__ = _reduce_through_init
+
     @classmethod
     def quadratic(cls, coeffs, design):
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -249,12 +350,20 @@ class EffectPath:
 
 
 def build_quadratic_features(design):
-    """Quadratic day features Z_t = B_t = (1, u_t, u_t^2)' for the design (p = q = 3)."""
+    """Quadratic day features Z_t = B_t = (1, u_t, u_t^2)' for the design (p = q = 3).
+
+    Built once per distinct design (module docstring).
+    """
     if design.days < 3:
         raise ConfigError(
             f"quadratic day features need at least 3 days (u^2 = u on days 0 and 1), "
             f"got days={design.days}"
         )
+    return _quadratic_features(design)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quadratic_features(design):
     u = design.day_index
     Z = np.column_stack([np.ones(design.T), u, u * u])
     return FeaturePaths(Z=Z, B=Z)
@@ -266,7 +375,8 @@ def elicit_quadratic_effect(initial, average, max_day, design):
     The three constraints are: d(1) = ``initial`` (value on the first day);
     the time-average of d(t) equals ``average``; and the quadratic's vertex
     falls on day ``max_day`` (one-based), i.e. d2 + 2 d3 (max_day - 1) = 0.
-    The solved path must attain an interior maximum (d3 < 0).
+    The solved path must attain an interior maximum (d3 < 0).  Solved once
+    per distinct (initial, average, max_day, design) (module docstring).
     """
     initial = float(initial)
     average = float(average)
@@ -280,11 +390,17 @@ def elicit_quadratic_effect(initial, average, max_day, design):
             "average effect equal to the initial effect gives a flat path "
             "with no interior maximum"
         )
-    u = design.day_index
+    return _quadratic_effect(_bits(initial), _bits(average), max_day, design)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quadratic_effect(initial, average, max_day, design):
+    initial, average = _unbits(initial), _unbits(average)
+    u_mean, u2_mean = design._day_moments
     system = np.array(
         [
             [1.0, 0.0, 0.0],
-            [1.0, u.mean(), (u * u).mean()],
+            [1.0, u_mean, u2_mean],
             [0.0, 1.0, 2.0 * (max_day - 1)],
         ]
     )
@@ -319,7 +435,8 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
 
     A kind requires the shape parameters it reads and refuses the others.
     Raises an infeasible-pattern error when the requested combination cannot
-    stay inside [0, 1].
+    stay inside [0, 1].  Built once per distinct normalized arguments and
+    design (module docstring).
     """
     if kind not in _SHAPE_PARAMS:
         raise ConfigError(
@@ -334,22 +451,31 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
         raise ConfigError(
             f"target average availability must be in (0, 1], got {target_average}"
         )
-    u = design.day_index
-    if kind == "constant":
-        tau = np.full(design.T, target_average)
-    elif kind == "linear":
-        tau = target_average + float(amplitude) * np.linspace(-0.5, 0.5, design.T)
-    elif kind == "weekly-periodic":
-        weekend = ((u % 7) >= 5).astype(np.float64)
-        tau = target_average + float(amplitude) * (weekend - weekend.mean())
-    else:
+    if break_day is not None:
         break_day = _integer(break_day, "break_day")
         if not (1 <= break_day <= design.days):
             raise ConfigError(
                 f"break_day must be in [1, {design.days}], got {break_day}"
             )
-        step = (u >= (break_day - 1)).astype(np.float64)
-        tau = target_average + float(amplitude) * (step - step.mean())
+    if amplitude is not None:
+        amplitude = _bits(float(amplitude))
+    return _availability(kind, _bits(target_average), amplitude, break_day, design)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _availability(kind, target_average, amplitude, break_day, design):
+    target_average = _unbits(target_average)
+    if kind == "constant":
+        tau = np.full(design.T, target_average)
+    elif kind == "linear":
+        tau = target_average + _unbits(amplitude) * np.linspace(-0.5, 0.5, design.T)
+    else:
+        u = design.day_index
+        if kind == "weekly-periodic":
+            shape = ((u % 7) >= 5).astype(np.float64)
+        else:
+            shape = (u >= (break_day - 1)).astype(np.float64)
+        tau = target_average + _unbits(amplitude) * (shape - shape.mean())
     # tolerate only float-level spill before declaring the shape infeasible
     if tau.min() < -1e-12 or tau.max() > 1.0 + 1e-12:
         raise ConfigError(

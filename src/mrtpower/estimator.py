@@ -27,13 +27,13 @@ Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .design import _SINGULAR_REL_TOL, _equilibrated_eigh, _freeze, _inv_eigh
-from .design import _solve_sym, _weighted_projection
+from .design import _reduce_through_init, _solve_sym, _value_eq, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -60,13 +60,7 @@ class SubjectRow(NamedTuple):
     outcome: np.ndarray
 
 
-def _reduce_through_init(self):
-    # Pickle a frozen dataclass as a constructor call, so a copy is validated
-    # and read-only again (restoring __dict__ would leave writeable arrays).
-    return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """N subjects' trajectories over T decision times, as (N, T) arrays.
 
@@ -113,6 +107,8 @@ class Dataset:
         object.__setattr__(self, "prob", _freeze(prob))
         object.__setattr__(self, "outcome", _freeze(outcome))
 
+    __eq__ = _value_eq
+    __hash__ = None
     __reduce__ = _reduce_through_init
 
     def __len__(self):
@@ -122,7 +118,7 @@ class Dataset:
         return map(SubjectRow, self.avail, self.action, self.prob, self.outcome)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFit:
     """Pooled least-squares solution and per-subject residuals.
 
@@ -138,10 +134,12 @@ class ModelFit:
         for name in ("alpha_hat", "beta_hat", "residuals"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
+    __eq__ = _value_eq
+    __hash__ = None
     __reduce__ = _reduce_through_init
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestResult:
     """Outcome of the proximal-effect test at level ``alpha0``."""
 
@@ -161,6 +159,8 @@ class TestResult:
         for name in ("beta_hat", "sigma_beta_hat"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
+    __eq__ = _value_eq
+    __hash__ = None
     __reduce__ = _reduce_through_init
 
     def to_dict(self):

@@ -36,11 +36,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .design import (
-    AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh, _freeze,
-    _integer,
+    _MEMO_SIZE, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh,
+    _freeze, _integer, _level,
 )
 from .distributions import (
-    FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
+    _QUANTILE_CDF_TOL, FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
 )
 from .exceptions import ConfigError, NumericError
 
@@ -70,8 +70,11 @@ class SizingInputs:
     """Everything the sizing formula consumes.
 
     ``effect`` must be in quadratic form (project explicit paths first); the
-    significance level must satisfy 0 < alpha0 < 0.5 and the power target
-    must lie strictly between alpha0 and 1.
+    significance level must satisfy 0 < alpha0 < 0.5, with 1 - alpha0 below
+    1.0 in double precision, and the power target must lie below 1 and more
+    than the F quantile's CDF tolerance (1e-10) above alpha0: the critical
+    value's upper tail is known only to that tolerance, so below it power(n)
+    need not rise with n and no search could tell which n is smallest.
     """
 
     design: TrialDesign
@@ -84,9 +87,15 @@ class SizingInputs:
     def __post_init__(self):
         if not (0.0 < self.alpha0 < 0.5):
             raise ConfigError(f"alpha0 must be in (0, 0.5), got {self.alpha0}")
+        _level(self.alpha0)
         if not (self.alpha0 < self.power_target < 1.0):
             raise ConfigError(
                 f"power target must be in (alpha0, 1), got {self.power_target}"
+            )
+        if self.power_target - self.alpha0 <= _QUANTILE_CDF_TOL:
+            raise ConfigError(
+                f"power target must exceed alpha0 by more than {_QUANTILE_CDF_TOL:g}, "
+                f"got {self.power_target!r} at alpha0 = {self.alpha0!r}"
             )
         if self.effect.form != "quadratic" or self.effect.coeffs is None:
             raise ConfigError("sizing requires the effect in quadratic form")
@@ -96,8 +105,15 @@ class SizingInputs:
 
     @cached_property
     def q_matrix(self):
-        """Read-only Q for these inputs, computed on first access."""
-        return _freeze(compute_q_matrix(self.tau, self.design.rho, self.features))
+        """Read-only Q for these inputs, shared by every input with equal
+        availability, design and features."""
+        return _q_matrix(self.tau, self.design, self.features)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _q_matrix(tau, design, features):
+    # compute_q_matrix's guard runs once per distinct key
+    return _freeze(compute_q_matrix(tau, design.rho, features))
 
 
 @dataclass(frozen=True)
@@ -197,8 +213,6 @@ def _power(p, q, n, alpha0, lam):
 def _start_terms(p, alpha0, target):
     """(lambda, shift) of the search start; (0.0, 0.0) when the kernels give
     no noncentrality that reaches the target."""
-    if 1.0 - alpha0 == 1.0:  # no level-alpha0 test in double precision
-        return 0.0, 0.0
     lam = _needed_noncentrality(p, alpha0, target, _START_DFD)
     near = _needed_noncentrality(p, alpha0, target, _SHIFT_DFD)
     if lam == 0.0 or near == 0.0:

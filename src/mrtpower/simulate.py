@@ -76,6 +76,8 @@ from .design import (
     TrialDesign,
     _freeze,
     _integer,
+    _level,
+    _value_eq,
     build_quadratic_features,
     elicit_quadratic_effect,
 )
@@ -539,7 +541,7 @@ def shaped_effect(design, average, max_day, plateau_fraction):
     return EffectPath.explicit(shape * (average / float(np.mean(shape))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerativeModel:
     """One fully specified generative scenario.
 
@@ -601,6 +603,9 @@ class GenerativeModel:
             object.__setattr__(self, "c_mean", _freeze(self.c_mean))
         if self.c_mean_avail is not None:
             object.__setattr__(self, "c_mean_avail", _freeze(self.c_mean_avail))
+
+    __eq__ = _value_eq
+    __hash__ = None
 
     # -- derived views ----------------------------------------------------
 
@@ -1079,10 +1084,12 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     replicate) and the tally is order-independent.  ``each_dataset(replicate,
     dataset)``, if given, sees each replicate once, before its test, in the
     process that generated it; it must pickle when ``threads > 1``, enters
-    neither the report nor its digest, and ends the run if it raises.
+    neither the report nor its digest, and ends the run if it raises.  An
+    ``alpha0`` whose 1 - alpha0 rounds to 1.0 raises :class:`ConfigError`.
     """
     n = _integer(n, "n", high=_MAX_SUBJECTS)
     reps = _integer(reps, "reps", 1, _MAX_COUNT)
+    _level(alpha0)
     features = build_quadratic_features(model.design)
     if n <= features.p + features.q:
         raise ConfigError(

@@ -124,6 +124,25 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "alpha0" in res.stderr
 
+    @pytest.mark.parametrize("command", ["size", "power", "simulate", "analyze"])
+    def test_alpha0_without_a_double_precision_test(self, runner, tmp_path, command):
+        # 1 - 1e-17 rounds to 1.0: one error line, exit 2, for every command
+        doc = {
+            "size": self.size_doc(),
+            "power": TestPower().power_doc(42),
+            "simulate": tiny_sim_config(),
+            "analyze": {"design": dict(TINY_DESIGN), "alpha0": 0.05},
+        }[command]
+        doc["alpha0"] = 1e-17
+        config = write_json(tmp_path / "c.json", doc)
+        args = [command, str(tmp_path / "data.csv"), config] if command == "analyze" else [
+            command, config]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.stderr == (
+            "error: alpha0 must leave 1 - alpha0 below 1.0 in double precision, got 1e-17\n"
+        )
+
     def test_invalid_json_reports_position(self, runner, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"design": }')

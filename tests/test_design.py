@@ -133,6 +133,7 @@ class TestQuadraticFeatures:
             return real(mat, what)
 
         monkeypatch.setattr(design_module, "_equilibrated_eigh", record)
+        design_module._quadratic_features.cache_clear()  # build, not a memo hit
         feats = build_quadratic_features(design)
         assert guarded == ["effect-feature Gram matrix"]
         design_module.FeaturePaths(Z=feats.Z, B=feats.Z[:, :2])

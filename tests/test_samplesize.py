@@ -270,12 +270,29 @@ class TestSizingInputs:
             with pytest.raises(ConfigError):
                 SizingInputs(design, feats, tau, eff, bad, TARGET)
 
+    def test_alpha_without_a_double_precision_test_rejected(self, design, feats):
+        # 1 - alpha0 rounds to 1.0, so the level-alpha0 critical value does not exist
+        eff = elicit_quadratic_effect(0.0, 0.1, 29, design)
+        tau = make_availability("constant", 0.5, design)
+        for bad in (1e-17, 5e-324):
+            with pytest.raises(ConfigError, match=r"1 - alpha0 below 1\.0"):
+                SizingInputs(design, feats, tau, eff, bad, TARGET)
+
     def test_power_target_domain(self, design, feats):
         eff = elicit_quadratic_effect(0.0, 0.1, 29, design)
         tau = make_availability("constant", 0.5, design)
         for bad in (0.05, 1.0, 0.03):
             with pytest.raises(ConfigError):
                 SizingInputs(design, feats, tau, eff, ALPHA0, bad)
+
+    def test_power_target_within_the_quantile_tolerance_rejected(self, design, feats):
+        # the critical value's tail is known to 1e-10; power(n) is not monotone below that
+        eff = elicit_quadratic_effect(0.0, 0.1, 29, design)
+        tau = make_availability("constant", 0.5, design)
+        for alpha0, bad in ((1e-12, 1.0000000000000002e-12), (0.05, 0.05 + 5e-11)):
+            with pytest.raises(ConfigError, match="exceed alpha0 by more than 1e-10"):
+                SizingInputs(design, feats, tau, eff, alpha0, bad)
+        SizingInputs(design, feats, tau, eff, 0.05, 0.05 + 2e-10)
 
     def test_explicit_effect_rejected(self, design, feats):
         tau = make_availability("constant", 0.5, design)

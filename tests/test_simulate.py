@@ -631,6 +631,8 @@ class TestMonteCarlo:
             monte_carlo(m, 10, 0, 0.05, seed=1)
         with pytest.raises(ConfigError, match="subjects"):
             monte_carlo(m, 6, 5, 0.05, seed=1)
+        with pytest.raises(ConfigError, match=r"1 - alpha0 below 1\.0"):
+            monte_carlo(m, 10, 5, 1e-17, seed=1)
 
     def test_report_stores_counts_only(self):
         rep = MonteCarloReport(

@@ -12,6 +12,14 @@ denominator has one degree of freedom, and there the F quantile search fails
 for alpha0 below about 4e-7 (the d2 = 1 upper-tail defect of the kernels).
 The solver starts elsewhere and may size such a config; its result must then
 carry a correct certificate.
+
+Two kinds of draw must be refused with a ``ConfigError`` by ``SizingInputs``,
+and neither search runs: an alpha0 so small that 1 - alpha0 rounds to 1.0
+(about a third of the draws), which admits no test in double precision, and
+a power target within the F quantile's CDF tolerance (1e-10) of alpha0, where
+power(n) need not rise with n (at alpha0 = 1e-12 and a target one ulp above
+it, the gallop returned n = 8 and the solver n = 10, power(9) being below the
+target and power(8) above it).
 """
 
 from dataclasses import astuple
@@ -22,6 +30,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mrtpower import ConfigError, NumericError, samplesize
+from mrtpower.distributions import _QUANTILE_CDF_TOL
 from mrtpower.design import (
     TrialDesign,
     build_quadratic_features,
@@ -67,22 +76,29 @@ def sizing_configs(draw):
         )
     except ConfigError:  # no interior maximum for this peak day
         reject()
-    inputs = SizingInputs(
+    features = build_quadratic_features(design)
+    parts = (
         design,
-        build_quadratic_features(design),
+        features,
         make_availability(kind, average, design, **shape),
         effect,
         alpha0,
         target,
     )
-    n_min = inputs.features.p + inputs.features.q + 1
-    return inputs, draw(st.integers(n_min, 1_000_000))
+    n_min = features.p + features.q + 1
+    return parts, draw(st.integers(n_min, 1_000_000))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(config=sizing_configs())
 def test_same_bits_as_the_gallop_from_n_min(config):
-    inputs, n_cap = config
+    parts, n_cap = config
+    alpha0, target = parts[4:]
+    if 1.0 - alpha0 == 1.0 or target - alpha0 <= _QUANTILE_CDF_TOL:
+        with pytest.raises(ConfigError, match="alpha0"):
+            SizingInputs(*parts)
+        return
+    inputs = SizingInputs(*parts)
     expected = _outcome(reference_solve_sample_size, inputs, n_cap)
     got = _outcome(solve_sample_size, inputs, n_cap)
     if got == expected:
