@@ -29,6 +29,7 @@ Conventions used throughout the package:
 Returned objects can be shared freely across threads and processes.
 """
 
+import math
 import operator
 import struct
 from dataclasses import dataclass, field, fields
@@ -295,9 +296,10 @@ class AvailabilityPattern:
             raise ConfigError(
                 f"unknown availability kind {self.kind!r}; expected one of {AVAILABILITY_KINDS}"
             )
-        if np.any(tau < 0.0) or np.any(tau > 1.0):
+        # written so that NaN fails both checks
+        if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ConfigError("availability values must lie in [0, 1]")
-        if abs(float(tau.mean()) - self.target_average) > 1e-9:
+        if not abs(float(tau.mean()) - self.target_average) <= 1e-9:
             raise ConfigError(
                 "availability pattern mean does not match its target average"
             )
@@ -458,7 +460,10 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
                 f"break_day must be in [1, {design.days}], got {break_day}"
             )
     if amplitude is not None:
-        amplitude = _bits(float(amplitude))
+        amplitude = float(amplitude)
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"amplitude must be finite, got {amplitude}")
+        amplitude = _bits(amplitude)
     return _availability(kind, _bits(target_average), amplitude, break_day, design)
 
 

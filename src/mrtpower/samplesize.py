@@ -37,7 +37,7 @@ import numpy as np
 
 from .design import (
     _MEMO_SIZE, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh,
-    _freeze, _integer, _level,
+    _freeze, _integer, _level, _reduce_through_init,
 )
 from .distributions import (
     _QUANTILE_CDF_TOL, FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
@@ -102,6 +102,8 @@ class SizingInputs:
         T = self.design.T
         if self.features.T != T or self.tau.tau.shape[0] != T or self.effect.path.shape[0] != T:
             raise ConfigError("design, features, availability and effect lengths differ")
+
+    __reduce__ = _reduce_through_init
 
     @cached_property
     def q_matrix(self):

@@ -47,13 +47,16 @@ Reproducibility: every (replicate, subject) pair owns a private
 counter-based RNG stream, Philox keyed by ``SeedSequence(seed,
 spawn_key=(replicate, subject))``, so results are bit-identical for any
 worker count.  A Philox stream is fixed by its key alone (Salmon et al.
-2011), so the engine derives the keys of all subjects of a replicate in one
-pass of numpy's documented ``SeedSequence`` hash (O'Neill's ``seed_seq``)
-and re-keys a single Philox for each subject in turn.  Each subject draws
-all of its primitives in a fixed order before the next subject draws; the
-per-time-step recursions then run across all rows at once -- the subjects
-of one replicate, or of a block of replicates -- each row taking the same
-float operations in the same order.  So a subject drawn alone
+2011), so the engine derives the keys itself and re-keys a single Philox
+for each subject in turn.  numpy's ``SeedSequence`` hash (O'Neill's
+``seed_seq``) gives the pool of (seed, replicate); one vectorized step then
+mixes in every subject index, which must be below 2**32, and hashes out the
+keys.  :func:`subject_stream`, the replicate blocks and the calibration
+blocks all take this one route.  Each subject draws all of its primitives
+in a fixed order before the next subject draws; the per-time-step
+recursions then run across all rows at once -- the subjects of one
+replicate, or of a block of replicates -- each row taking the same float
+operations in the same order.  So a subject drawn alone
 (:func:`generate_subject`) equals its row of :func:`generate_dataset`, and
 k subjects drawn in turn from one stream equal k rows drawn together.
 Lagged quantities at times before the study start contribute zero.
@@ -144,8 +147,8 @@ _CALIBRATION_BRANCH = 0xFFFFFFFF
 _ENGINE_ROWS = 96
 
 # Largest counts that size an array: _stream_keys holds a subject index in
-# one uint32 word, which np.arange would wrap past silently, and numpy
-# cannot hold any other count above intp.
+# one uint32 word (so this also bounds a subject index), and numpy cannot
+# hold any other count above intp.
 _MAX_SUBJECTS = 2**32 - 1
 _MAX_COUNT = int(np.iinfo(np.intp).max)
 
@@ -753,15 +756,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
 
-def _words(value):
-    """Little-endian uint32 words of a nonnegative int (one word for 0)."""
-    words = [value & _WORD]
-    while value > _WORD:
-        value >>= 32
-        words.append(value & _WORD)
-    return words
-
-
 def _hash_steps(hash_const, mult):
     """(xor, multiplier) constants of the next four hash steps, as uint32."""
     consts = [hash_const]
@@ -771,52 +765,40 @@ def _hash_steps(hash_const, mult):
     return consts[:-1], consts[1:]
 
 
-def _stream_keys(seed, replicate, n):
-    """(n, 2) uint64 Philox keys of the streams (seed, replicate, i), i < n.
+# generate_state's four output steps, the same for every key
+_OUT_XOR, _OUT_MUL = _hash_steps(_HASH_INIT_B, _HASH_MULT_B)
 
-    Row i equals ``Philox(SeedSequence(seed, spawn_key=(replicate,
-    i))).state["state"]["key"]``.  The entropy words are the seed's
-    (zero-padded to the pool size), the replicate's, then the subject's.
-    All but the last are hashed into the pool once, as Python ints; the
-    subject word (one word, as n < 2**32) is mixed into each pool word and
-    the pool hashed out to four key words as uint32 arrays, which wrap
-    like the C code.
+
+def _stream_keys(seed, replicate, subjects):
+    """(len(subjects), 2) uint64 Philox keys of the (seed, replicate, subject) streams.
+
+    Row k equals ``Philox(SeedSequence(seed, spawn_key=(replicate,
+    subjects[k]))).state["state"]["key"]``.  numpy hashes the seed's words
+    (zero-padded to the pool size), then the replicate's, then the subject's
+    into its pool.  The pool after the replicate's words is that of
+    ``SeedSequence(seed, spawn_key=(replicate,))``; the subject word (one
+    word, as every index is below 2**32) is mixed into each pool word and
+    the pool hashed out to four key words as uint32 arrays, which wrap like
+    the C code.
     """
-    entropy = _words(_integer(seed, "seed", 0))
-    entropy += [0] * (_SEED_POOL - len(entropy))
-    entropy += _words(_integer(replicate, "replicate", 0))
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _HASH_MULT_A & _WORD
-        value = value * hash_const & _WORD
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_SEED_POOL]]
-    for src in range(_SEED_POOL):
-        for dst in range(_SEED_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_SEED_POOL:]:
-        pool = [mix(x, hashmix(word)) for x in pool]
+    seed = _integer(seed, "seed", 0)
+    replicate = _integer(replicate, "replicate", 0)
+    pool = np.random.SeedSequence(seed, spawn_key=(replicate,)).pool
+    # numpy took _SEED_POOL hash steps per entropy word: the seed's, padded
+    # to the pool size, then the replicate's (one word for 0)
+    words = max(_SEED_POOL, -(-seed.bit_length() // 32))
+    words += max(1, -(-replicate.bit_length() // 32))
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, _SEED_POOL * words, 2**32) & _WORD
 
     # the subject word's hashmix into each pool word, then generate_state's
     # four output words (two uint64 keys), one column each
     mix_xor, mix_mul = _hash_steps(hash_const, _HASH_MULT_A)
-    out_xor, out_mul = _hash_steps(_HASH_INIT_B, _HASH_MULT_B)
-    pool_term = np.array([_MIX_MULT_L * x & _WORD for x in pool], dtype=np.uint32)
     shift = np.uint32(16)
-    value = (np.arange(n, dtype=np.uint32)[:, None] ^ mix_xor) * mix_mul
+    value = (np.asarray(subjects, dtype=np.uint32)[:, None] ^ mix_xor) * mix_mul
     value ^= value >> shift
-    value = pool_term - np.uint32(_MIX_MULT_R) * value
+    value = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * value
     value ^= value >> shift
-    value = (value ^ out_xor) * out_mul
+    value = (value ^ _OUT_XOR) * _OUT_MUL
     value ^= value >> shift
     return value.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -837,16 +819,18 @@ def _keyed_streams(keys):
         yield rng
 
 
+def _unit_streams(seed, units):
+    """Keyed streams of the subjects of each (replicate, subjects) unit, in order."""
+    return _keyed_streams(
+        np.concatenate([_stream_keys(seed, rep, subjects) for rep, subjects in units])
+    )
+
+
 def subject_stream(seed, replicate, subject):
     """Private counter-based RNG stream for one (replicate, subject) pair."""
-    key = np.random.SeedSequence(
-        entropy=_integer(seed, "seed", 0),
-        spawn_key=(
-            _integer(replicate, "replicate", 0),
-            _integer(subject, "subject", 0),
-        ),
-    )
-    return np.random.Generator(np.random.Philox(key))
+    subject = _integer(subject, "subject", 0, _MAX_SUBJECTS)
+    (rng,) = _keyed_streams(_stream_keys(seed, replicate, [subject]))
+    return rng
 
 
 def generate_subject(model, rng):
@@ -883,10 +867,8 @@ def _replicate_datasets(model, n, seed, replicates):
     block = max(1, _ENGINE_ROWS // n)
     prob = np.broadcast_to(model.rho, (n, model.T))
     for start in range(0, len(replicates), block):
-        keys = np.concatenate(
-            [_stream_keys(seed, rep, n) for rep in replicates[start:start + block]]
-        )
-        avail, action, outcome = _generate(model, _keyed_streams(keys))
+        units = [(rep, range(n)) for rep in replicates[start:start + block]]
+        avail, action, outcome = _generate(model, _unit_streams(seed, units))
         for i in range(0, avail.shape[0], n):
             rows = slice(i, i + n)
             yield Dataset(
@@ -919,9 +901,9 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     count = np.zeros(T)
     total = np.zeros(T)
     total_sq = np.zeros(T)
-    keys = _stream_keys(seed, _CALIBRATION_BRANCH, reps)
     for start in range(0, reps, _ENGINE_ROWS):
-        streams = _keyed_streams(keys[start:start + _ENGINE_ROWS])
+        chunk = range(start, min(start + _ENGINE_ROWS, reps))
+        streams = _unit_streams(seed, [(_CALIBRATION_BRANCH, chunk)])
         avail, action, c_path, eps = _simulate(model, streams)
         c_on = np.where(avail == 1, c_path, 0.0)
         count += avail.sum(axis=0)

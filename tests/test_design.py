@@ -280,6 +280,24 @@ class TestAvailability:
         with pytest.raises(ConfigError, match="target average"):
             AvailabilityPattern(tau=np.full(210, 0.5), kind="constant", target_average=0.6)
 
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "kind,extra", [("linear", {}), ("weekly-periodic", {}), ("piecewise", {"break_day": 22})]
+    )
+    def test_non_finite_amplitude_rejected(self, design, kind, extra, amplitude):
+        with pytest.raises(ConfigError, match="^amplitude must be finite"):
+            make_availability(kind, 0.5, design, amplitude=amplitude, **extra)
+
+    def test_direct_construction_rejects_nan(self, design):
+        tau = np.full(210, 0.5)
+        tau[7] = np.nan
+        with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
+            AvailabilityPattern(tau=tau, kind="constant", target_average=0.5)
+        with pytest.raises(ConfigError, match="target average"):
+            AvailabilityPattern(
+                tau=np.full(210, 0.5), kind="constant", target_average=float("nan")
+            )
+
 
 # =====================================================================
 # Effect paths and projection

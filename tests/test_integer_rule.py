@@ -215,6 +215,7 @@ SIZING_ARGUMENTS = [
     ("n", lambda v: monte_carlo(WORKING, v, 3, 0.05, seed=5), SUBJECT_BOUND),
     ("reps", lambda v: monte_carlo(WORKING, 10, v, 0.05, seed=5), COUNT_BOUND),
     ("reps", lambda v: calibrate_sigma_star(FEEDBACK, reps=v, seed=5), SUBJECT_BOUND),
+    ("subject", lambda v: subject_stream(5, 1, v), SUBJECT_BOUND),
 ]
 
 

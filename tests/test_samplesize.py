@@ -13,6 +13,7 @@ before this package was written; the solver must reproduce every integer
 exactly and certify minimality.
 """
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,15 @@ class TestSizingInputs:
         assert si.q_matrix is q
         assert not q.flags.writeable
         np.testing.assert_array_equal(q, compute_q_matrix(si.tau, design.rho, feats))
+
+    def test_pickled_copy_is_rebuilt_read_only(self, design, feats):
+        si = _sizing(design, feats, 0.5, elicit_quadratic_effect(0.0, 0.1, 29, design))
+        si.q_matrix  # cached in the instance before pickling
+        copy = pickle.loads(pickle.dumps(si))
+        assert copy == si
+        assert not copy.q_matrix.flags.writeable
+        np.testing.assert_array_equal(copy.q_matrix, si.q_matrix)
+        assert solve_sample_size(copy) == solve_sample_size(si)
 
     def test_result_validation(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """
-Tests for the keyed stream engine: Philox keys derived without SeedSequence,
-one draw pass per subject, and replicate blocks on stacked rows.
+Tests for the keyed stream engine: Philox keys derived from numpy's
+SeedSequence pool in one vectorized step, one draw pass per subject, and
+replicate blocks on stacked rows.
 
 Every test here is exact.  The keys must equal numpy's own, and every array
 the engine returns must equal, byte for byte, the one a per-stream or
@@ -30,13 +31,18 @@ from mrtpower.simulate import (
 from test_generation_digests import CASES, N_SUBJECTS, SEED, _model
 
 
-def _numpy_keys(seed, replicate, n):
+def _numpy_stream(seed, replicate, subject):
+    """The oracle: numpy's own stream for one (seed, replicate, subject)."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, subject)))
+    )
+
+
+def _numpy_keys(seed, replicate, subjects):
     return np.array([
-        np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(replicate, i))
-        ).state["state"]["key"]
-        for i in range(n)
-    ], dtype=np.uint64).reshape(n, 2)
+        _numpy_stream(seed, replicate, i).bit_generator.state["state"]["key"]
+        for i in subjects
+    ], dtype=np.uint64).reshape(len(subjects), 2)
 
 
 def _same_bytes(got, want):
@@ -44,28 +50,56 @@ def _same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+SUBJECTS = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    min_size=1,
+    max_size=64,
+)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
-    seed=st.integers(0, 2**160 - 1),
-    replicate=st.integers(0, 2**40 - 1),
-    n=st.integers(1, 64),
+    seed=st.integers(0, 2**200 - 1),
+    replicate=st.integers(0, 2**70 - 1),
+    subjects=SUBJECTS,
 )
-def test_stream_keys_equal_numpy_keys(seed, replicate, n):
-    _same_bytes(simulate._stream_keys(seed, replicate, n), _numpy_keys(seed, replicate, n))
+def test_stream_keys_equal_numpy_keys(seed, replicate, subjects):
+    _same_bytes(
+        simulate._stream_keys(seed, replicate, subjects),
+        _numpy_keys(seed, replicate, subjects),
+    )
 
 
-@pytest.mark.parametrize("seed,replicate", [(0, 0), (2**32 - 1, 2**32), (2**128, 2**64 + 5)])
+@pytest.mark.parametrize(
+    "seed,replicate",
+    [(0, 0), (2**32 - 1, 2**32), (2**128, 2**64 + 5), (2**160 - 1, 2**32 - 1)],
+)
 def test_stream_keys_at_word_boundaries(seed, replicate):
-    _same_bytes(simulate._stream_keys(seed, replicate, 5), _numpy_keys(seed, replicate, 5))
+    subjects = [0, 1, 2, 2**31, 2**32 - 1]
+    _same_bytes(
+        simulate._stream_keys(seed, replicate, subjects),
+        _numpy_keys(seed, replicate, subjects),
+    )
 
 
 def test_rekeyed_philox_is_a_fresh_stream():
-    # the whole bit-generator state, not just the key, matches a fresh one
-    keys = simulate._stream_keys(9, 4, 3)
+    # the whole bit-generator state, not just the key, matches numpy's own
+    keys = simulate._stream_keys(9, 4, range(3))
     for i, rng in enumerate(simulate._keyed_streams(keys)):
-        fresh = subject_stream(9, 4, i)
+        fresh = _numpy_stream(9, 4, i)
         assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
         _same_bytes(rng.random(7), fresh.random(7))
+
+
+@pytest.mark.parametrize(
+    "seed,replicate,subject", [(0, 0, 0), (9, 4, 7), (2**70, 2**33, 2**32 - 1)]
+)
+def test_subject_stream_is_numpy_stream(seed, replicate, subject):
+    rng = subject_stream(seed, replicate, subject)
+    fresh = _numpy_stream(seed, replicate, subject)
+    assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+    _same_bytes(rng.random(7), fresh.random(7))
+    _same_bytes(rng.standard_normal(5), fresh.standard_normal(5))
 
 
 @pytest.mark.parametrize("scenario,family", CASES)
@@ -152,8 +186,8 @@ class TestStreamArguments:
         rng = subject_stream(np.int64(3), np.uint32(1), np.int16(2))
         _same_bytes(rng.random(4), subject_stream(3, 1, 2).random(4))
         _same_bytes(
-            simulate._stream_keys(np.uint64(2**63), np.int8(4), 3),
-            simulate._stream_keys(2**63, 4, 3),
+            simulate._stream_keys(np.uint64(2**63), np.int8(4), range(3)),
+            simulate._stream_keys(2**63, 4, range(3)),
         )
 
 
