@@ -41,6 +41,7 @@ from .design import (
     TrialDesign,
     _integer,
     _level,
+    _real,
     build_quadratic_features,
     elicit_quadratic_effect,
     make_availability,
@@ -101,33 +102,16 @@ def load_config(path):
     return data
 
 
-def _range_text(low, high, open_low, open_high):
-    if low is None and high is None:
-        return ""
-    if high is None:
-        return f" {'>' if open_low else '>='} {low:g}"
-    if low is None:
-        return f" {'<' if open_high else '<='} {high:g}"
-    return f" in {'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+def _boolean(value, label):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{label} must be true or false, got {value!r}")
+    return value
 
 
-def _check_number(label, value, low, high, open_low, open_high):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{label} must be a number, got an integer too large for a float"
-        ) from None
-    lo_ok = low is None or (v > low if open_low else v >= low)
-    hi_ok = high is None or (v < high if open_high else v <= high)
-    if not (math.isfinite(v) and lo_ok and hi_ok):
-        raise ConfigError(
-            f"{label} must be a number{_range_text(low, high, open_low, open_high)}"
-            f", got {value!r}"
-        )
-    return v
+def _number_list(value, label, **bounds):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{label} must be a non-empty array of numbers, got {value!r}")
+    return [_real(item, f"{label}[{i}]", **bounds) for i, item in enumerate(value)]
 
 
 class _Section:
@@ -147,84 +131,53 @@ class _Section:
     def _label(self, key):
         return f"{self._path}.{key}" if self._path else key
 
-    def _fetch(self, key, default):
+    def _get(self, key, default, check):
+        """``check(value, label)`` of the key's value, or ``default`` when absent."""
         self._used.add(key)
         if key in self._data:
-            return True, self._data[key]
+            return check(self._data[key], self._label(key))
         if default is _MISSING:
             raise ConfigError(f"missing required configuration key {self._label(key)!r}")
-        return False, default
+        return default
 
     def section(self, key, *, required=True):
-        present, value = self._fetch(key, _MISSING if required else None)
-        if not present:
-            return None
-        return _Section(value, self._label(key))
+        return self._get(key, _MISSING if required else None, _Section)
 
-    def number(self, key, default=_MISSING, *, low=None, high=None,
-               open_low=False, open_high=False):
-        present, value = self._fetch(key, default)
-        if not present:
-            return value
-        return _check_number(self._label(key), value, low, high, open_low, open_high)
+    def number(self, key, default=_MISSING, **bounds):
+        return self._get(key, default, functools.partial(_real, **bounds))
 
-    def integer(self, key, default=_MISSING, *, low=None, high=None):
-        present, value = self._fetch(key, default)
-        if not present:
+    def integer(self, key, default=_MISSING, *, low):
+        def check(value, label):
+            value = _integer(value, label)
+            if value < low:
+                raise ConfigError(f"{label} must be an integer >= {low}, got {value!r}")
             return value
-        value = _integer(value, self._label(key))
-        lo_ok = low is None or value >= low
-        hi_ok = high is None or value <= high
-        if not (lo_ok and hi_ok):
-            raise ConfigError(
-                f"{self._label(key)} must be an integer"
-                f"{_range_text(low, high, False, False)}, got {value!r}"
-            )
-        return value
+
+        return self._get(key, default, check)
 
     def boolean(self, key, default=_MISSING):
-        present, value = self._fetch(key, default)
-        if not present:
-            return value
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self._label(key)} must be true or false, got {value!r}")
-        return value
+        return self._get(key, default, _boolean)
 
-    def string(self, key, default=_MISSING, *, choices=None):
-        present, value = self._fetch(key, default)
-        if not present:
+    def string(self, key, default=_MISSING, *, choices):
+        def check(value, label):
+            if not isinstance(value, str):
+                raise ConfigError(f"{label} must be a string, got {value!r}")
+            if value not in choices:
+                raise ConfigError(f"{label} must be one of {', '.join(choices)}; got {value!r}")
             return value
-        if not isinstance(value, str):
-            raise ConfigError(f"{self._label(key)} must be a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"{self._label(key)} must be one of {', '.join(choices)}; got {value!r}"
-            )
-        return value
 
-    def number_list(self, key, default=_MISSING, *, low=None, high=None,
-                    open_low=False, open_high=False):
-        present, value = self._fetch(key, default)
-        if not present:
-            return value
-        if not isinstance(value, list) or not value:
-            raise ConfigError(
-                f"{self._label(key)} must be a non-empty array of numbers, got {value!r}"
-            )
-        return [
-            _check_number(f"{self._label(key)}[{i}]", item, low, high, open_low, open_high)
-            for i, item in enumerate(value)
-        ]
+        return self._get(key, default, check)
 
-    def number_or_list(self, key, default=_MISSING, *, low=None, high=None,
-                       open_low=False, open_high=False):
-        present, value = self._fetch(key, default)
-        if not present:
-            return value
-        if isinstance(value, list):
-            return np.asarray(self.number_list(key, low=low, high=high,
-                                               open_low=open_low, open_high=open_high))
-        return _check_number(self._label(key), value, low, high, open_low, open_high)
+    def number_list(self, key, **bounds):
+        return self._get(key, _MISSING, functools.partial(_number_list, **bounds))
+
+    def number_or_list(self, key, **bounds):
+        def check(value, label):
+            if isinstance(value, list):
+                return np.asarray(_number_list(value, label, **bounds))
+            return _real(value, label, **bounds)
+
+        return self._get(key, _MISSING, check)
 
     def finish(self):
         unknown = sorted(set(self._data) - self._used)
@@ -331,9 +284,8 @@ def _scenario_spec(cfg, *, required):
 
 
 def _alpha0(cfg):
-    """The significance level: in (0, 0.5), with 1 - alpha0 below 1.0."""
-    alpha0 = cfg.number("alpha0", low=0.0, high=0.5, open_low=True, open_high=True)
-    return _level(alpha0, cfg._label("alpha0"))
+    """The significance level, read by :func:`~mrtpower.design._level`."""
+    return cfg._get("alpha0", _MISSING, _level)
 
 
 def _monte_carlo_keys(cfg, reps, seed):

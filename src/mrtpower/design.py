@@ -30,6 +30,7 @@ Returned objects can be shared freely across threads and processes.
 """
 
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass, field, fields
@@ -146,9 +147,42 @@ def _integer(value, name, low=None, high=None):
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def _real(value, name, low=None, high=None, *, open_low=False, open_high=False):
+    """``value`` as a finite float in [low, high] (an end is left open on request).
+
+    Any ``numbers.Real`` but a bool passes, numpy scalars included.  A
+    string, NaN, an infinity, an integer too large for a float or a value
+    out of range raises :class:`ConfigError` naming ``name``.  An exact
+    float or int skips the abstract-class test, the slow part of the rule.
+    """
+    kind = type(value)
+    if kind is not float and kind is not int and (
+            kind is bool or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} must be a number, got an integer too large for a float"
+        ) from None
+    if (math.isfinite(number)
+            and (low is None or (number > low if open_low else number >= low))
+            and (high is None or (number < high if open_high else number <= high))):
+        return number
+    if high is None:
+        bound = "" if low is None else f" {'>' if open_low else '>='} {low:g}"
+    elif low is None:
+        bound = f" {'<' if open_high else '<='} {high:g}"
+    else:
+        bound = f" in {'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    raise ConfigError(f"{name} must be a number{bound}, got {value!r}")
+
+
 def _level(alpha0, name="alpha0"):
-    """Return ``alpha0``; a level whose 1 - alpha0 rounds to 1.0 raises
-    :class:`ConfigError`, as no level-alpha0 test exists in double precision."""
+    """``alpha0`` as a float in (0, 0.5) by :func:`_real`.  A level whose
+    1 - alpha0 rounds to 1.0 raises :class:`ConfigError` too, as no
+    level-alpha0 test exists in double precision."""
+    alpha0 = _real(alpha0, name, 0.0, 0.5, open_low=True, open_high=True)
     if 1.0 - alpha0 == 1.0:
         raise ConfigError(
             f"{name} must leave 1 - {name} below 1.0 in double precision, got {alpha0!r}"
@@ -314,8 +348,9 @@ class AvailabilityPattern:
 class EffectPath:
     """Standardized proximal effect d(t), quadratic-in-day or explicit.
 
-    ``path`` always holds the evaluated per-time values; ``coeffs`` is the
-    (d1, d2, d3) day-quadratic when ``form == "quadratic"``.
+    ``path`` always holds the evaluated per-time values, which must be
+    finite; ``coeffs`` is the (d1, d2, d3) day-quadratic when
+    ``form == "quadratic"``.
     """
 
     form: str
@@ -329,7 +364,10 @@ class EffectPath:
             if self.coeffs is None or np.shape(self.coeffs) != (3,):
                 raise ConfigError("quadratic effect requires 3 coefficients")
             object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        object.__setattr__(self, "path", _freeze(self.path))
+        path = _freeze(self.path)
+        if not np.all(np.isfinite(path)):
+            raise ConfigError("effect path must be finite")
+        object.__setattr__(self, "path", path)
 
     __eq__ = _value_eq
     __hash__ = _value_hash
@@ -380,8 +418,8 @@ def elicit_quadratic_effect(initial, average, max_day, design):
     The solved path must attain an interior maximum (d3 < 0).  Solved once
     per distinct (initial, average, max_day, design) (module docstring).
     """
-    initial = float(initial)
-    average = float(average)
+    initial = _real(initial, "initial")
+    average = _real(average, "average")
     max_day = _integer(max_day, "max_day")
     if not (1 < max_day <= design.days):
         raise ConfigError(
@@ -448,11 +486,7 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
         if (value is None) == (key in _SHAPE_PARAMS[kind]):
             verb = "requires" if value is None else "takes no"
             raise ConfigError(f"{kind} availability {verb} {key}")
-    target_average = float(target_average)
-    if not (0.0 < target_average <= 1.0):
-        raise ConfigError(
-            f"target average availability must be in (0, 1], got {target_average}"
-        )
+    target_average = _real(target_average, "target_average", 0.0, 1.0, open_low=True)
     if break_day is not None:
         break_day = _integer(break_day, "break_day")
         if not (1 <= break_day <= design.days):
@@ -460,10 +494,7 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
                 f"break_day must be in [1, {design.days}], got {break_day}"
             )
     if amplitude is not None:
-        amplitude = float(amplitude)
-        if not math.isfinite(amplitude):
-            raise ConfigError(f"amplitude must be finite, got {amplitude}")
-        amplitude = _bits(amplitude)
+        amplitude = _bits(_real(amplitude, "amplitude"))
     return _availability(kind, _bits(target_average), amplitude, break_day, design)
 
 

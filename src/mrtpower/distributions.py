@@ -408,13 +408,19 @@ def ncf_cdf(x, params):
 
     Poisson-mixture series over incomplete betas, summed outward from the
     modal Poisson index; terminates when both the current term and an
-    analytic bound on the remaining Poisson tail fall below 1e-13.
+    analytic bound on the remaining Poisson tail fall below 1e-13.  An
+    infinite noncentrality raises :class:`NumericError`.
     """
     x = float(x)
     if x < 0.0 or math.isnan(x):
         raise ValueError(f"ncf_cdf requires x >= 0, got {x}")
     if math.isinf(x):
         return 1.0
+    if math.isinf(params.lam):
+        raise NumericError(
+            f"noncentrality is infinite (x={x}, d1={params.d1}, d2={params.d2}); "
+            f"the effect is too large for the noncentral-F series"
+        )
     value = _ncf_cdf_kernel(x, float(params.d1), float(params.d2), float(params.lam))
     if math.isnan(value):
         raise NumericError(

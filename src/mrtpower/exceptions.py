@@ -13,7 +13,10 @@ Scalar kernels raise plain :class:`ValueError` for domain violations
 (``ln_gamma(-1)`` and the like); those are programming errors at call sites,
 not run-level failures.  An integer argument (a count, a day, an index or
 a degree of freedom) that is not an integer raises :class:`ConfigError`
-everywhere, kernels included; it is a ``ValueError`` too.
+everywhere, kernels included; it is a ``ValueError`` too.  So does every
+real parameter (a level, a power target, an effect, an availability, an AR
+strength, a scenario parameter), from a config or from the library, that is
+not a finite number in its range: NaN, an infinity, a bool or a string.
 """
 
 __all__ = ["ConfigError", "NumericError"]

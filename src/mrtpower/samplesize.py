@@ -37,7 +37,7 @@ import numpy as np
 
 from .design import (
     _MEMO_SIZE, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh,
-    _freeze, _integer, _level, _reduce_through_init,
+    _freeze, _integer, _level, _real, _reduce_through_init,
 )
 from .distributions import (
     _QUANTILE_CDF_TOL, FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
@@ -75,6 +75,8 @@ class SizingInputs:
     than the F quantile's CDF tolerance (1e-10) above alpha0: the critical
     value's upper tail is known only to that tolerance, so below it power(n)
     need not rise with n and no search could tell which n is smallest.
+    alpha0 and the target are stored as floats; anything else raises
+    :class:`ConfigError`.
     """
 
     design: TrialDesign
@@ -85,18 +87,17 @@ class SizingInputs:
     power_target: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha0 < 0.5):
-            raise ConfigError(f"alpha0 must be in (0, 0.5), got {self.alpha0}")
-        _level(self.alpha0)
-        if not (self.alpha0 < self.power_target < 1.0):
-            raise ConfigError(
-                f"power target must be in (alpha0, 1), got {self.power_target}"
-            )
-        if self.power_target - self.alpha0 <= _QUANTILE_CDF_TOL:
+        alpha0 = _level(self.alpha0)
+        target = _real(
+            self.power_target, "power target", alpha0, 1.0, open_low=True, open_high=True
+        )
+        if target - alpha0 <= _QUANTILE_CDF_TOL:
             raise ConfigError(
                 f"power target must exceed alpha0 by more than {_QUANTILE_CDF_TOL:g}, "
-                f"got {self.power_target!r} at alpha0 = {self.alpha0!r}"
+                f"got {target!r} at alpha0 = {alpha0!r}"
             )
+        object.__setattr__(self, "alpha0", alpha0)
+        object.__setattr__(self, "power_target", target)
         if self.effect.form != "quadratic" or self.effect.coeffs is None:
             raise ConfigError("sizing requires the effect in quadratic form")
         T = self.design.T

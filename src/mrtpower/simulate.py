@@ -80,6 +80,7 @@ from .design import (
     _freeze,
     _integer,
     _level,
+    _real,
     _value_eq,
     build_quadratic_features,
     elicit_quadratic_effect,
@@ -177,14 +178,12 @@ class ErrorProcess:
             raise ConfigError(
                 f"unknown error family {self.family!r}; expected one of {ERROR_FAMILIES}"
             )
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ConfigError("phi must be finite")
         if self.family in ("ar1", "ar5"):
-            if not abs(phi) < 1.0:
-                raise ConfigError(f"AR processes require |phi| < 1, got {phi}")
-        elif phi != 0.0:
-            raise ConfigError(f"phi is only meaningful for AR families, got {phi}")
+            phi = _real(self.phi, "phi", -1.0, 1.0, open_low=True, open_high=True)
+        else:
+            phi = _real(self.phi, "phi")
+            if phi != 0.0:
+                raise ConfigError(f"phi is only meaningful for AR families, got {phi}")
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -523,10 +522,8 @@ def shaped_effect(design, average, max_day, plateau_fraction):
     ``plateau_fraction`` of the peak (1 = fully maintained, 0 = effect gone
     by the end).  The whole path is scaled to time-average ``average``.
     """
-    average = float(average)
-    fraction = float(plateau_fraction)
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"plateau_fraction must be in [0, 1], got {fraction}")
+    average = _real(average, "average")
+    fraction = _real(plateau_fraction, "plateau_fraction", 0.0, 1.0)
     max_day = _integer(max_day, "max_day")
     if not 1 < max_day <= design.days:
         raise ConfigError(
@@ -553,7 +550,9 @@ class GenerativeModel:
     family's variance normalization.  Fields left at their defaults take
     the working-model values: ``alpha_path`` the :data:`ALPHA_COEFFS`
     quadratic in day, ``sigma1`` and ``sigma0`` unit noise scales, and the
-    scenario parameters their no-effect values.
+    scenario parameters their no-effect values.  Each scalar scenario
+    parameter is stored as a finite float; anything else raises
+    :class:`ConfigError`.
     """
 
     scenario: str
@@ -581,6 +580,8 @@ class GenerativeModel:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
+        for name in ("theta", "eta", "eta1", "eta2", "gamma1", "gamma2", "variance_ratio"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         T = self.design.T
         if self.alpha_path is None:
             a0, a1, a2 = ALPHA_COEFFS
@@ -666,12 +667,13 @@ class GenerativeModel:
         The quadratic part of the mean starts at 2.5, exceeds that by 0.1 on
         time-average, and peaks on the final day.
         """
+        theta = _real(theta, "theta")
         base = elicit_quadratic_effect(2.5, 2.6, design.days, design)
         weekend = (design.day_index % 7 >= 5).astype(np.float64)
         return cls(
             "weekend-mean", design, effect, tau, errors,
-            alpha_path=base.path + float(theta) * weekend,
-            theta=float(theta),
+            alpha_path=base.path + theta * weekend,
+            theta=theta,
         )
 
     @classmethod
@@ -687,9 +689,7 @@ class GenerativeModel:
         per-time average variance rho sigma1_t^2 + (1-rho) sigma0_t^2
         follows ``variance_trend`` scaled so its time-average equals 1.
         """
-        ratio = float(variance_ratio)
-        if ratio <= 0.0 or not math.isfinite(ratio):
-            raise ConfigError(f"variance_ratio must be positive, got {variance_ratio}")
+        ratio = _real(variance_ratio, "variance_ratio", 0.0, open_low=True)
         sbar = variance_trend_path(variance_trend, design)
         rho = design.rho
         sigma0 = sbar / np.sqrt(rho * ratio * ratio + 1.0 - rho)
@@ -711,7 +711,7 @@ class GenerativeModel:
     @classmethod
     def availability_feedback(cls, design, effect, tau, errors, *, eta):
         """Availability drops with the centered recent-treatment count."""
-        return cls("availability-feedback", design, effect, tau, errors, eta=float(eta))
+        return cls("availability-feedback", design, effect, tau, errors, eta=eta)
 
     @classmethod
     def treatment_feedback(cls, design, effect, tau, errors, *, eta1, eta2, gamma1, gamma2):
@@ -734,10 +734,10 @@ class GenerativeModel:
         )
         return cls(
             "treatment-feedback", design, effect, tau, errors,
-            eta1=float(eta1),
-            eta2=float(eta2),
-            gamma1=float(gamma1),
-            gamma2=float(gamma2),
+            eta1=eta1,
+            eta2=eta2,
+            gamma1=gamma1,
+            gamma2=gamma2,
             c_mean=c_mean,
         )
 
@@ -924,7 +924,7 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
         + (1.0 - rho) * (model.gamma1 - rho * d_path * model.gamma2) ** 2
     )
     residual_var = 1.0 - float(np.mean(weight * c_var))
-    if residual_var <= 0.0:
+    if not residual_var > 0.0:  # NaN too, when the feedback weights overflow
         raise NumericError(
             f"feedback terms already exceed unit variance "
             f"(residual variance {residual_var}); weaken gamma1/gamma2"
@@ -1067,11 +1067,12 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     dataset)``, if given, sees each replicate once, before its test, in the
     process that generated it; it must pickle when ``threads > 1``, enters
     neither the report nor its digest, and ends the run if it raises.  An
-    ``alpha0`` whose 1 - alpha0 rounds to 1.0 raises :class:`ConfigError`.
+    ``alpha0`` outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, raises
+    :class:`ConfigError` before anything is generated.
     """
     n = _integer(n, "n", high=_MAX_SUBJECTS)
     reps = _integer(reps, "reps", 1, _MAX_COUNT)
-    _level(alpha0)
+    alpha0 = _level(alpha0)
     features = build_quadratic_features(model.design)
     if n <= features.p + features.q:
         raise ConfigError(
@@ -1098,7 +1099,7 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
         requested=reps,
         failures=failures,
         rejections=int(np.sum(outcomes == 1)),
-        alpha0=float(alpha0),
+        alpha0=alpha0,
         seed=seed,
         config_digest=config_digest(model, n, reps, alpha0, adjusted, gram, seed),
     )

@@ -285,7 +285,7 @@ class TestAvailability:
         "kind,extra", [("linear", {}), ("weekly-periodic", {}), ("piecewise", {"break_day": 22})]
     )
     def test_non_finite_amplitude_rejected(self, design, kind, extra, amplitude):
-        with pytest.raises(ConfigError, match="^amplitude must be finite"):
+        with pytest.raises(ConfigError, match="^amplitude must be a number"):
             make_availability(kind, 0.5, design, amplitude=amplitude, **extra)
 
     def test_direct_construction_rejects_nan(self, design):
