@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _SINGULAR_REL_TOL, _equilibrated_eigh, _freeze, _inv_eigh
+from .design import _SINGULAR_REL_TOL, _equilibrated_eigh, _freeze, _inv_eigh, _level
 from .design import _reduce_through_init, _solve_sym, _value_eq, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
@@ -287,8 +287,11 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
 
     Returns the statistic N beta_hat' Sigma_hat^{-1} beta_hat, the scaled-F
     critical value, and the p-value on the same scale (the statistic divided
-    by the Hotelling multiplier is F-distributed under H0).
+    by the Hotelling multiplier is F-distributed under H0).  An ``alpha0``
+    outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, raises
+    :class:`ConfigError`.
     """
+    alpha0 = _level(alpha0)
     p = features.p
     q = features.q
     n = len(dataset)

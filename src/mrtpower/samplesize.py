@@ -119,6 +119,12 @@ def _q_matrix(tau, design, features):
     return _freeze(compute_q_matrix(tau, design.rho, features))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _per_subject(effect, tau, design, features):
+    # d'Qd once per distinct key: its np.errstate costs a power call ~5 %
+    return noncentrality(1, effect, _q_matrix(tau, design, features))
+
+
 @dataclass(frozen=True)
 class SampleSizeResult:
     """Minimal sample size with its certificate.
@@ -178,14 +184,23 @@ def compute_q_matrix(tau, rho, features):
 
 
 def noncentrality(n, effect, q_matrix):
-    """Noncentrality c_n = n * d'Qd of the alternative distribution."""
+    """Noncentrality c_n = n * d'Qd of the alternative distribution.
+
+    d'Qd is formed without numpy's overflow warning: an overflow to inf is
+    left to the F kernel, which refuses it, and one whose terms cancel to
+    NaN raises :class:`NumericError` here.
+    """
     n = _integer(n, "n", 1)
     if effect.form != "quadratic" or effect.coeffs is None:
         raise ConfigError("noncentrality requires the effect in quadratic form")
     d = effect.coeffs
     if q_matrix.shape != (d.shape[0], d.shape[0]):
         raise ConfigError("effect coefficients and Q matrix dimensions differ")
-    return float(n) * float(d @ q_matrix @ d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_subject = float(d @ q_matrix @ d)
+    if math.isnan(per_subject):
+        raise NumericError("noncentrality overflows (d'Qd is NaN); the effect is too large")
+    return float(n) * per_subject
 
 
 def power(n, inputs):
@@ -201,7 +216,7 @@ def power(n, inputs):
             f"sample size {n} leaves no denominator degrees of freedom "
             f"(need n > p + q = {p + q})"
         )
-    lam = noncentrality(n, inputs.effect, inputs.q_matrix)
+    lam = float(n) * _per_subject(inputs.effect, inputs.tau, inputs.design, inputs.features)
     return _power(p, q, n, inputs.alpha0, lam)
 
 
@@ -265,8 +280,7 @@ def solve_sample_size(inputs, *, n_cap=DEFAULT_N_CAP):
     if n_cap < n_min:
         raise ConfigError(f"n_cap={n_cap} is below the minimal sample size {n_min}")
 
-    q_matrix = inputs.q_matrix
-    per_subject = float(inputs.effect.coeffs @ q_matrix @ inputs.effect.coeffs)
+    per_subject = _per_subject(inputs.effect, inputs.tau, inputs.design, inputs.features)
     if per_subject <= 0.0:
         raise ConfigError(
             "no solution: null effect (identically zero) can never reach a "

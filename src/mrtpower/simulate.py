@@ -143,9 +143,15 @@ CALIBRATION_MIN_SAMPLES = 100
 # collide with (replicate, subject) generation streams.
 _CALIBRATION_BRANCH = 0xFFFFFFFF
 
-# Rows (subjects, across replicates) simulated by one engine call; bounds
-# the engine's working set.
-_ENGINE_ROWS = 96
+# Bytes one engine call may hold: the 56 per (row, decision time) that the
+# engine held when a call took 96 rows, at T = 210 (1.08 MiB).  Slimmer
+# buffers buy wider calls, and fewer per-step passes, at that same peak.
+_ENGINE_BYTES = 96 * 210 * 56
+# Bytes the engine holds per (row, decision time) at its peak: the (rows,
+# 2T) uniforms, the noise and one time-major recursion buffer (32 bytes of
+# float64), three int8 arrays, and 2 bytes for what does not grow with the
+# rows.  At T = 210 a call takes 145 rows.
+_ROW_STEP_BYTES = 37
 
 # Largest counts that size an array: _stream_keys holds a subject index in
 # one uint32 word (so this also bounds a subject index), and numpy cannot
@@ -263,7 +269,7 @@ def draw_errors(process, size, rng):
     always produces the same sequence.
     """
     size = _integer(size, "size", 0, _MAX_COUNT)
-    return _noise(process, _noise_primitives(process, size, rng)[None])[0]
+    return np.ascontiguousarray(_noise(process, _noise_primitives(process, size, rng)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +279,52 @@ def draw_errors(process, size, rng):
 # The per-time-step recursions (AR(k) noise, availability feedback,
 # treatment feedback) are loops over t whose steps act on all n subjects at
 # once; each subject's values take the same float operations, in the same
-# order, as a scalar recursion over that subject alone would.  Work buffers
-# are time-major (T, n), so each step reads and writes contiguous rows.
+# order, as a scalar recursion over that subject alone would.  Each subject
+# draws straight into its rows of the (n, .) draw buffers; the recursion
+# buffers are time-major (T, n), so each step reads and writes contiguous
+# rows of them and one column of the draws and of the int8 outputs.  The
+# rows one call takes follow a byte budget (:func:`_engine_rows`).
 
 
-def _noise_primitives(process, size, rng):
+def _noise_primitives(process, size, rng, out=None):
     """One subject's noise primitives, drawn from ``rng`` as one call.
 
     AR(k) families draw k standard normals for the stationary initial block
-    followed by ``size`` innovations; i.i.d. families draw the values.
+    followed by ``size`` innovations; i.i.d. families draw the values.  The
+    draws fill ``out``, a row of k + ``size`` floats, when it is given.
     """
     family = process.family
     if family == "iid-t3-scaled":
-        return rng.standard_t(3.0, size)
-    if family == "iid-exp-centered":
-        return rng.exponential(1.0, size)
-    return rng.standard_normal(process.order + size)
+        draws = rng.standard_t(3.0, size)
+    elif family == "iid-exp-centered":
+        draws = rng.exponential(1.0, size)
+    else:
+        return rng.standard_normal(process.order + size, out=out)
+    if out is None:
+        return draws
+    out[:] = draws
+    return out
 
 
 def _noise(process, primitives):
-    """Noise rows from stacked :func:`_noise_primitives` rows.
+    """Noise rows from stacked :func:`_noise_primitives` rows, which it overwrites.
 
     AR families form the stationary initial block as the Cholesky factor
     times each row's first k normals, then run the recursion on the scaled
-    innovations.
+    innovations; the rows returned are then a view of a time-major buffer.
     """
     family = process.family
     if family == "iid-normal":
         return primitives
     if family == "iid-t3-scaled":
-        return primitives * math.sqrt(1.0 / 3.0)
+        return np.multiply(primitives, math.sqrt(1.0 / 3.0), out=primitives)
     if family == "iid-exp-centered":
-        return primitives - 1.0
+        return np.subtract(primitives, 1.0, out=primitives)
     coeffs, sigma_v, chol = _stationary_setup(family, process.phi)
     k = coeffs.shape[0]
     first = np.array([chol @ v for v in primitives[:, :k]])
-    return _autoregress(first, sigma_v * primitives[:, k:], coeffs)
+    shocks = np.multiply(sigma_v, primitives[:, k:], out=primitives[:, k:])
+    return _autoregress(first, shocks, coeffs)
 
 
 def _autoregress(first, shocks, coeffs):
@@ -317,7 +333,8 @@ def _autoregress(first, shocks, coeffs):
     x_t = (0.0 + a_1 x_{t-1} + ... + a_k x_{t-k}) + shock_t, summed left to
     right: the k products go after a zero row and a sequential accumulate
     adds them in order.  Time runs backwards through the work buffer, so
-    the lags of x_t form one contiguous newest-first block.
+    the lags of x_t form one contiguous newest-first block; the rows
+    returned are a view of it, and their transpose runs time-major.
     """
     n, size = shocks.shape
     k = coeffs.shape[0]
@@ -328,24 +345,12 @@ def _autoregress(first, shocks, coeffs):
     partial = np.empty_like(terms)
     products, total = terms[1:], partial[k]
     weights = coeffs[:, None]
-    shock_rows = list(shocks.T)
-    back_rows = list(back)
-    for t in range(head, size):
+    forward = back[::-1]  # forward[t] holds x_t
+    for t, shock, x in zip(range(head, size), shocks.T[head:], forward[head:]):
         np.multiply(weights, back[size - t:size - t + k], out=products)
         np.add.accumulate(terms, axis=0, out=partial)
-        np.add(total, shock_rows[t], out=back_rows[size - 1 - t])
-    return np.ascontiguousarray(back[::-1].T)
-
-
-def _treated_thresholds(u_avail, action):
-    """Time-major uniforms whose comparison with the Bernoulli mean gives A I.
-
-    A subject is treated at t when it is available (u_t < p_t) and was
-    randomized to treatment; +inf in place of u_t at untreated times folds
-    both into one comparison.  Availability itself is read off the stored
-    means after the recursion, since only A I feeds back.
-    """
-    return np.where(action.T == 1, u_avail.T, np.inf)
+        np.add(total, shock, out=x)
+    return forward.T
 
 
 def _availability_feedback(model, u_avail, action):
@@ -364,86 +369,100 @@ def _availability_feedback(model, u_avail, action):
     tau = model.tau_path.tolist()
     center = (model.rho * model.tau_path).tolist()
     eta = model.eta
-    u_treat = _treated_thresholds(u_avail, action)
     back = np.zeros((T + lags, n))  # back[T - 1 - t] holds (A I - rho tau) at t
-    prob = np.empty((T, n))
     partial = np.empty((lags, n))
     s = partial[-1]
+    prob = np.empty(n)
     treated = np.empty(n, dtype=bool)
-    back_rows, prob_rows = list(back), list(prob)
-    for t in range(T):
+    avail = np.empty((n, T), dtype=np.int8)
+    steps = zip(range(T), u_avail.T, action.T, avail.T, back[T - 1::-1])
+    for t, u, a, i, term in steps:
         np.add.accumulate(back[T - t:T - t + lags], axis=0, out=partial)
-        np.add(tau[t], eta * s, out=prob_rows[t])
-        np.less(u_treat[t], prob_rows[t], out=treated)
-        np.subtract(treated, center[t], out=back_rows[T - 1 - t])
-    return (u_avail < prob.T).astype(np.int8)
+        np.add(tau[t], eta * s, out=prob)
+        np.less(u, prob, out=i)
+        np.logical_and(i, a, out=treated)
+        np.subtract(treated, center[t], out=term)
+    return avail
 
 
 def _treatment_feedback(model, u_avail, action, eps):
     """Availability and the recent-treatment count C under treatment feedback.
 
-    Returns (avail, C) as (n, T) arrays.  C_t counts treatments at available
-    decision points over the last L = :data:`FEEDBACK_LAGS` times, and the
-    availability mean is (tau_t + (tau_t eta1) (C_t - E[C_t])) +
+    Returns (avail, C) as (n, T) int8 arrays.  C_t counts treatments at
+    available decision points over the last L = :data:`FEEDBACK_LAGS` times,
+    and the availability mean is (tau_t + (tau_t eta1) (C_t - E[C_t])) +
     (tau_t eta2) Trunc(es_t / L), with es_t = 0.0 + the noise over the same
-    lags, newest first.  Raises :class:`ConfigError` if the mean leaves
+    lags, newest first.  The first term takes L + 1 values at each t, read
+    from a table by C_t.  Raises :class:`ConfigError` if the mean leaves
     [0, 1] (invalid parameterization).
     """
     n, T = u_avail.shape
     lags = FEEDBACK_LAGS
     tau_path = model.tau_path
-    es = np.zeros((n, T))
+    # prob[t] holds the noise term (tau_t eta2) Trunc(es_t / L), then the mean
+    prob = np.zeros((T, n))
+    past = eps.T
     for j in range(1, lags + 1):
-        es[:, j:] += eps[:, :-j]
-    # es becomes the noise term (tau_t eta2) Trunc(es_t / L) in place
-    np.divide(es, lags, out=es)
-    np.clip(es, -1.0, 1.0, out=es)
-    np.multiply(es, tau_path * model.eta2, out=es)
-    noise_term = list(es.T)
-    tau = tau_path.tolist()
-    slope = (tau_path * model.eta1).tolist()
-    c_mean = model.c_mean.tolist()
-    u_treat = _treated_thresholds(u_avail, action)
-    treated = np.zeros((lags + T, n), dtype=bool)  # row lags + t holds time t
-    c_path = np.zeros((T, n))
-    prob = np.empty((T, n))
-    c_rows, prob_rows, treated_rows = list(c_path), list(prob), list(treated)
-    for t in range(T):
-        c = treated[t:t + lags].sum(axis=0, out=c_rows[t])
-        np.add(tau[t] + slope[t] * (c - c_mean[t]), noise_term[t], out=prob_rows[t])
-        np.less(u_treat[t], prob_rows[t], out=treated_rows[lags + t])
-    del es, noise_term, u_treat  # bound the working set of large blocks
-    if ((prob < 0.0) | (prob > 1.0)).any():
+        prob[j:] += past[:-j]
+    np.divide(prob, lags, out=prob)
+    np.clip(prob, -1.0, 1.0, out=prob)
+    np.multiply(prob, (tau_path * model.eta2)[:, None], out=prob)
+    table = tau_path[:, None] + (tau_path * model.eta1)[:, None] * (
+        np.arange(lags + 1.0) - model.c_mean[:, None]
+    )
+    recent = np.zeros((lags, n), dtype=bool)  # A I at the last L times, in turn
+    c_path = np.empty((T, n), dtype=np.int8)
+    avail = np.empty((n, T), dtype=np.int8)
+    steps = zip(range(T), prob, table, c_path, u_avail.T, action.T, avail.T)
+    for t, p, row, c, u, a, i in steps:
+        np.add.reduce(recent, axis=0, dtype=np.int8, out=c)
+        np.add(row[c], p, out=p)
+        np.less(u, p, out=i)
+        np.logical_and(i, a, out=recent[t % lags])
+    if not (prob.min() >= 0.0 and prob.max() <= 1.0):
         raise ConfigError(
             "availability probability left [0, 1]; the feedback "
             "parameterization (eta1, eta2) is too strong for this tau"
         )
-    return (u_avail < prob.T).astype(np.int8), np.ascontiguousarray(c_path.T)
+    return avail, c_path.T
+
+
+def _engine_rows(T):
+    """Rows (subjects, across replicates) one engine call takes at T steps.
+
+    Depends on T alone, so blocks and outcomes do not depend on the worker
+    count.
+    """
+    return max(1, _ENGINE_BYTES // (T * _ROW_STEP_BYTES))
+
+
+def _draw(process, T, streams):
+    """(uniforms, noise primitives) rows, one subject's draws at a time."""
+    uniforms = np.empty((len(streams), 2 * T))
+    primitives = np.empty((len(streams), process.order + T))
+    for u, v, rng in zip(uniforms, primitives, streams):
+        rng.random(out=u)
+        _noise_primitives(process, T, rng, out=v)
+    return uniforms, primitives
 
 
 def _simulate(model, streams):
     """Trajectories of the subjects drawn from ``streams``, as (n, T) arrays.
 
     Each subject draws all of its primitives (T availability and T action
-    uniforms as one call, then the noise primitives) before the next subject
-    draws.  So ``streams`` may yield one generator re-keyed per subject
-    (:func:`_keyed_streams`), or one stream k times for k consecutive
-    subjects of that stream.  Returns (avail, action, C path or None, noise).
+    uniforms as one call, then the noise primitives) straight into its rows
+    of the work buffers before the next subject draws.  So ``streams`` (n =
+    its ``len``) may yield one generator re-keyed per subject
+    (:class:`_Streams`), or one stream n times for n consecutive subjects of
+    that stream.  Returns (avail, action, C path or None, noise).
     """
     T = model.T
     process = model.errors
-    uniforms, primitives = [], []
-    for rng in streams:
-        uniforms.append(rng.random(2 * T))
-        primitives.append(_noise_primitives(process, T, rng))
-    # each buffer is dropped once used, which bounds the working set
-    uniforms = np.array(uniforms)
+    uniforms, primitives = _draw(process, T, streams)
     action = (uniforms[:, T:] < model.rho).astype(np.int8)
-    u_avail = uniforms[:, :T].copy()
-    del uniforms
-    primitives = np.array(primitives)
+    u_avail = uniforms[:, :T]
     eps = _noise(process, primitives)
-    del primitives
+    del primitives  # an AR noise has its own buffer, so this frees the draws
     c_path = None
     if model.scenario == "availability-feedback":
         avail = _availability_feedback(model, u_avail, action)
@@ -461,20 +480,29 @@ def _generate(model, streams):
     """
     _require_calibrated(model)
     avail, action, c_path, eps = _simulate(model, streams)
-    rho = model.rho
-    d_path = model.effect.path
+    # Y is built in place, each element through the same float operations
+    # as alpha + gamma1 dev + (A - rho) d (1 + gamma2 dev) + sigma* eps
+    # (treatment feedback) or alpha + (A - rho) d + sigma_A eps, in order
+    effect = np.subtract(action, model.rho)
+    np.multiply(effect, model.effect.path, out=effect)
     if model.scenario == "treatment-feedback":
-        dev = c_path - model.c_mean_avail
-        y = (
-            model.alpha_path
-            + model.gamma1 * dev
-            + (action - rho) * d_path * (1.0 + model.gamma2 * dev)
-            + model.sigma_star * eps
-        )
+        dev = c_path.astype(np.float64, order="C")
+        np.subtract(dev, model.c_mean_avail, out=dev)
+        y = np.multiply(model.gamma1, dev)
+        np.add(model.alpha_path, y, out=y)
+        np.multiply(model.gamma2, dev, out=dev)
+        np.add(1.0, dev, out=dev)
+        np.multiply(effect, dev, out=effect)
+        np.add(y, effect, out=y)
+        del dev
+        noise = np.multiply(model.sigma_star, eps, out=effect)
     else:
-        scale = np.where(action == 1, model.sigma1, model.sigma0)
-        y = model.alpha_path + (action - rho) * d_path + scale * eps
-    return avail, action, np.where(avail == 1, y, np.nan)
+        y = np.add(model.alpha_path, effect, out=effect)
+        noise = np.where(action == 1, model.sigma1, model.sigma0)
+        np.multiply(noise, eps, out=noise)
+    np.add(y, noise, out=y)
+    np.copyto(y, np.nan, where=avail != 1)
+    return avail, action, y
 
 
 def _require_calibrated(model):
@@ -819,9 +847,22 @@ def _keyed_streams(keys):
         yield rng
 
 
+class _Streams:
+    """The keyed streams of a block of engine rows; ``len`` counts the rows."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return _keyed_streams(self.keys)
+
+
 def _unit_streams(seed, units):
     """Keyed streams of the subjects of each (replicate, subjects) unit, in order."""
-    return _keyed_streams(
+    return _Streams(
         np.concatenate([_stream_keys(seed, rep, subjects) for rep, subjects in units])
     )
 
@@ -858,13 +899,13 @@ def generate_dataset(model, n, *, seed, replicate=0):
 def _replicate_datasets(model, n, seed, replicates):
     """Yield the n-subject datasets of ``replicates``, in order.
 
-    Replicates are generated B = max(1, ``_ENGINE_ROWS`` // n) at a time,
-    one engine call per block with the block's subjects stacked as rows.
-    The rows are independent, so each dataset equals the one its replicate
-    gives alone; B depends on n alone.
+    Replicates are generated B = max(1, :func:`_engine_rows` // n) at a
+    time, one engine call per block with the block's subjects stacked as
+    rows.  The rows are independent, so each dataset equals the one its
+    replicate gives alone; B depends on (n, T) alone.
     """
     replicates = list(replicates)
-    block = max(1, _ENGINE_ROWS // n)
+    block = max(1, _engine_rows(model.T) // n)
     prob = np.broadcast_to(model.rho, (n, model.T))
     for start in range(0, len(replicates), block):
         units = [(rep, range(n)) for rep in replicates[start:start + block]]
@@ -901,15 +942,17 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     count = np.zeros(T)
     total = np.zeros(T)
     total_sq = np.zeros(T)
-    for start in range(0, reps, _ENGINE_ROWS):
-        chunk = range(start, min(start + _ENGINE_ROWS, reps))
+    rows = _engine_rows(T)
+    for start in range(0, reps, rows):
+        chunk = range(start, min(start + rows, reps))
         streams = _unit_streams(seed, [(_CALIBRATION_BRANCH, chunk)])
         avail, action, c_path, eps = _simulate(model, streams)
+        del action, eps
         c_on = np.where(avail == 1, c_path, 0.0)
         count += avail.sum(axis=0)
         total += c_on.sum(axis=0)
-        total_sq += (c_on * c_on).sum(axis=0)
-        del avail, action, c_path, eps, c_on  # free the block before the next
+        total_sq += np.multiply(c_on, c_on, out=c_on).sum(axis=0)
+        del avail, c_path, c_on  # free the block before the next
     if count.min() < CALIBRATION_MIN_SAMPLES:
         raise ConfigError(
             f"insufficient calibration replicates: a decision point has only "
@@ -919,11 +962,12 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     c_avail = total / count
     c_var = (total_sq - count * c_avail * c_avail) / (count - 1.0)
     d_path = model.effect.path
-    weight = (
-        rho * (model.gamma1 + (1.0 - rho) * d_path * model.gamma2) ** 2
-        + (1.0 - rho) * (model.gamma1 - rho * d_path * model.gamma2) ** 2
-    )
-    residual_var = 1.0 - float(np.mean(weight * c_var))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        weight = (
+            rho * (model.gamma1 + (1.0 - rho) * d_path * model.gamma2) ** 2
+            + (1.0 - rho) * (model.gamma1 - rho * d_path * model.gamma2) ** 2
+        )
+        residual_var = 1.0 - float(np.mean(weight * c_var))
     if not residual_var > 0.0:  # NaN too, when the feedback weights overflow
         raise NumericError(
             f"feedback terms already exceed unit variance "

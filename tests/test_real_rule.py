@@ -9,7 +9,8 @@ numeric string, an integer too large for a float and a value outside the
 argument's range raise ConfigError naming the argument.
 
 The holes the rule closes end in one of the package's errors too: a
-non-finite effect path, an infinite noncentrality and a NaN sigma*.
+non-finite effect path, an infinite or NaN noncentrality and a NaN sigma*,
+none of them after a numpy warning.
 """
 
 import json
@@ -31,11 +32,13 @@ from mrtpower.design import (
     project_effect,
 )
 from mrtpower.distributions import FDistParams, ncf_cdf
+from mrtpower.estimator import hypothesis_test
 from mrtpower.samplesize import SizingInputs, power
 from mrtpower.simulate import (
     ErrorProcess,
     GenerativeModel,
     calibrate_sigma_star,
+    generate_dataset,
     monte_carlo,
     shaped_effect,
 )
@@ -48,6 +51,7 @@ _TINY_ARGS = (
     ErrorProcess("iid-normal"),
 )
 WORKING = GenerativeModel.working_true(*_TINY_ARGS)
+TINY_DATA = generate_dataset(WORKING, 20, seed=1)
 SIX_WEEKS = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
 _SIZING = dict(
     design=SIX_WEEKS,
@@ -63,6 +67,11 @@ def _sizing(alpha0=0.05, target=0.8):
 
 def _model(model):
     return json.dumps(model.describe())
+
+
+def _test(alpha0):
+    result = hypothesis_test(TINY_DATA, build_quadratic_features(TINY), alpha0)
+    return repr((result.statistic, result.critical_value, result.p_value, result.alpha0))
 
 
 def _feedback(**params):
@@ -125,6 +134,7 @@ ARGUMENTS = [
     Argument("eta2", 0.5, lambda v: _feedback(eta2=v), 0),
     Argument("gamma1", 0.5, lambda v: _feedback(gamma1=v), 0),
     Argument("gamma2", 0.5, lambda v: _feedback(gamma2=v), 0),
+    Argument("alpha0", 0.05, _test, None, 0.7),
 ]
 
 REFUSED = {
@@ -214,15 +224,14 @@ def test_infinite_noncentrality_is_numeric_error():
 
 
 def _one_error_line(res, code, start):
+    # the whole of stderr: no numpy warning may precede the error line
     assert res.exit_code == code, res.output
     assert res.stdout == ""
-    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith(f"error: {start}"), res.stderr
-    assert res.stderr.endswith(errors[0] + "\n")
+    assert res.stderr.startswith(f"error: {start}"), res.stderr
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n"), res.stderr
 
 
 @pytest.mark.parametrize("command", ["size", "power"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_infinite_noncentrality_exits_3(tmp_path, command):
     doc = {
         "design": {"days": 42, "decisions_per_day": 5, "rho": 0.4},
@@ -239,20 +248,36 @@ def test_infinite_noncentrality_exits_3(tmp_path, command):
     _one_error_line(res, 3, "noncentrality is infinite")
 
 
+@pytest.mark.parametrize("command", ["size", "power"])
+def test_noncentrality_cancelling_to_nan_exits_3(tmp_path, command):
+    # at this average d'Qd overflows with both signs, inf - inf
+    doc = {
+        "design": {"days": 42, "decisions_per_day": 5, "rho": 0.4},
+        "availability": {"kind": "constant", "average": 0.7},
+        "effect": {"form": "quadratic", "initial": 0.0, "average": 1e305, "max_day": 29},
+        "alpha0": 0.05,
+        "power": 0.8,
+    }
+    if command == "power":
+        doc["n"] = 42
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, [command, str(path)])
+    _one_error_line(res, 3, "noncentrality overflows")
+
+
 # -- NaN sigma* ----------------------------------------------------------
 
 
 _OVERFLOWING_FEEDBACK = dict(eta1=0.1, eta2=0.1, gamma1=1e300, gamma2=0.1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_sigma_star_is_numeric_error():
     model = GenerativeModel.treatment_feedback(*_TINY_ARGS, **_OVERFLOWING_FEEDBACK)
     with pytest.raises(NumericError, match=r"\(residual variance nan\)"):
         calibrate_sigma_star(model, reps=400, seed=1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_sigma_star_exits_3(tmp_path):
     doc = {
         "design": {"days": 3, "decisions_per_day": 4, "rho": 0.4},

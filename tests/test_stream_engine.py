@@ -28,7 +28,7 @@ from mrtpower.simulate import (
     monte_carlo,
     subject_stream,
 )
-from test_generation_digests import CASES, N_SUBJECTS, SEED, _model
+from test_generation_digests import CASES, DESIGN, N_SUBJECTS, SEED, _model
 
 
 def _numpy_stream(seed, replicate, subject):
@@ -135,7 +135,7 @@ def test_report_is_worker_invariant_for_partial_blocks():
         make_availability("constant", 0.6, design),
         ErrorProcess("ar1", 0.5),
     )
-    n = simulate._ENGINE_ROWS // 3  # blocks of 3 replicates
+    n = simulate._engine_rows(design.T) // 3  # blocks of 3 replicates
     reps = 7
     features = build_quadratic_features(design)
     rejections = sum(
@@ -148,6 +148,34 @@ def test_report_is_worker_invariant_for_partial_blocks():
     ]
     assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["rejections"] == rejections
+
+
+# Rows per engine call: one, fewer than a dataset's subjects, the 96 of the
+# fixed-row engine, and more than any block or calibration below needs.
+BLOCK_ROWS = [1, N_SUBJECTS - 2, 96, 10_000]
+
+
+def _block_outputs(scenario, family):
+    """Bytes of everything the engine returns for one case: the calibration
+    (in ``_model``), four datasets and a Monte Carlo report."""
+    model = _model(scenario, family)
+    out = [json.dumps(monte_carlo(model, 10, 9, 0.05, seed=SEED).to_dict())]
+    if model.sigma_star is not None:
+        out += [model.c_mean_avail.tobytes(), repr(model.sigma_star)]
+    for data in simulate._replicate_datasets(model, N_SUBJECTS, SEED, [0, 1, 2, 7]):
+        out += [getattr(data, name).tobytes() for name in ("avail", "action", "outcome")]
+    return out
+
+
+@pytest.mark.parametrize("scenario,family", CASES)
+def test_block_size_never_changes_a_bit(scenario, family, monkeypatch):
+    outputs = []
+    for rows in BLOCK_ROWS:
+        budget = rows * DESIGN.T * simulate._ROW_STEP_BYTES
+        monkeypatch.setattr(simulate, "_ENGINE_BYTES", budget)
+        assert simulate._engine_rows(DESIGN.T) == rows
+        outputs.append(_block_outputs(scenario, family))
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestStreamArguments:
