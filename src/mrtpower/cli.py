@@ -39,6 +39,8 @@ from .design import (
     AVAILABILITY_KINDS,
     EffectPath,
     TrialDesign,
+    _choice,
+    _flag,
     _integer,
     _level,
     _real,
@@ -102,12 +104,6 @@ def load_config(path):
     return data
 
 
-def _boolean(value, label):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{label} must be true or false, got {value!r}")
-    return value
-
-
 def _number_list(value, label, **bounds):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{label} must be a non-empty array of numbers, got {value!r}")
@@ -156,17 +152,10 @@ class _Section:
         return self._get(key, default, check)
 
     def boolean(self, key, default=_MISSING):
-        return self._get(key, default, _boolean)
+        return self._get(key, default, _flag)
 
     def string(self, key, default=_MISSING, *, choices):
-        def check(value, label):
-            if not isinstance(value, str):
-                raise ConfigError(f"{label} must be a string, got {value!r}")
-            if value not in choices:
-                raise ConfigError(f"{label} must be one of {', '.join(choices)}; got {value!r}")
-            return value
-
-        return self._get(key, default, check)
+        return self._get(key, default, functools.partial(_choice, choices=choices))
 
     def number_list(self, key, **bounds):
         return self._get(key, _MISSING, functools.partial(_number_list, **bounds))

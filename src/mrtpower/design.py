@@ -75,6 +75,9 @@ _SINGULAR_REL_TOL = 1e-12
 
 
 def _freeze(arr, dtype=np.float64):
+    # a read-only input of the dtype is kept as it is, so a view stays a view
+    if isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable:
+        return arr
     arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -188,6 +191,22 @@ def _level(alpha0, name="alpha0"):
             f"{name} must leave 1 - {name} below 1.0 in double precision, got {alpha0!r}"
         )
     return alpha0
+
+
+def _choice(value, name, choices):
+    """``value`` as a ``str`` among ``choices``, else :class:`ConfigError` naming ``name``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+    return str(value)
+
+
+def _flag(value, name):
+    """``value``, a bool (numpy's too), as a Python bool; else :class:`ConfigError`."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
 
 
 def _equilibrated_eigh(mat, what):
@@ -325,11 +344,8 @@ class AvailabilityPattern:
     target_average: float
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _choice(self.kind, "kind", AVAILABILITY_KINDS))
         tau = np.asarray(self.tau, dtype=np.float64)
-        if self.kind not in AVAILABILITY_KINDS:
-            raise ConfigError(
-                f"unknown availability kind {self.kind!r}; expected one of {AVAILABILITY_KINDS}"
-            )
         # written so that NaN fails both checks
         if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ConfigError("availability values must lie in [0, 1]")
@@ -358,8 +374,7 @@ class EffectPath:
     coeffs: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.form not in ("quadratic", "explicit"):
-            raise ConfigError(f"unknown effect form {self.form!r}")
+        object.__setattr__(self, "form", _choice(self.form, "form", ("quadratic", "explicit")))
         if self.form == "quadratic":
             if self.coeffs is None or np.shape(self.coeffs) != (3,):
                 raise ConfigError("quadratic effect requires 3 coefficients")
@@ -478,10 +493,7 @@ def make_availability(kind, target_average, design, *, amplitude=None, break_day
     stay inside [0, 1].  Built once per distinct normalized arguments and
     design (module docstring).
     """
-    if kind not in _SHAPE_PARAMS:
-        raise ConfigError(
-            f"unknown availability kind {kind!r}; expected one of {AVAILABILITY_KINDS}"
-        )
+    kind = _choice(kind, "kind", AVAILABILITY_KINDS)
     for key, value in (("amplitude", amplitude), ("break_day", break_day)):
         if (value is None) == (key in _SHAPE_PARAMS[kind]):
             verb = "requires" if value is None else "takes no"

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .design import _integer
+from .design import _integer, _level, _real
 from .exceptions import NumericError
 
 __all__ = [
@@ -324,20 +324,14 @@ class FDistParams:
 
 
 def ln_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return _ln_gamma_kernel(x)
+    """Natural log of the gamma function for finite x > 0."""
+    return _ln_gamma_kernel(_real(x, "x", 0.0, open_low=True))
 
 
 def reg_inc_beta(a, b, x):
-    """Regularized incomplete beta function I_x(a, b)."""
-    a, b, x = float(a), float(b), float(x)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"reg_inc_beta requires x in [0, 1], got {x}")
+    """Regularized incomplete beta function I_x(a, b), finite a, b > 0, x in [0, 1]."""
+    a, b = _real(a, "a", 0.0, open_low=True), _real(b, "b", 0.0, open_low=True)
+    x = _real(x, "x", 0.0, 1.0)
     value = _reg_inc_beta_kernel(a, b, x)
     if math.isnan(value):
         raise NumericError(
@@ -442,14 +436,9 @@ def hotelling_critical(p, q, n, alpha0):
     which converges to the chi-square(p) quantile as n grows.  The F
     quantile comes from :func:`f_quantile`'s per-key memo, so a Monte Carlo
     run, which asks for the same value on every replicate, solves it once.
+    ``alpha0`` is read by the level rule, as :func:`hypothesis_test` reads it.
     """
-    p, q, n, alpha0 = _integer(p, "p"), _integer(q, "q"), _integer(n, "n"), float(alpha0)
-    if n <= p + q:
-        raise ValueError(
-            f"hotelling_critical requires n > p + q (got n={n}, p={p}, q={q})"
-        )
-    if not (0.0 < alpha0 < 1.0):
-        raise ValueError(f"alpha0 must be in (0, 1), got {alpha0}")
+    p, q = _integer(p, "p", 1), _integer(q, "q", 0)
+    n, alpha0 = _integer(n, "n", p + q + 1), _level(alpha0)
     mult = p * (n - q - 1) / (n - q - p)
-    d1, d2 = _central(FDistParams(p, n - q - p))
-    return mult * _f_quantile(1.0 - alpha0, d1, d2)
+    return mult * _f_quantile(1.0 - alpha0, float(p), float(n - q - p))

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _SINGULAR_REL_TOL, _equilibrated_eigh, _freeze, _inv_eigh, _level
-from .design import _reduce_through_init, _solve_sym, _value_eq, _weighted_projection
+from .design import _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze, _inv_eigh
+from .design import _level, _reduce_through_init, _solve_sym, _value_eq, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -154,8 +154,8 @@ class TestResult:
     alpha0: float
 
     def __post_init__(self):
-        if self.adjustment not in ("none", "hat-matrix"):
-            raise ConfigError(f"unknown adjustment label {self.adjustment!r}")
+        adjustment = _choice(self.adjustment, "adjustment", ("none", "hat-matrix"))
+        object.__setattr__(self, "adjustment", adjustment)
         for name in ("beta_hat", "sigma_beta_hat"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
@@ -235,8 +235,8 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
 
 
 def _sandwich(avail, X, prob, fit, features, adjusted, gram):
-    if gram not in GRAM_KINDS:
-        raise ConfigError(f"unknown gram convention {gram!r}; expected {GRAM_KINDS}")
+    adjusted = _flag(adjusted, "adjusted")
+    gram = _choice(gram, "gram", GRAM_KINDS)
     e = fit.residuals
     if e.shape != avail.shape:
         raise ConfigError("fit residuals do not match the dataset shape")

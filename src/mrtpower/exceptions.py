@@ -9,14 +9,16 @@ Two broad classes matter to callers (and to the CLI's exit codes):
   inputs (singular systems, non-convergent series, infeasible solves).  CLI
   exit code 3.
 
-Scalar kernels raise plain :class:`ValueError` for domain violations
-(``ln_gamma(-1)`` and the like); those are programming errors at call sites,
-not run-level failures.  An integer argument (a count, a day, an index or
-a degree of freedom) that is not an integer raises :class:`ConfigError`
-everywhere, kernels included; it is a ``ValueError`` too.  So does every
-real parameter (a level, a power target, an effect, an availability, an AR
-strength, a scenario parameter), from a config or from the library, that is
-not a finite number in its range: NaN, an infinity, a bool or a string.
+Each kind of argument has one rule, in :mod:`mrtpower.design`, shared by
+the library and the config reader: ``_integer`` (a count, a day, an index or
+a degree of freedom), ``_real`` (a finite number in its range; ``_level``
+for a significance level), ``_choice`` (a ``str`` among named options) and
+``_flag`` (a bool).  An argument that breaks its rule raises
+:class:`ConfigError` naming it, from a config or from the library, kernels
+included; a ``ConfigError`` is a ``ValueError`` too.  Left outside the rules,
+on the sizing hot path, are the central and noncentral F functions
+(``f_cdf``, ``f_quantile``, ``ncf_cdf``) and ``FDistParams.lam``: they raise
+a plain ``ValueError`` for a value out of their domain.
 """
 
 __all__ = ["ConfigError", "NumericError"]

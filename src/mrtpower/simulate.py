@@ -77,6 +77,8 @@ from .design import (
     AvailabilityPattern,
     EffectPath,
     TrialDesign,
+    _choice,
+    _flag,
     _freeze,
     _integer,
     _level,
@@ -85,7 +87,7 @@ from .design import (
     build_quadratic_features,
     elicit_quadratic_effect,
 )
-from .estimator import Dataset, SubjectRow, hypothesis_test
+from .estimator import GRAM_KINDS, Dataset, SubjectRow, hypothesis_test
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -180,10 +182,7 @@ class ErrorProcess:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ERROR_FAMILIES:
-            raise ConfigError(
-                f"unknown error family {self.family!r}; expected one of {ERROR_FAMILIES}"
-            )
+        object.__setattr__(self, "family", _choice(self.family, "family", ERROR_FAMILIES))
         if self.family in ("ar1", "ar5"):
             phi = _real(self.phi, "phi", -1.0, 1.0, open_low=True, open_high=True)
         else:
@@ -283,7 +282,11 @@ def draw_errors(process, size, rng):
 # draws straight into its rows of the (n, .) draw buffers; the recursion
 # buffers are time-major (T, n), so each step reads and writes contiguous
 # rows of them and one column of the draws and of the int8 outputs.  The
-# rows one call takes follow a byte budget (:func:`_engine_rows`).
+# rows one call takes follow a byte budget (:func:`_engine_rows`).  A lag
+# sum reduces a window of lag rows that starts with a 0.0 row.  numpy adds
+# the rows in order, or for a single subject 0.0 + (the rest, in order from
+# -0.0); the two differ at most in the sign of a zero partial sum, which the
+# leading 0.0 clears, so they give the same bits.
 
 
 def _noise_primitives(process, size, rng, out=None):
@@ -322,7 +325,7 @@ def _noise(process, primitives):
         return np.subtract(primitives, 1.0, out=primitives)
     coeffs, sigma_v, chol = _stationary_setup(family, process.phi)
     k = coeffs.shape[0]
-    first = np.array([chol @ v for v in primitives[:, :k]])
+    first = np.matmul(chol, primitives[:, :k, None])[:, :, 0]
     shocks = np.multiply(sigma_v, primitives[:, k:], out=primitives[:, k:])
     return _autoregress(first, shocks, coeffs)
 
@@ -331,8 +334,8 @@ def _autoregress(first, shocks, coeffs):
     """AR(k) rows: the stationary block ``first``, then the recursion.
 
     x_t = (0.0 + a_1 x_{t-1} + ... + a_k x_{t-k}) + shock_t, summed left to
-    right: the k products go after a zero row and a sequential accumulate
-    adds them in order.  Time runs backwards through the work buffer, so
+    right: the k products go after a zero row, and one reduction sums them.
+    Time runs backwards through the work buffer, so
     the lags of x_t form one contiguous newest-first block; the rows
     returned are a view of it, and their transpose runs time-major.
     """
@@ -342,13 +345,12 @@ def _autoregress(first, shocks, coeffs):
     back = np.empty((size, n))  # back[size - 1 - t] holds x_t
     back[size - head:] = first[:, :head][:, ::-1].T
     terms = np.zeros((k + 1, n))
-    partial = np.empty_like(terms)
-    products, total = terms[1:], partial[k]
+    products, total = terms[1:], np.empty(n)
     weights = coeffs[:, None]
     forward = back[::-1]  # forward[t] holds x_t
     for t, shock, x in zip(range(head, size), shocks.T[head:], forward[head:]):
         np.multiply(weights, back[size - t:size - t + k], out=products)
-        np.add.accumulate(terms, axis=0, out=partial)
+        np.add.reduce(terms, axis=0, out=total)
         np.add(total, shock, out=x)
     return forward.T
 
@@ -358,11 +360,12 @@ def _availability_feedback(model, u_avail, action):
 
     I_t = [u_t < tau_t + eta s_t] with s_t = 0.0 + sum_j (A I - rho tau)[t-j]
     over j = 1 .. :data:`FEEDBACK_LAGS`, newest first; lags before the
-    study start are zero.  The terms are never -0.0 (A I is +0.0 or 1.0, and
-    x - y rounds to -0.0 only for x = -0.0), so the accumulate may start
-    from the first of them, and the trailing zeros of the early lags leave
-    the sum unchanged.  The clamp of the Bernoulli mean to [0, 1]
-    never changes u < p for u in [0, 1), so the comparison uses p as is.
+    study start are zero.  The leading 0.0 is the not yet written slot of
+    time t itself, so one reduction over the work buffer forms s_t.  The
+    terms are never -0.0 (A I is +0.0 or 1.0, and x - y rounds to -0.0 only
+    for x = -0.0), so the trailing zeros of the early lags leave the sum
+    unchanged.  The clamp of the Bernoulli mean to [0, 1] never changes
+    u < p for u in [0, 1), so the comparison uses p as is.
     """
     n, T = u_avail.shape
     lags = FEEDBACK_LAGS
@@ -370,14 +373,13 @@ def _availability_feedback(model, u_avail, action):
     center = (model.rho * model.tau_path).tolist()
     eta = model.eta
     back = np.zeros((T + lags, n))  # back[T - 1 - t] holds (A I - rho tau) at t
-    partial = np.empty((lags, n))
-    s = partial[-1]
+    s = np.empty(n)
     prob = np.empty(n)
     treated = np.empty(n, dtype=bool)
     avail = np.empty((n, T), dtype=np.int8)
     steps = zip(range(T), u_avail.T, action.T, avail.T, back[T - 1::-1])
     for t, u, a, i, term in steps:
-        np.add.accumulate(back[T - t:T - t + lags], axis=0, out=partial)
+        np.add.reduce(back[T - 1 - t:T - t + lags], axis=0, out=s)
         np.add(tau[t], eta * s, out=prob)
         np.less(u, prob, out=i)
         np.logical_and(i, a, out=treated)
@@ -524,10 +526,7 @@ def variance_trend_path(trend, design):
     ratio :data:`VARIANCE_TREND_SPAN`; ``weekend`` takes the weekday /
     weekend levels 0.8 / 1.5 on the day-of-week grid before normalization.
     """
-    if trend not in VARIANCE_TRENDS:
-        raise ConfigError(
-            f"unknown variance trend {trend!r}; expected one of {VARIANCE_TRENDS}"
-        )
+    trend = _choice(trend, "variance_trend", VARIANCE_TRENDS)
     T = design.T
     if trend == "constant":
         return np.ones(T)
@@ -604,10 +603,8 @@ class GenerativeModel:
     sigma_star: float = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
-            )
+        for name, choices in (("scenario", SCENARIOS), ("variance_trend", VARIANCE_TRENDS)):
+            object.__setattr__(self, name, _choice(getattr(self, name), name, choices))
         for name in ("theta", "eta", "eta1", "eta2", "gamma1", "gamma2", "variance_ratio"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         T = self.design.T
@@ -1087,8 +1084,8 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
         "n": _integer(n, "n"),
         "reps": _integer(reps, "reps"),
         "alpha0": float(alpha0),
-        "adjusted": bool(adjusted),
-        "gram": gram,
+        "adjusted": _flag(adjusted, "adjusted"),
+        "gram": _choice(gram, "gram", GRAM_KINDS),
         "seed": _integer(seed, "seed", 0),
     }
     return _canonical_digest(payload)
@@ -1111,12 +1108,15 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     dataset)``, if given, sees each replicate once, before its test, in the
     process that generated it; it must pickle when ``threads > 1``, enters
     neither the report nor its digest, and ends the run if it raises.  An
-    ``alpha0`` outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, raises
+    ``alpha0`` outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, or an
+    ``adjusted`` or ``gram`` that :func:`hypothesis_test` refuses, raises
     :class:`ConfigError` before anything is generated.
     """
     n = _integer(n, "n", high=_MAX_SUBJECTS)
     reps = _integer(reps, "reps", 1, _MAX_COUNT)
     alpha0 = _level(alpha0)
+    adjusted = _flag(adjusted, "adjusted")
+    gram = _choice(gram, "gram", GRAM_KINDS)
     features = build_quadratic_features(model.design)
     if n <= features.p + features.q:
         raise ConfigError(
