@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -356,6 +357,14 @@ def read_dataset(path):
     then match the one layout the block rules allow.  A file that fails
     any of this takes the other: its lines are replayed once, in file
     order, until the first bad one.
+
+    The file ``write_dataset`` makes, whose subject and t texts are
+    ``str(i)`` and ``"1"``..``str(T)``, skips ``int`` on those columns: T is
+    the number of leading lines that start with ``"0,"``, and each chunk's
+    texts are compared with the ones that layout gives.  From the first
+    chunk that differs on, the columns are read by ``int``, so a file that
+    writes its integers otherwise (``+1``, ``01``, `` 2``, ``1_0``) is
+    accepted or refused exactly as ``int`` decides.
     """
     try:
         # universal newlines: \n, \r\n and \r end a line, and nothing else
@@ -371,21 +380,33 @@ def read_dataset(path):
     if n_rows == 0:
         raise ConfigError("dataset has no data rows")
 
-    columns = _Columns(n_rows)
+    first_block = sum(1 for _ in itertools.takewhile(
+        operator.methodcaller("startswith", "0,"), itertools.islice(lines, 1, None)))
+    columns = _Columns(n_rows, first_block)
     shape = None
     if all(columns.parse(start, lines[start + 1:start + 1 + _READ_CHUNK])
            for start in range(0, n_rows, _READ_CHUNK)):
+        columns.fill_laid_out()
         shape = _block_shape(columns.subject, columns.t)
     if shape is None:
         _raise_first_error(lines)
-    return Dataset(*(getattr(columns, name).reshape(shape)
-                     for name in ("avail", "action", "prob", "outcome")))
+    arrays = [getattr(columns, name) for name in ("avail", "action", "prob", "outcome")]
+    for arr in arrays:
+        arr.setflags(write=False)  # the Dataset keeps the columns, not a copy
+    return Dataset(*(arr.reshape(shape) for arr in arrays))
 
 
 class _Columns:
-    """Preallocated (R,) columns of a dataset CSV body, filled chunk by chunk."""
+    """Preallocated (R,) columns of a dataset CSV body, filled chunk by chunk.
 
-    def __init__(self, n_rows):
+    The subject and t columns of the leading chunks whose texts are those of
+    a file of ``T``-row blocks (:func:`_layout_texts`) are not parsed; their
+    ``laid_out`` rows are filled from the layout by :meth:`fill_laid_out`.
+    """
+
+    def __init__(self, n_rows, T):
+        self.T = T
+        self.laid_out = 0
         self.subject = np.empty(n_rows, dtype=np.int64)
         self.t = np.empty(n_rows, dtype=np.int64)
         self.avail = np.empty(n_rows, dtype=np.int8)
@@ -405,11 +426,15 @@ class _Columns:
             return False
         flat = ",".join(chunk).split(",")
         subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
-        try:
-            self.subject[rows] = np.array(list(map(int, subject)), dtype=np.int64)
-            self.t[rows] = np.array(list(map(int, t)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            return False
+        if (start == self.laid_out and self.T
+                and (subject, t) == _layout_texts(start, start + size, self.T)):
+            self.laid_out += size
+        else:
+            try:
+                self.subject[rows] = np.array(list(map(int, subject)), dtype=np.int64)
+                self.t[rows] = np.array(list(map(int, t)), dtype=np.int64)
+            except (ValueError, OverflowError):
+                return False
         if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
             return False
         avail = _binary_column(avail)
@@ -433,6 +458,28 @@ class _Columns:
             return False
         self.outcome[start + on] = values
         return bool(np.isfinite(values).all())
+
+    def fill_laid_out(self):
+        """Subject ``r // T`` and t ``r % T + 1`` in each laid-out row r."""
+        rows = slice(0, self.laid_out)
+        np.divmod(np.arange(self.laid_out), self.T, out=(self.subject[rows], self.t[rows]))
+        self.t[rows] += 1
+
+
+def _layout_texts(start, stop, T):
+    """The subject and t texts of rows ``start:stop`` of a file of T-row blocks.
+
+    Built for those rows alone, so they take O(stop - start) memory at any T.
+    """
+    block, offset = divmod(start, T)
+    head = min(T - offset, stop - start)  # rows left in the first block
+    full, tail = divmod(stop - start - head, T)  # whole blocks after it, then the rest
+    counts = [head] + [T] * full + [tail]
+    period = list(map(str, range(1, min(T, stop - start - head) + 1)))
+    subject = list(itertools.chain.from_iterable(
+        map(itertools.repeat, map(str, itertools.count(block)), counts)))
+    t = list(map(str, range(offset + 1, offset + head + 1))) + period * full + period[:tail]
+    return subject, t
 
 
 def _binary_column(texts):

@@ -75,12 +75,33 @@ _SINGULAR_REL_TOL = 1e-12
 
 
 def _freeze(arr, dtype=np.float64):
-    # a read-only input of the dtype is kept as it is, so a view stays a view
+    """A read-only array of ``dtype`` holding ``arr``'s values.
+
+    A read-only input of the dtype is kept as it is, so a view stays a
+    view; anything else is copied, so a caller's writable array stays
+    writable.  Hot paths hand their own buffers over already read-only.
+    """
     if isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable:
         return arr
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr = np.array(arr, dtype=dtype, order="C", ndmin=1)
     arr.setflags(write=False)
     return arr
+
+
+_NOT_NUMBERS = {"U": "strings", "S": "bytes", "O": "Python objects", "c": "complex numbers"}
+
+
+def _real_array(value, name):
+    """``value`` as a float64 array, not copied if it is one already.
+
+    An array of strings, bytes, objects or complex numbers, numeric strings
+    such as "0.4" included, raises :class:`ConfigError` naming ``name``, as
+    :func:`_real` does for a scalar.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind in _NOT_NUMBERS:
+        raise ConfigError(f"{name} must hold numbers, got {_NOT_NUMBERS[arr.dtype.kind]}")
+    return arr.astype(np.float64, copy=False)
 
 
 _FLOAT = struct.Struct("<d")
@@ -257,7 +278,7 @@ class TrialDesign:
     def __post_init__(self):
         for name in ("days", "decisions_per_day"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
-        rho = np.asarray(self.rho, dtype=np.float64)
+        rho = _real_array(self.rho, "rho")
         if rho.shape not in ((), (1,), (self.T,)):
             raise ConfigError(
                 f"rho must be a scalar or have length {self.T}, got shape {rho.shape}"
@@ -307,9 +328,9 @@ class FeaturePaths:
     B: np.ndarray
 
     def __post_init__(self):
-        Z = np.atleast_2d(np.asarray(self.Z, dtype=np.float64))
+        Z = np.atleast_2d(_real_array(self.Z, "Z"))
         shared = self.B is self.Z
-        B = Z if shared else np.atleast_2d(np.asarray(self.B, dtype=np.float64))
+        B = Z if shared else np.atleast_2d(_real_array(self.B, "B"))
         if Z.shape[0] != B.shape[0]:
             raise ConfigError("Z and B must have one row per decision time")
         _equilibrated_eigh(Z.T @ Z, "effect-feature Gram matrix")
@@ -345,7 +366,7 @@ class AvailabilityPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _choice(self.kind, "kind", AVAILABILITY_KINDS))
-        tau = np.asarray(self.tau, dtype=np.float64)
+        tau = _real_array(self.tau, "tau")
         # written so that NaN fails both checks
         if not np.all((tau >= 0.0) & (tau <= 1.0)):
             raise ConfigError("availability values must lie in [0, 1]")
@@ -378,8 +399,8 @@ class EffectPath:
         if self.form == "quadratic":
             if self.coeffs is None or np.shape(self.coeffs) != (3,):
                 raise ConfigError("quadratic effect requires 3 coefficients")
-            object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        path = _freeze(self.path)
+            object.__setattr__(self, "coeffs", _freeze(_real_array(self.coeffs, "coeffs")))
+        path = _freeze(_real_array(self.path, "path"))
         if not np.all(np.isfinite(path)):
             raise ConfigError("effect path must be finite")
         object.__setattr__(self, "path", path)
@@ -390,14 +411,14 @@ class EffectPath:
 
     @classmethod
     def quadratic(cls, coeffs, design):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _real_array(coeffs, "coeffs")
         u = design.day_index
         path = coeffs[0] + coeffs[1] * u + coeffs[2] * u * u
         return cls(form="quadratic", path=path, coeffs=coeffs)
 
     @classmethod
     def explicit(cls, path):
-        return cls(form="explicit", path=np.asarray(path, dtype=np.float64))
+        return cls(form="explicit", path=path)
 
     @property
     def average(self):
@@ -545,7 +566,7 @@ def project_effect(path, tau, features, rho):
 
     Idempotent on paths already in the span.
     """
-    values = np.asarray(path.path if isinstance(path, EffectPath) else path, dtype=np.float64)
+    values = path.path if isinstance(path, EffectPath) else _real_array(path, "path")
     Z = features.Z
     if values.shape[0] != Z.shape[0]:
         raise ConfigError("effect path and feature path lengths differ")

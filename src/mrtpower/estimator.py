@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze, _inv_eigh
-from .design import _level, _reduce_through_init, _solve_sym, _value_eq, _weighted_projection
+from .design import _level, _real_array, _reduce_through_init, _solve_sym, _value_eq
+from .design import _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -78,12 +79,12 @@ class Dataset:
 
     def __post_init__(self):
         try:
-            avail = np.asarray(self.avail)
-            action = np.asarray(self.action)
-            prob = np.asarray(self.prob, dtype=np.float64)
-            outcome = np.asarray(self.outcome, dtype=np.float64)
-        except ValueError as exc:  # ragged rows or non-numeric entries
+            avail, action, prob, outcome = map(
+                np.asarray, (self.avail, self.action, self.prob, self.outcome))
+        except ValueError as exc:  # ragged rows
             raise ConfigError(f"dataset arrays must be rectangular: {exc}") from None
+        prob = _real_array(prob, "prob")
+        outcome = _real_array(outcome, "outcome")
         if avail.ndim != 2 or avail.size == 0:
             raise ConfigError(
                 f"dataset arrays must be non-empty and 2-D (subjects x decision "
@@ -183,15 +184,23 @@ def _stack(dataset, features):
     Rows of X at unavailable times are identically zero.  The public
     functions each stack for themselves; :func:`hypothesis_test` stacks
     once and hands the arrays to the private ``_fit`` and ``_sandwich``.
+
+    X is one C-contiguous float64 array, filled a column at a time with one
+    multiply per element: ``X[n, t, i] = avail[n, t] * B[t, i]`` and
+    ``X[n, t, q + j] = centered[n, t] * Z[t, j]``.  That layout fixes the
+    output bits: the einsums over X sum in t order, and BLAS reads X as one
+    (N*T, q+p) matrix, so another layout may change how they sum.
     """
     if dataset.avail.shape[1] != features.T:
         raise ConfigError("subject length does not match the feature paths")
     avail = dataset.avail.astype(np.float64)
     centered = avail * (dataset.action - dataset.prob)
-    X = np.concatenate(
-        [avail[:, :, None] * features.B[None], centered[:, :, None] * features.Z[None]],
-        axis=2,
-    )
+    q = features.q
+    X = np.empty(avail.shape + (q + features.p,))
+    for i in range(q):
+        np.multiply(avail, features.B[:, i], out=X[:, :, i])
+    for j in range(features.p):
+        np.multiply(centered, features.Z[:, j], out=X[:, :, q + j])
     return avail, X
 
 
@@ -214,6 +223,8 @@ def _fit(avail, X, outcome, q):
         raise NumericError(f"singular design: {exc}") from exc
     fitted = X @ theta
     residuals = np.where(avail == 1.0, y - fitted, 0.0)
+    for arr in (theta, residuals):
+        arr.setflags(write=False)  # handed to ModelFit as they are, not copied
     return ModelFit(alpha_hat=theta[:q], beta_hat=theta[q:], residuals=residuals)
 
 

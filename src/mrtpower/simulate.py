@@ -83,6 +83,7 @@ from .design import (
     _integer,
     _level,
     _real,
+    _real_array,
     _value_eq,
     build_quadratic_features,
     elicit_quadratic_effect,
@@ -616,7 +617,7 @@ class GenerativeModel:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, np.ones(T))
         for name in ("alpha_path", "sigma1", "sigma0"):
-            arr = _freeze(getattr(self, name))
+            arr = _freeze(_real_array(getattr(self, name), name))
             if arr.shape != (T,):
                 raise ConfigError(f"{name} must have length {T}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -907,6 +908,8 @@ def _replicate_datasets(model, n, seed, replicates):
     for start in range(0, len(replicates), block):
         units = [(rep, range(n)) for rep in replicates[start:start + block]]
         avail, action, outcome = _generate(model, _unit_streams(seed, units))
+        for arr in (avail, action, outcome):
+            arr.setflags(write=False)  # each Dataset keeps its rows as views
         for i in range(0, avail.shape[0], n):
             rows = slice(i, i + n)
             yield Dataset(

@@ -270,3 +270,94 @@ def test_layout_check_accepts_what_the_oracle_accepts(csv_dir, columns):
         expected = None
     got = cli._block_shape(np.array(subject, dtype=np.int64), np.array(t, dtype=np.int64))
     assert got == expected
+
+
+def _layout_file(path, n, t_len):
+    """A valid file of n subjects over t_len times, as ``write_dataset`` writes it."""
+    shape = (n, t_len)
+    avail = np.arange(n * t_len).reshape(shape) % 3 != 0
+    write_dataset(Dataset(
+        avail=avail,
+        action=np.arange(n * t_len).reshape(shape) % 2,
+        prob=np.full(shape, 0.4),
+        outcome=np.where(avail, 0.5, np.nan),
+    ), path)
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+def _rewrite(path, lines, row, column, text):
+    fields = lines[row + 1].split(",")
+    fields[column] = text.format(v=fields[column])
+    lines = [*lines[:row + 1], ",".join(fields), *lines[row + 2:]]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _read_laid_out(path):
+    """``read_result`` of the reader, and the rows it took from the layout."""
+    laid_out = []
+    fill = cli._Columns.fill_laid_out
+
+    def spy(columns):
+        laid_out.append(columns.laid_out)
+        fill(columns)
+
+    with mock.patch.object(cli._Columns, "fill_laid_out", spy):
+        return read_result(read_dataset, path), laid_out
+
+
+def test_layout_texts_are_the_canonical_texts():
+    for t_len in range(1, 7):
+        for start in range(0, 20):
+            for stop in range(start + 1, 24):
+                rows = range(start, stop)
+                assert cli._layout_texts(start, stop, t_len) == (
+                    [str(r // t_len) for r in rows], [str(r % t_len + 1) for r in rows])
+
+
+# 12 subjects over 11 times; rows 119 and 131 hold subject and t 10 and 11,
+# which "1_0" and "1_1" spell too
+SPELLED = [(spelling, row) for spelling in ("+{v}", "0{v}", " {v}", "{v} ", "{v[0]}_{v[1]}")
+           for row in (0, 7, 119, 131) if row >= 119 or "_" not in spelling]
+
+
+@pytest.mark.parametrize("chunk", [5, cli._READ_CHUNK])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("spelling,row", SPELLED)
+def test_non_canonical_integer_texts_read_as_int_reads_them(csv_dir, chunk, column, spelling,
+                                                            row):
+    path = csv_dir / "spelled.csv"
+    lines = _layout_file(path, 12, 11)
+    clean = read_result(read_dataset, path)
+    _rewrite(path, lines, row, column, spelling)
+    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+        got = read_result(read_dataset, path)
+    assert got == read_result(reference_read_dataset, path) == clean
+
+
+@pytest.mark.parametrize("column,text", [
+    (0, "+{v}"), (1, "0{v}"), (0, "7"), (1, "1"), (0, "x"), (1, "99999999999999999999"),
+])
+def test_first_layout_mismatch_after_the_first_chunk_reads_like_the_oracle(csv_dir, column,
+                                                                          text):
+    # 25 subjects over 210 times: 5250 rows, the mismatch at row 4500, in the
+    # second chunk, after a first chunk whose texts are canonical
+    path = csv_dir / "late.csv"
+    lines = _layout_file(path, 25, 210)
+    assert _read_laid_out(path)[1] == [5250]
+    _rewrite(path, lines, 4500, column, text)
+    got, laid_out = _read_laid_out(path)
+    assert got == read_result(reference_read_dataset, path)
+    # a field error ends the parse before the layout rows are filled
+    assert laid_out == ([] if text in ("x", "99999999999999999999") else [cli._READ_CHUNK])
+
+
+@pytest.mark.parametrize("column,text", [(0, "{v}"), (1, "+{v}"), (1, "1"), (0, "0")])
+def test_first_block_longer_than_a_chunk_reads_like_the_oracle(csv_dir, column, text):
+    # T = 5000 > _READ_CHUNK: subject 0's block spans two chunks; "{v}" leaves
+    # row 7000 as written
+    path = csv_dir / "long.csv"
+    lines = _layout_file(path, 2, 5000)
+    _rewrite(path, lines, 7000, column, text)
+    got, laid_out = _read_laid_out(path)
+    assert got == read_result(reference_read_dataset, path)
+    assert laid_out == ([10000] if text == "{v}" else [cli._READ_CHUNK])

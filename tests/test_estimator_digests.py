@@ -1,10 +1,11 @@
 """
 Golden sha256 digests of the hypothesis test's outputs.
 
-The adjusted ("summed" Gram) and unadjusted variance routes must keep their
-output bits through any rewrite of the estimator.  Each digest covers every
-value of ``TestResult.to_dict()`` (floats as ``float.hex``) and the bytes of
-``sigma_beta_hat`` for one seeded dataset at T = 210.
+The three variance routes (adjusted with the "summed" or the "averaged"
+Gram, and unadjusted) must keep their output bits through any rewrite of the
+estimator.  Each digest covers every value of ``TestResult.to_dict()``
+(floats as ``float.hex``) and the bytes of ``sigma_beta_hat`` for one seeded
+dataset at T = 210.
 """
 
 import hashlib
@@ -36,11 +37,11 @@ def _flatten(value):
     return repr(value)
 
 
-def _result_digest(family, n, adjusted):
+def _result_digest(family, n, adjusted, gram="summed"):
     errors = ErrorProcess(family, 0.5 if family == "ar1" else 0.0)
     model = GenerativeModel.working_true(DESIGN, EFFECT, TAU, errors)
     data = generate_dataset(model, n, seed=SEED, replicate=1)
-    result = hypothesis_test(data, FEATURES, 0.05, adjusted=adjusted)
+    result = hypothesis_test(data, FEATURES, 0.05, adjusted=adjusted, gram=gram)
     h = hashlib.sha256()
     for key, value in sorted(result.to_dict().items()):
         h.update(f"{key}={_flatten(value)};".encode())
@@ -61,3 +62,15 @@ DIGESTS = {
 @pytest.mark.parametrize("family,n,adjusted", list(DIGESTS))
 def test_hypothesis_test_digest(family, n, adjusted):
     assert _result_digest(family, n, adjusted) == DIGESTS[(family, n, adjusted)]
+
+
+AVERAGED_GRAM_DIGESTS = {
+    ("iid-normal", 42): "4d51d83c72a03d26760a3e040c6ebdc6d89b3b104c5a67ea91e401873839e5f2",
+    ("ar1", 400): "1a64c559533726a008e067c4ebd03d90a707ce0eb10838e746a7903432fd9bdb",
+}
+
+
+@pytest.mark.parametrize("family,n", list(AVERAGED_GRAM_DIGESTS))
+def test_averaged_gram_digest(family, n):
+    digest = _result_digest(family, n, True, gram="averaged")
+    assert digest == AVERAGED_GRAM_DIGESTS[(family, n)]
