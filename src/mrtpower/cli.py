@@ -268,7 +268,8 @@ def _scenario_spec(cfg, *, required):
     elif name == "treatment-feedback":
         for key in ("eta1", "eta2", "gamma1", "gamma2"):
             spec[key] = sec.number(key)
-        spec["calibration_reps"] = sec.integer("calibration_reps", 10_000, low=1)
+        reps = sec.integer("calibration_reps", None, low=1)
+        spec["calibration"] = {} if reps is None else {"reps": reps}
     sec.finish()
     return spec
 
@@ -278,24 +279,27 @@ def _alpha0(cfg):
     return cfg._get("alpha0", _MISSING, _level)
 
 
+def _test_keys(cfg):
+    """(adjusted, gram) of the hypothesis test, from the config."""
+    return cfg.boolean("adjusted", True), cfg.string("gram", "summed", choices=GRAM_KINDS)
+
+
 def _monte_carlo_keys(cfg, reps, seed):
     """(reps, seed, adjusted, gram) from the config, ``--reps``/``--seed`` overriding."""
     config_reps = cfg.integer("reps", 1000, low=1)
     config_seed = cfg.integer("seed", 0, low=0)
-    adjusted = cfg.boolean("adjusted", True)
-    gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
     reps = config_reps if reps is None else reps
     seed = config_seed if seed is None else seed
-    return reps, seed, adjusted, gram
+    return (reps, seed, *_test_keys(cfg))
 
 
 def _instantiate_model(spec, design, effect, tau, errors, *, seed):
     params = dict(spec)
     build = getattr(GenerativeModel, params.pop("name").replace("-", "_"))
-    calibration_reps = params.pop("calibration_reps", None)
+    calibration = params.pop("calibration", None)
     model = build(design, effect, tau, errors, **params)
-    if calibration_reps is not None:
-        model = calibrate_sigma_star(model, reps=calibration_reps, seed=seed)
+    if calibration is not None:
+        model = calibrate_sigma_star(model, **calibration, seed=seed)
     return model
 
 
@@ -352,19 +356,11 @@ def read_dataset(path):
     are read by ``int`` and ``float``, so exactly what they accept is
     accepted.
 
-    A valid file takes one path: the body is parsed column by column,
-    ``_READ_CHUNK`` lines at a time, and the subject and t columns must
-    then match the one layout the block rules allow.  A file that fails
-    any of this takes the other: its lines are replayed once, in file
-    order, until the first bad one.
-
-    The file ``write_dataset`` makes, whose subject and t texts are
-    ``str(i)`` and ``"1"``..``str(T)``, skips ``int`` on those columns: T is
-    the number of leading lines that start with ``"0,"``, and each chunk's
-    texts are compared with the ones that layout gives.  From the first
-    chunk that differs on, the columns are read by ``int``, so a file that
-    writes its integers otherwise (``+1``, ``01``, `` 2``, ``1_0``) is
-    accepted or refused exactly as ``int`` decides.
+    A valid file laid out as ``write_dataset`` lays it out (subject and t
+    texts ``str(i)`` and ``"1"``..``str(T)``, where T is the number of
+    leading lines that start with ``"0,"``) is parsed column by column,
+    ``_READ_CHUNK`` lines at a time.  Every other file is parsed line by
+    line, in file order, by :func:`_read_lines`.
     """
     try:
         # universal newlines: \n, \r\n and \r end a line, and nothing else
@@ -380,16 +376,15 @@ def read_dataset(path):
     if n_rows == 0:
         raise ConfigError("dataset has no data rows")
 
-    first_block = sum(1 for _ in itertools.takewhile(
+    T = sum(1 for _ in itertools.takewhile(
         operator.methodcaller("startswith", "0,"), itertools.islice(lines, 1, None)))
-    columns = _Columns(n_rows, first_block)
-    shape = None
-    if all(columns.parse(start, lines[start + 1:start + 1 + _READ_CHUNK])
-           for start in range(0, n_rows, _READ_CHUNK)):
-        columns.fill_laid_out()
-        shape = _block_shape(columns.subject, columns.t)
-    if shape is None:
-        _raise_first_error(lines)
+    columns = _Columns(n_rows, T)
+    if T and n_rows % T == 0 and all(
+            columns.parse(start, lines[start + 1:start + 1 + _READ_CHUNK])
+            for start in range(0, n_rows, _READ_CHUNK)):
+        shape = n_rows // T, T
+    else:
+        shape = _read_lines(lines, columns)
     arrays = [getattr(columns, name) for name in ("avail", "action", "prob", "outcome")]
     for arr in arrays:
         arr.setflags(write=False)  # the Dataset keeps the columns, not a copy
@@ -397,18 +392,10 @@ def read_dataset(path):
 
 
 class _Columns:
-    """Preallocated (R,) columns of a dataset CSV body, filled chunk by chunk.
-
-    The subject and t columns of the leading chunks whose texts are those of
-    a file of ``T``-row blocks (:func:`_layout_texts`) are not parsed; their
-    ``laid_out`` rows are filled from the layout by :meth:`fill_laid_out`.
-    """
+    """Preallocated (R,) columns of a dataset CSV body of ``T``-row blocks."""
 
     def __init__(self, n_rows, T):
         self.T = T
-        self.laid_out = 0
-        self.subject = np.empty(n_rows, dtype=np.int64)
-        self.t = np.empty(n_rows, dtype=np.int64)
         self.avail = np.empty(n_rows, dtype=np.int8)
         self.action = np.empty(n_rows, dtype=np.int8)
         self.prob = np.empty(n_rows)
@@ -416,25 +403,16 @@ class _Columns:
         self.prob_memo = {}  # prob text -> value, NaN if it fails its checks
 
     def parse(self, start, chunk):
-        """Fill rows ``start:start + len(chunk)``; False if a line fails a field check.
-
-        A subject or t beyond int64 fails too: the replay names it.
-        """
+        """Fill rows ``start:start + len(chunk)``; False unless every line passes
+        its field checks and the subject and t texts are the layout's."""
         size = len(chunk)
         rows = slice(start, start + size)
         if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
             return False
         flat = ",".join(chunk).split(",")
         subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
-        if (start == self.laid_out and self.T
-                and (subject, t) == _layout_texts(start, start + size, self.T)):
-            self.laid_out += size
-        else:
-            try:
-                self.subject[rows] = np.array(list(map(int, subject)), dtype=np.int64)
-                self.t[rows] = np.array(list(map(int, t)), dtype=np.int64)
-            except (ValueError, OverflowError):
-                return False
+        if (subject, t) != _layout_texts(start, start + size, self.T):
+            return False
         if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
             return False
         avail = _binary_column(avail)
@@ -458,12 +436,6 @@ class _Columns:
             return False
         self.outcome[start + on] = values
         return bool(np.isfinite(values).all())
-
-    def fill_laid_out(self):
-        """Subject ``r // T`` and t ``r % T + 1`` in each laid-out row r."""
-        rows = slice(0, self.laid_out)
-        np.divmod(np.arange(self.laid_out), self.T, out=(self.subject[rows], self.t[rows]))
-        self.t[rows] += 1
 
 
 def _layout_texts(start, stop, T):
@@ -496,71 +468,62 @@ def _prob_value(text):
     return value if 0.0 < value < 1.0 else math.nan
 
 
-def _block_shape(subject, t):
-    """(N, T) if the columns hold subjects 0..N-1 in blocks of t = 1..T, else None.
+def _read_lines(lines, columns):
+    """Parse a dataset CSV body into ``columns`` line by line; return (N, T).
 
-    T is the length of the first block.  The block rules hold exactly when
-    the subject column is ``repeat(arange(N), T)`` and the t column is
-    ``tile(arange(1, T + 1), N)``.
+    Each line is split once and gets its field checks, then the block
+    rules: a block starts where the subject changes, the previous block
+    must be as long as subject 0's, the subject must be the block's index
+    and t its position in the block.  The last block's length is checked
+    at the last line.  The first line that fails raises ConfigError.
     """
-    T = int(np.argmax(subject != subject[0])) or subject.shape[0]
-    N = subject.shape[0] // T
-    if (np.array_equal(subject, np.repeat(np.arange(N), T))
-            and np.array_equal(t, np.tile(np.arange(1, T + 1), N))):
-        return N, T
-    return None
-
-
-def _field_error(line, line_no):
-    """The message of the first field check ``line`` fails, or None."""
-    fields = line.split(",")
-    if len(fields) != 6:
-        return f"line {line_no}: expected 6 comma-separated fields, got {len(fields)}"
-    subject, t, avail, action, prob, outcome = fields
-    for label, text in (("subject", subject), ("t", t)):
-        try:
-            int(text)
-        except ValueError:
-            return f"line {line_no}: {label} must be an integer, got {text!r}"
-    if avail not in _BINARY:
-        return f"line {line_no}: avail must be 0 or 1, got {avail!r}"
-    if action not in _BINARY:
-        return f"line {line_no}: action must be 0 or 1, got {action!r}"
-    try:
-        value = float(prob)
-    except ValueError:
-        return f"line {line_no}: prob must be a number, got {prob!r}"
-    if not (0.0 < value < 1.0):
-        return (f"line {line_no}: randomization probability must lie in (0, 1), "
-                f"got {prob}")
-    if avail == "0":
-        if outcome != "":
-            return f"line {line_no}: outcome must be empty when avail is 0, got {outcome!r}"
-        return None
-    try:
-        value = float(outcome)
-    except ValueError:
-        return f"line {line_no}: outcome must be a number, got {outcome!r}"
-    if not math.isfinite(value):
-        return f"line {line_no}: outcome must be a finite number, got {outcome!r}"
-    return None
-
-
-def _raise_first_error(lines):
-    """Raise ConfigError at the first bad line of a dataset CSV, in file order.
-
-    Each body line gets its field checks, then the block rules: a block
-    starts where the subject changes, the previous block must be as long
-    as subject 0's, the subject must be the block's index and t its
-    position in the block.  The last block's length is checked at the
-    last line.
-    """
+    columns.outcome.fill(np.nan)
     blocks = []  # rows of each subject block so far, in subject order
-    for line_no, line in enumerate(lines[1:], start=2):
-        message = _field_error(line, line_no)
-        if message is not None:
-            raise ConfigError(message)
-        subject, t = map(int, line.split(",")[:2])
+    for row, line in enumerate(itertools.islice(lines, 1, None)):
+        line_no = row + 2
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise ConfigError(
+                f"line {line_no}: expected 6 comma-separated fields, got {len(fields)}")
+        subject, t, avail, action, prob, outcome = fields
+        try:
+            subject = int(subject)
+        except ValueError:
+            raise ConfigError(
+                f"line {line_no}: subject must be an integer, got {subject!r}") from None
+        try:
+            t = int(t)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: t must be an integer, got {t!r}") from None
+        if avail not in _BINARY:
+            raise ConfigError(f"line {line_no}: avail must be 0 or 1, got {avail!r}")
+        if action not in _BINARY:
+            raise ConfigError(f"line {line_no}: action must be 0 or 1, got {action!r}")
+        try:
+            value = float(prob)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: prob must be a number, got {prob!r}") from None
+        if not (0.0 < value < 1.0):
+            raise ConfigError(
+                f"line {line_no}: randomization probability must lie in (0, 1), got {prob}")
+        columns.prob[row] = value
+        columns.action[row] = action == "1"
+        columns.avail[row] = avail == "1"
+        if avail == "0":
+            if outcome != "":
+                raise ConfigError(
+                    f"line {line_no}: outcome must be empty when avail is 0, got {outcome!r}")
+        else:
+            try:
+                value = float(outcome)
+            except ValueError:
+                raise ConfigError(
+                    f"line {line_no}: outcome must be a number, got {outcome!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"line {line_no}: outcome must be a finite number, got {outcome!r}")
+            columns.outcome[row] = value
+
         if not blocks or subject != len(blocks) - 1:
             _check_block_length(blocks, line_no)
             if subject != len(blocks):
@@ -576,7 +539,7 @@ def _raise_first_error(lines):
                 f"subject {subject}, got {t}"
             )
     _check_block_length(blocks, len(lines))
-    raise AssertionError("a dataset failed its columnar checks but no line fails")
+    return len(blocks), blocks[0]
 
 
 def _check_block_length(blocks, line_no):
@@ -802,8 +765,7 @@ def analyze_command(dataset_file, config_file):
     cfg = _Section(raw)
     design = _parse_design(cfg)
     alpha0 = _alpha0(cfg)
-    adjusted = cfg.boolean("adjusted", True)
-    gram = cfg.string("gram", "summed", choices=GRAM_KINDS)
+    adjusted, gram = _test_keys(cfg)
     cfg.finish()
 
     dataset = read_dataset(dataset_file)
@@ -844,7 +806,7 @@ _PAPER_TABLES = {
 PAPER_TABLES = tuple(_PAPER_TABLES)
 
 
-def _run_paper_table(name, *, reps, seed, threads):
+def _run_paper_table(name, reps, seed, adjusted, gram, *, threads):
     if name not in _PAPER_TABLES:
         raise ConfigError(
             f"unknown table id {name!r}; expected one of {', '.join(PAPER_TABLES)}"
@@ -855,8 +817,8 @@ def _run_paper_table(name, *, reps, seed, threads):
     reports = [
         [
             monte_carlo(
-                model(design, errors, row, col), 42, reps, 0.05,
-                seed=seed, threads=threads,
+                model(design, errors, row, col), 42, reps, 0.05, adjusted,
+                seed=seed, gram=gram, threads=threads,
             )
             for col in col_values
         ]
@@ -909,11 +871,7 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
                 "--paper-table presets are self-contained; do not pass a config file"
             )
         payload, table = _run_paper_table(
-            paper_table,
-            reps=reps if reps is not None else 1000,
-            seed=seed if seed is not None else 0,
-            threads=threads,
-        )
+            paper_table, *_monte_carlo_keys(_Section({}), reps, seed), threads=threads)
         click.echo(table, err=True)
         _emit(payload)
         return

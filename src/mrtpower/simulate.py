@@ -84,6 +84,7 @@ from .design import (
     _level,
     _real,
     _real_array,
+    _reduce_through_init,
     _value_eq,
     build_quadratic_features,
     elicit_quadratic_effect,
@@ -636,6 +637,7 @@ class GenerativeModel:
 
     __eq__ = _value_eq
     __hash__ = None
+    __reduce__ = _reduce_through_init
 
     # -- derived views ----------------------------------------------------
 

@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 from _reference_csv import reference_read_dataset
 from mrtpower import cli
 from mrtpower.cli import DATASET_HEADER, read_dataset, write_dataset
+from mrtpower.design import TrialDesign, elicit_quadratic_effect, make_availability
 from mrtpower.estimator import Dataset
 from mrtpower.exceptions import ConfigError
+from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 INT_TEXTS = [
     "+{v}", " 0{v}", "{v}\t", "{v}_0", "{v}.0", "0x{v}", "-{v}", "", "a",
@@ -234,44 +236,6 @@ def test_only_newlines_end_a_line(csv_dir, reader):
     np.testing.assert_array_equal(reader(path).outcome, [[1.0, 2.0]])
 
 
-@st.composite
-def layouts(draw):
-    """(subject, t) columns: a canonical N x T layout, then up to two cells
-    changed, dropped or repeated."""
-    n = draw(st.integers(1, 5))
-    t_len = draw(st.integers(1, 4))
-    subject = [s for s in range(n) for _ in range(t_len)]
-    t = [k for _ in range(n) for k in range(1, t_len + 1)]
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(subject) - 1))
-        edit = draw(st.sampled_from(["change", "drop", "repeat"]))
-        if edit == "change":
-            column = draw(st.sampled_from([subject, t]))
-            column[i] = draw(st.integers(-1, 6))
-        elif edit == "drop" and len(subject) > 1:
-            del subject[i], t[i]
-        elif edit == "repeat":
-            subject.insert(i, subject[i])
-            t.insert(i, t[i])
-    return subject, t
-
-
-@settings(deadline=None, max_examples=300)
-@given(columns=layouts())
-def test_layout_check_accepts_what_the_oracle_accepts(csv_dir, columns):
-    # the columnar reader's one layout check stands for every block rule
-    subject, t = columns
-    path = csv_dir / "layout.csv"
-    rows = [f"{s},{k},1,0,0.5,1.0" for s, k in zip(subject, t)]
-    path.write_text("\n".join([DATASET_HEADER] + rows) + "\n", encoding="utf-8")
-    try:
-        expected = reference_read_dataset(path).avail.shape
-    except ConfigError:
-        expected = None
-    got = cli._block_shape(np.array(subject, dtype=np.int64), np.array(t, dtype=np.int64))
-    assert got == expected
-
-
 def _layout_file(path, n, t_len):
     """A valid file of n subjects over t_len times, as ``write_dataset`` writes it."""
     shape = (n, t_len)
@@ -292,17 +256,33 @@ def _rewrite(path, lines, row, column, text):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
-def _read_laid_out(path):
-    """``read_result`` of the reader, and the rows it took from the layout."""
-    laid_out = []
-    fill = cli._Columns.fill_laid_out
+def _read_by_lines(path):
+    """``read_result`` of the reader, and whether it took the line path."""
+    with mock.patch.object(cli, "_read_lines", wraps=cli._read_lines) as spy:
+        return read_result(read_dataset, path), spy.called
 
-    def spy(columns):
-        laid_out.append(columns.laid_out)
-        fill(columns)
 
-    with mock.patch.object(cli._Columns, "fill_laid_out", spy):
-        return read_result(read_dataset, path), laid_out
+def _trial_file(path):
+    """The N = 400 trial of the paper's 6-week design, as ``write_dataset`` writes it."""
+    design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
+    model = GenerativeModel.working_true(
+        design, elicit_quadratic_effect(0.0, 0.10, 29, design),
+        make_availability("constant", 0.5, design), ErrorProcess("ar1", 0.6))
+    write_dataset(generate_dataset(model, 400, seed=1), path)
+
+
+@pytest.mark.parametrize("n,t_len", [(1, 3), (1, cli._READ_CHUNK + 5), (3, cli._READ_CHUNK + 5),
+                                     (400, 210)])
+def test_write_dataset_files_never_take_the_line_path(csv_dir, n, t_len):
+    path = csv_dir / "written.csv"
+    if n == 400:
+        _trial_file(path)
+    else:
+        _layout_file(path, n, t_len)
+    got, by_lines = _read_by_lines(path)
+    assert not by_lines
+    assert got[1][0][1] == (n, t_len)
+    assert got == read_result(reference_read_dataset, path)
 
 
 def test_layout_texts_are_the_canonical_texts():
@@ -343,12 +323,11 @@ def test_first_layout_mismatch_after_the_first_chunk_reads_like_the_oracle(csv_d
     # second chunk, after a first chunk whose texts are canonical
     path = csv_dir / "late.csv"
     lines = _layout_file(path, 25, 210)
-    assert _read_laid_out(path)[1] == [5250]
+    assert not _read_by_lines(path)[1]
     _rewrite(path, lines, 4500, column, text)
-    got, laid_out = _read_laid_out(path)
+    got, by_lines = _read_by_lines(path)
     assert got == read_result(reference_read_dataset, path)
-    # a field error ends the parse before the layout rows are filled
-    assert laid_out == ([] if text in ("x", "99999999999999999999") else [cli._READ_CHUNK])
+    assert by_lines
 
 
 @pytest.mark.parametrize("column,text", [(0, "{v}"), (1, "+{v}"), (1, "1"), (0, "0")])
@@ -358,6 +337,6 @@ def test_first_block_longer_than_a_chunk_reads_like_the_oracle(csv_dir, column, 
     path = csv_dir / "long.csv"
     lines = _layout_file(path, 2, 5000)
     _rewrite(path, lines, 7000, column, text)
-    got, laid_out = _read_laid_out(path)
+    got, by_lines = _read_by_lines(path)
     assert got == read_result(reference_read_dataset, path)
-    assert laid_out == ([10000] if text == "{v}" else [cli._READ_CHUNK])
+    assert by_lines == (text != "{v}")

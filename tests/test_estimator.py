@@ -16,8 +16,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mrtpower import ConfigError, NumericError
 from mrtpower.design import (
@@ -30,7 +28,6 @@ from mrtpower.design import (
 )
 from mrtpower.estimator import (
     Dataset,
-    ModelFit,
     asymptotic_targets,
     fit_working_model,
     hypothesis_test,

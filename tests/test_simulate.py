@@ -16,11 +16,11 @@ deterministic, not flaky.
 import dataclasses
 import functools
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import MC_SEED
 from mrtpower import ConfigError, NumericError, simulate
 from mrtpower.design import (
     EffectPath,
@@ -31,7 +31,6 @@ from mrtpower.design import (
 )
 from mrtpower.estimator import asymptotic_targets
 from mrtpower.simulate import (
-    ERROR_FAMILIES,
     SCENARIOS,
     VARIANCE_TREND_SPAN,
     VARIANCE_TRENDS,
@@ -332,6 +331,24 @@ class TestGenerativeModel:
         assert d["errors"] == {"family": "ar1", "phi": 0.6}
         assert len(d["effect_path"]) == design.T
         json.dumps(d)  # must be serializable
+
+    def test_pickle_round_trip_stays_read_only(self, design, tau_half, effect_10):
+        # each worker of a threads > 1 run gets a pickled model
+        working = GenerativeModel.working_true(
+            design, effect_10, tau_half, ErrorProcess("ar1", 0.6)
+        )
+        feedback = calibrate_sigma_star(GenerativeModel.treatment_feedback(
+            design, effect_10, tau_half, ErrorProcess("iid-normal"),
+            eta1=-0.1, eta2=-0.1, gamma1=-0.5, gamma2=-0.2,
+        ), reps=400, seed=5)
+        for model in (working, feedback):
+            copy = pickle.loads(pickle.dumps(model))
+            assert copy == model
+            for field in dataclasses.fields(copy):
+                value = getattr(copy, field.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, field.name
+        assert copy.c_mean_avail is not None and copy.sigma_star == feedback.sigma_star
 
     def test_asymptotic_targets_accepts_models(self, design, tau_half, effect_10):
         model = GenerativeModel.working_true(
