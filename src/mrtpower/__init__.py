@@ -1,62 +1,69 @@
-"""Design, sizing, analysis, and Monte-Carlo verification for micro-randomized trials."""
+"""Design, sizing, analysis, and Monte-Carlo verification for micro-randomized trials.
 
-from .exceptions import ConfigError, NumericError
-from .design import (
-    AvailabilityPattern,
-    EffectPath,
-    FeaturePaths,
-    TrialDesign,
-    build_quadratic_features,
-    elicit_quadratic_effect,
-    make_availability,
-    project_effect,
-)
-from .distributions import (
-    FDistParams,
-    f_cdf,
-    f_quantile,
-    hotelling_critical,
-    ln_gamma,
-    ncf_cdf,
-    reg_inc_beta,
-)
-from .samplesize import (
-    SampleSizeResult,
-    SizingInputs,
-    compute_q_matrix,
-    noncentrality,
-    power,
-    solve_sample_size,
-)
-from .estimator import (
-    Dataset,
-    GRAM_KINDS,
-    ModelFit,
-    TestResult,
-    asymptotic_targets,
-    fit_working_model,
-    hypothesis_test,
-    sandwich_variance,
-)
-from .simulate import (
-    ERROR_FAMILIES,
-    SCENARIOS,
-    VARIANCE_TRENDS,
-    ErrorProcess,
-    GenerativeModel,
-    MonteCarloReport,
-    calibrate_sigma_star,
-    config_digest,
-    generate_dataset,
-    generate_subject,
-    monte_carlo,
-    resolve_threads,
-    shaped_effect,
-    subject_stream,
-    variance_trend_path,
-)
+``import mrtpower`` loads the sizing core (``exceptions``, ``design``,
+``distributions`` and ``samplesize``) and binds its public names here.  The
+public names of ``estimator`` and ``simulate``, and those two submodules
+themselves, resolve on first access through a module ``__getattr__`` (PEP
+562), so importing the package or sizing a trial never loads the estimator,
+the Monte Carlo engine or its process pool.  ``from mrtpower import X`` works
+for every ``X`` in ``__all__``.
+
+A lazily resolved name is read from its submodule on every access and never
+stored in this namespace, so rebinding it in the submodule (a monkeypatch, a
+call tracer) shows through the package, and so does undoing that rebinding.
+"""
+
+import importlib
+import sys
+
+from . import design, distributions, exceptions, samplesize
 
 __version__ = "0.1.0"
+
+# Each public name -> the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in (
+        ("exceptions", ("ConfigError", "NumericError")),
+        ("design", (
+            "TrialDesign", "FeaturePaths", "AvailabilityPattern", "EffectPath",
+            "build_quadratic_features", "elicit_quadratic_effect", "make_availability",
+            "project_effect",
+        )),
+        ("distributions", (
+            "FDistParams", "f_cdf", "f_quantile", "ncf_cdf", "hotelling_critical",
+            "ln_gamma", "reg_inc_beta",
+        )),
+        ("samplesize", (
+            "SizingInputs", "SampleSizeResult", "compute_q_matrix", "noncentrality", "power",
+            "solve_sample_size",
+        )),
+        ("estimator", (
+            "GRAM_KINDS", "Dataset", "ModelFit", "TestResult", "fit_working_model",
+            "sandwich_variance", "hypothesis_test", "asymptotic_targets",
+        )),
+        ("simulate", (
+            "ERROR_FAMILIES", "SCENARIOS", "VARIANCE_TRENDS", "ErrorProcess",
+            "GenerativeModel", "MonteCarloReport", "shaped_effect", "variance_trend_path",
+            "calibrate_sigma_star", "subject_stream", "generate_subject", "generate_dataset",
+            "monte_carlo", "config_digest", "resolve_threads",
+        )),
+    )
+    for name in names
+}
+
+# Submodules imported with the package; their names are bound here once.
+_EAGER = {
+    "exceptions": exceptions,
+    "design": design,
+    "distributions": distributions,
+    "samplesize": samplesize,
+}
+_LAZY_MODULES = ("estimator", "simulate")
+
+globals().update(
+    (name, getattr(_EAGER[home], name)) for name, home in _HOME.items() if home in _EAGER
+)
 
 
 def backend_name() -> str:
@@ -64,59 +71,25 @@ def backend_name() -> str:
     return "python"
 
 
-__all__ = [
-    "__version__",
-    # backend and errors
-    "backend_name",
-    "ConfigError",
-    "NumericError",
-    # trial structure
-    "TrialDesign",
-    "FeaturePaths",
-    "AvailabilityPattern",
-    "EffectPath",
-    "build_quadratic_features",
-    "elicit_quadratic_effect",
-    "make_availability",
-    "project_effect",
-    # distribution kernel
-    "FDistParams",
-    "f_cdf",
-    "f_quantile",
-    "ncf_cdf",
-    "hotelling_critical",
-    "ln_gamma",
-    "reg_inc_beta",
-    # sizing
-    "SizingInputs",
-    "SampleSizeResult",
-    "compute_q_matrix",
-    "noncentrality",
-    "power",
-    "solve_sample_size",
-    # estimation and testing
-    "GRAM_KINDS",
-    "Dataset",
-    "ModelFit",
-    "TestResult",
-    "fit_working_model",
-    "sandwich_variance",
-    "hypothesis_test",
-    "asymptotic_targets",
-    # simulation
-    "ERROR_FAMILIES",
-    "SCENARIOS",
-    "VARIANCE_TRENDS",
-    "ErrorProcess",
-    "GenerativeModel",
-    "MonteCarloReport",
-    "shaped_effect",
-    "variance_trend_path",
-    "calibrate_sigma_star",
-    "subject_stream",
-    "generate_subject",
-    "generate_dataset",
-    "monte_carlo",
-    "config_digest",
-    "resolve_threads",
-]
+def _submodule(name):
+    module = sys.modules.get(f"{__name__}.{name}")
+    if module is None:
+        module = importlib.import_module(f".{name}", __name__)
+    return module
+
+
+def __getattr__(name):
+    """A lazy submodule, or a public name read from its lazy submodule."""
+    if name in _LAZY_MODULES:
+        return _submodule(name)
+    home = _HOME.get(name)
+    if home is None:  # the eager names are globals, so they never get here
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_submodule(home), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_LAZY_MODULES})
+
+
+__all__ = ["__version__", "backend_name", *_HOME]

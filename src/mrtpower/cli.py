@@ -38,8 +38,10 @@ import numpy as np
 
 from .design import (
     AVAILABILITY_KINDS,
+    GRAM_KINDS,
     EffectPath,
     TrialDesign,
+    _canonical_digest,
     _choice,
     _flag,
     _integer,
@@ -49,21 +51,12 @@ from .design import (
     elicit_quadratic_effect,
     make_availability,
 )
-from .estimator import GRAM_KINDS, Dataset, hypothesis_test
 from .exceptions import ConfigError, NumericError
 from .samplesize import SizingInputs, noncentrality, solve_sample_size
 from .samplesize import power as analytic_power
-from .simulate import (
-    ERROR_FAMILIES,
-    SCENARIOS,
-    VARIANCE_TRENDS,
-    ErrorProcess,
-    GenerativeModel,
-    calibrate_sigma_star,
-    monte_carlo,
-    shaped_effect,
-    _canonical_digest,
-)
+
+# ``estimator`` and ``simulate`` are imported inside the functions that run
+# their code, so ``size`` and ``power`` without ``--mc`` never load them.
 
 __all__ = [
     "DATASET_HEADER",
@@ -239,13 +232,18 @@ def _build_effect(params, design, average=None):
     avg = params["average"] if average is None else average
     if params["form"] == "quadratic":
         return elicit_quadratic_effect(params["initial"], avg, params["max_day"], design)
+    from .simulate import shaped_effect
+
     return shaped_effect(design, avg, params["max_day"], params["plateau_fraction"])
 
 
 def _parse_errors(cfg):
+    """The ``errors`` block as an ``ErrorProcess``; None (iid-normal) when absent."""
     sec = cfg.section("errors", required=False)
     if sec is None:
-        return ErrorProcess("iid-normal")
+        return None
+    from .simulate import ERROR_FAMILIES, ErrorProcess
+
     family = sec.string("family", choices=ERROR_FAMILIES)
     phi = sec.number("phi", _MISSING if family in ("ar1", "ar5") else 0.0)
     sec.finish()
@@ -256,6 +254,8 @@ def _scenario_spec(cfg, *, required):
     sec = cfg.section("scenario", required=required)
     if sec is None:
         return {"name": "working-true"}
+    from .simulate import SCENARIOS, VARIANCE_TRENDS
+
     name = sec.string("name", choices=SCENARIOS)
     spec = {"name": name}
     if name == "weekend-mean":
@@ -294,6 +294,10 @@ def _monte_carlo_keys(cfg, reps, seed):
 
 
 def _instantiate_model(spec, design, effect, tau, errors, *, seed):
+    from .simulate import ErrorProcess, GenerativeModel, calibrate_sigma_star
+
+    if errors is None:
+        errors = ErrorProcess("iid-normal")
     params = dict(spec)
     build = getattr(GenerativeModel, params.pop("name").replace("-", "_"))
     calibration = params.pop("calibration", None)
@@ -385,6 +389,8 @@ def read_dataset(path):
         shape = n_rows // T, T
     else:
         shape = _read_lines(lines, columns)
+    from .estimator import Dataset
+
     arrays = [getattr(columns, name) for name in ("avail", "action", "prob", "outcome")]
     for arr in arrays:
         arr.setflags(write=False)  # the Dataset keeps the columns, not a copy
@@ -739,6 +745,8 @@ def power_command(config_file, mc, reps, seed, threads):
         ),
     }
     if mc:
+        from .simulate import monte_carlo
+
         model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
         report = monte_carlo(
             model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads
@@ -768,6 +776,8 @@ def analyze_command(dataset_file, config_file):
     adjusted, gram = _test_keys(cfg)
     cfg.finish()
 
+    from .estimator import hypothesis_test
+
     dataset = read_dataset(dataset_file)
     result = hypothesis_test(
         dataset, build_quadratic_features(design), alpha0, adjusted, gram=gram
@@ -783,12 +793,13 @@ def analyze_command(dataset_file, config_file):
     _emit(payload)
 
 
-# name -> (row label, row values, column label, column values, model(design,
-# errors, row value, column value)); one monte_carlo run per cell, N = 42
+# name -> (row label, row values, column label, column values,
+# model(GenerativeModel, design, errors, row value, column value)); one
+# monte_carlo run per cell, N = 42
 _PAPER_TABLES = {
     "typeI-6wk": (
         "scenario", ("null-6wk",), "availability average", (0.5, 0.7),
-        lambda design, errors, _scenario, avg: GenerativeModel.working_true(
+        lambda cls, design, errors, _scenario, avg: cls.working_true(
             design, EffectPath.quadratic(np.zeros(3), design),
             make_availability("constant", avg, design), errors,
         ),
@@ -796,7 +807,7 @@ _PAPER_TABLES = {
     "power-hetero": (
         "variance ratio", (1.2, 1.0, 0.8),
         "variance trend", ("constant", "increasing", "decreasing"),
-        lambda design, errors, ratio, trend: GenerativeModel.heteroscedastic(
+        lambda cls, design, errors, ratio, trend: cls.heteroscedastic(
             design, elicit_quadratic_effect(0.0, 0.10, 29, design),
             make_availability("constant", 0.5, design), errors,
             variance_ratio=ratio, variance_trend=trend,
@@ -811,13 +822,15 @@ def _run_paper_table(name, reps, seed, adjusted, gram, *, threads):
         raise ConfigError(
             f"unknown table id {name!r}; expected one of {', '.join(PAPER_TABLES)}"
         )
+    from .simulate import ErrorProcess, GenerativeModel, monte_carlo
+
     row_label, row_values, col_label, col_values, model = _PAPER_TABLES[name]
     design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
     errors = ErrorProcess("iid-normal")
     reports = [
         [
             monte_carlo(
-                model(design, errors, row, col), 42, reps, 0.05, adjusted,
+                model(GenerativeModel, design, errors, row, col), 42, reps, 0.05, adjusted,
                 seed=seed, gram=gram, threads=threads,
             )
             for col in col_values
@@ -889,6 +902,8 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
     alpha0 = _alpha0(cfg)
     reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
     cfg.finish()
+
+    from .simulate import monte_carlo
 
     tau = _build_availability(avail_params, design)
     effect = _build_effect(effect_params, design)

@@ -29,6 +29,8 @@ Conventions used throughout the package:
 Returned objects can be shared freely across threads and processes.
 """
 
+import hashlib
+import json
 import math
 import numbers
 import operator
@@ -59,6 +61,10 @@ _SHAPE_PARAMS = {
     "piecewise": ("amplitude", "break_day"),
 }
 AVAILABILITY_KINDS = tuple(_SHAPE_PARAMS)
+
+# Gram conventions of the hypothesis test's hat matrix (see ``estimator``);
+# kept here so the config reader checks ``gram`` without loading the estimator.
+GRAM_KINDS = ("summed", "averaged")
 
 # Entries kept by each builder memo, and by samplesize's Q memo.  An entry
 # keeps alive its result and its key: at most a design (rho and its day
@@ -228,6 +234,12 @@ def _flag(value, name):
     if not isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
     return bool(value)
+
+
+def _canonical_digest(payload):
+    """sha256 hex digest of ``payload`` as sorted, compact, UTF-8 JSON."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _equilibrated_eigh(mat, what):

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze, _inv_eigh
-from .design import _level, _real_array, _reduce_through_init, _solve_sym, _value_eq
+from .design import GRAM_KINDS, _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze
+from .design import _inv_eigh, _level, _real_array, _reduce_through_init, _solve_sym, _value_eq
 from .design import _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
@@ -48,8 +48,6 @@ __all__ = [
     "hypothesis_test",
     "asymptotic_targets",
 ]
-
-GRAM_KINDS = ("summed", "averaged")
 
 
 class SubjectRow(NamedTuple):

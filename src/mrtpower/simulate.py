@@ -63,20 +63,19 @@ Lagged quantities at times before the study start contribute zero.
 """
 
 import dataclasses
-import hashlib
-import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .design import (
+    GRAM_KINDS,
     AvailabilityPattern,
     EffectPath,
     TrialDesign,
+    _canonical_digest,
     _choice,
     _flag,
     _freeze,
@@ -89,7 +88,7 @@ from .design import (
     build_quadratic_features,
     elicit_quadratic_effect,
 )
-from .estimator import GRAM_KINDS, Dataset, SubjectRow, hypothesis_test
+from .estimator import Dataset, SubjectRow, hypothesis_test
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -411,9 +410,7 @@ def _treatment_feedback(model, u_avail, action, eps):
     np.divide(prob, lags, out=prob)
     np.clip(prob, -1.0, 1.0, out=prob)
     np.multiply(prob, (tau_path * model.eta2)[:, None], out=prob)
-    table = tau_path[:, None] + (tau_path * model.eta1)[:, None] * (
-        np.arange(lags + 1.0) - model.c_mean[:, None]
-    )
+    table = _feedback_table(model)
     recent = np.zeros((lags, n), dtype=bool)  # A I at the last L times, in turn
     c_path = np.empty((T, n), dtype=np.int8)
     avail = np.empty((n, T), dtype=np.int8)
@@ -424,11 +421,23 @@ def _treatment_feedback(model, u_avail, action, eps):
         np.less(u, p, out=i)
         np.logical_and(i, a, out=recent[t % lags])
     if not (prob.min() >= 0.0 and prob.max() <= 1.0):
-        raise ConfigError(
-            "availability probability left [0, 1]; the feedback "
-            "parameterization (eta1, eta2) is too strong for this tau"
-        )
+        raise ConfigError(_FEEDBACK_RANGE_ERROR)
     return avail, c_path.T
+
+
+def _feedback_table(model):
+    """(T, L + 1) count term of the treatment-feedback availability mean:
+    tau_t + (tau_t eta1) (c - c_mean_t) for c = 0 .. L."""
+    tau_path = model.tau_path
+    return tau_path[:, None] + (tau_path * model.eta1)[:, None] * (
+        np.arange(FEEDBACK_LAGS + 1.0) - model.c_mean[:, None]
+    )
+
+
+_FEEDBACK_RANGE_ERROR = (
+    "availability probability left [0, 1]; the feedback "
+    "parameterization (eta1, eta2) is too strong for this tau"
+)
 
 
 def _engine_rows(T):
@@ -632,6 +641,12 @@ class GenerativeModel:
             raise ConfigError("availability pattern length does not match the design")
         if self.c_mean is not None:
             object.__setattr__(self, "c_mean", _freeze(self.c_mean))
+            if self.scenario == "treatment-feedback":
+                # checked once here, so the engine needs no errstate of its own
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(_feedback_table(self)).all()
+                if not finite:
+                    raise ConfigError(_FEEDBACK_RANGE_ERROR)
         if self.c_mean_avail is not None:
             object.__setattr__(self, "c_mean_avail", _freeze(self.c_mean_avail))
 
@@ -749,7 +764,9 @@ class GenerativeModel:
         :func:`calibrate_sigma_star` to fill E[C_t | I_t = 1] and sigma*
         before generating subjects.  The centering argument behind
         E[I_t] = tau_t needs symmetric noise, so the skewed family is
-        rejected here.
+        rejected here.  So is an ``eta1`` so large that the availability
+        mean's count term (tau_t eta1) (c - E[C_t]) overflows: the model
+        raises :class:`ConfigError` when it is built.
         """
         if errors.family == "iid-exp-centered":
             raise ConfigError(
@@ -1096,10 +1113,11 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
     return _canonical_digest(payload)
 
 
-def _canonical_digest(payload):
-    """sha256 hex digest of ``payload`` as sorted, compact, UTF-8 JSON."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+def _process_pool(workers):
+    """A pool of ``workers`` processes; a 1-worker run never loads ``concurrent.futures``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", threads=None,
@@ -1137,7 +1155,7 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     if threads == 1:
         parts = list(map(_replicate_outcomes, batches))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _process_pool(threads) as pool:
             parts = list(pool.map(_replicate_outcomes, batches))
     outcomes = np.concatenate(parts)
 

@@ -869,6 +869,17 @@ class TestSimulate:
             payload = json.loads(res.stdout)
             assert payload["requested"] == 4
 
+    def test_overflowing_treatment_feedback_is_one_error_line(self, runner, tmp_path):
+        scenario = {"name": "treatment-feedback", "eta1": 1e308, "eta2": 0.1,
+                    "gamma1": 0.1, "gamma2": 0.1, "calibration_reps": 400}
+        doc = tiny_sim_config(scenario=scenario, reps=4)
+        res = runner.invoke(main, ["simulate", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr == (
+            "error: availability probability left [0, 1]; the feedback "
+            "parameterization (eta1, eta2) is too strong for this tau\n"
+        )
+
     def test_nonquadratic_scenario_uses_shaped_effect(self, runner, tmp_path):
         doc = tiny_sim_config(
             scenario={"name": "nonquadratic-effect"},

@@ -304,6 +304,22 @@ class TestGenerativeModel:
                 eta1=-0.1, eta2=-0.1, gamma1=-0.5, gamma2=-0.2,
             )
 
+    def test_overflowing_feedback_table_is_refused_when_built(self, design, tau_half, effect_10):
+        # (tau_t eta1) (c - E[C_t]) overflows at eta1 = 1e308: refused with
+        # the engine's message, without a numpy warning, by the constructor
+        # (so also by dataclasses.replace and by unpickling)
+        kw = dict(eta1=0.1, eta2=0.1, gamma1=0.1, gamma2=0.1)
+        message = "availability probability left"
+        with pytest.raises(ConfigError, match=message):
+            GenerativeModel.treatment_feedback(
+                design, effect_10, tau_half, ErrorProcess("iid-normal"), **{**kw, "eta1": 1e308}
+            )
+        m = GenerativeModel.treatment_feedback(
+            design, effect_10, tau_half, ErrorProcess("iid-normal"), **kw
+        )
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(m, eta1=1e308)
+
     def test_uncalibrated_model_cannot_generate(self, design, tau_half, effect_10):
         m = GenerativeModel.treatment_feedback(
             design, effect_10, tau_half, ErrorProcess("iid-normal"),
@@ -684,7 +700,7 @@ class TestMonteCarlo:
 
         m = tiny_null_model(tiny_design)
         alone = monte_carlo(m, 10, 3, 0.05, seed=7).to_dict()
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulate, "_process_pool", SerialPool)
         assert monte_carlo(m, 10, 3, 0.05, seed=7, threads=64).to_dict() == alone
         assert started == [3]
 
