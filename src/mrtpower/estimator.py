@@ -9,7 +9,8 @@ fit by pooled least squares over all subjects and available times.  The test
 of H0: beta(t) = 0 uses the statistic N * beta_hat' Sigma_hat^{-1} beta_hat
 with a sandwich variance estimate and a scaled-F (Hotelling) critical value.
 The N subjects' data arrive as one :class:`Dataset` of (N, T) arrays, which
-is validated once, when it is built.
+is validated once, when it is built; the Monte Carlo engine hands the same
+test path its own arrays, which it builds valid.
 
 Variance estimation supports the small-sample hat-matrix adjustment with two
 Gram conventions for the per-subject hat matrix H_i = X_i A^{-1} X_i':
@@ -22,6 +23,11 @@ Gram conventions for the per-subject hat matrix H_i = X_i A^{-1} X_i':
 
 Both apply (I - H_i)^{-1} through the Woodbury identity, using only
 (q+p)-dimensional solves.
+
+Two layouts of the same values fix the output bits: the design tensor X
+(N, T, q+p) feeds BLAS (the fit) and the n-major einsums for G and m, and a
+subject-innermost copy of it, a block of subjects at a time, feeds the
+per-subject Grams K_i (see ``_stack`` and ``_subject_grams``).
 
 Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
@@ -96,11 +102,7 @@ class Dataset:
             raise ConfigError("action indicators must be 0 or 1")
         if not ((prob > 0.0) & (prob < 1.0)).all():
             raise ConfigError("randomization probabilities must lie in (0, 1)")
-        on = avail == 1
-        if not np.isfinite(outcome[on]).all():
-            raise ConfigError(
-                "missing or non-finite outcome at an available decision time"
-            )
+        _require_finite_outcome(avail, outcome)
         object.__setattr__(self, "avail", _freeze(avail, np.int8))
         object.__setattr__(self, "action", _freeze(action, np.int8))
         object.__setattr__(self, "prob", _freeze(prob))
@@ -115,6 +117,13 @@ class Dataset:
 
     def __iter__(self):
         return map(SubjectRow, self.avail, self.action, self.prob, self.outcome)
+
+
+def _require_finite_outcome(avail, outcome):
+    if not np.isfinite(np.where(avail == 1, outcome, 0.0)).all():
+        raise ConfigError(
+            "missing or non-finite outcome at an available decision time"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +185,7 @@ class TestResult:
         }
 
 
-def _stack(dataset, features):
+def _stack(avail, action, prob, features):
     """Float availability (N, T) and the per-subject design tensor X (N, T, q+p).
 
     Rows of X at unavailable times are identically zero.  The public
@@ -186,13 +195,15 @@ def _stack(dataset, features):
     X is one C-contiguous float64 array, filled a column at a time with one
     multiply per element: ``X[n, t, i] = avail[n, t] * B[t, i]`` and
     ``X[n, t, q + j] = centered[n, t] * Z[t, j]``.  That layout fixes the
-    output bits: the einsums over X sum in t order, and BLAS reads X as one
-    (N*T, q+p) matrix, so another layout may change how they sum.
+    output bits of the fit, G and m: BLAS reads X as one (N*T, q+p) matrix,
+    and the n-major einsums over X sum in t order, so another layout may
+    change how they sum.  K is summed over a copy of X's values in another
+    layout (see :func:`_subject_grams`).
     """
-    if dataset.avail.shape[1] != features.T:
+    if avail.shape[1] != features.T:
         raise ConfigError("subject length does not match the feature paths")
-    avail = dataset.avail.astype(np.float64)
-    centered = avail * (dataset.action - dataset.prob)
+    avail = avail.astype(np.float64)
+    centered = avail * (action - prob)
     q = features.q
     X = np.empty(avail.shape + (q + features.p,))
     for i in range(q):
@@ -202,9 +213,37 @@ def _stack(dataset, features):
     return avail, X
 
 
+# Subjects per block of :func:`_subject_grams`: about 0.6 MB at T = 210, so
+# the block never grows to a second full-size copy of a large X.  Moves no bit.
+_GRAM_BLOCK = 64
+
+
+def _subject_grams(X):
+    """K_i = X_i'X_i of every subject, as a C-contiguous (N, q+p, q+p) array.
+
+    X's values are copied, ``_GRAM_BLOCK`` subjects at a time, into a
+    subject-innermost (q+p, T, nb) block.  On that block einsum steps along
+    the subjects and adds over t in order, t = 0 first, which is how the
+    n-major ``"nti,ntj->nij"`` sums X_i: the same bits, with the einsum in
+    about a fifth of the time.  The buffer is one subject wider than the
+    subjects it holds, up to the block size: a lone subject in a
+    (q+p, T, 1) block would leave t as the contiguous axis, which einsum
+    sums in another order.
+    """
+    n, T, k = X.shape
+    K = np.empty((n, k, k))
+    buffer = np.empty((k, T, min(_GRAM_BLOCK, n + 1)))
+    for start in range(0, n, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, n)
+        block = buffer[:, :, :stop - start]
+        np.copyto(block, X[start:stop].transpose(2, 1, 0))
+        K[start:stop] = np.einsum("itn,jtn->nij", block, block)
+    return K
+
+
 def fit_working_model(dataset, features):
     """Pooled least squares for (alpha, beta) over all available rows."""
-    avail, X = _stack(dataset, features)
+    avail, X = _stack(dataset.avail, dataset.action, dataset.prob, features)
     return _fit(avail, X, dataset.outcome, features.q)
 
 
@@ -239,7 +278,7 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     lower-right block of the inverse of the averaged design Gram.  ``gram``
     selects the Gram convention for H (see module docstring).
     """
-    avail, X = _stack(dataset, features)
+    avail, X = _stack(dataset.avail, dataset.action, dataset.prob, features)
     return _sandwich(avail, X, dataset.prob, fit, features, adjusted, gram)
 
 
@@ -266,7 +305,7 @@ def _sandwich(avail, X, prob, fit, features, adjusted, gram):
         A = G if gram == "summed" else G / n
         d, w, v = _equilibrated_eigh(G / n, "averaged design Gram")
         q_inv = _inv_eigh(d, w, v)[q:, q:]
-        K = np.einsum("nti,ntj->nij", X, X)
+        K = _subject_grams(X)
         if gram == "averaged":
             # I - H_i has eigenvalues 1 and 1 - eig(A^{-1} K_i), the latter
             # those of R'K_iR with R R' = A^{-1} (d, w, v decompose A here)
@@ -300,17 +339,28 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
     outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, raises
     :class:`ConfigError`.
     """
+    return _test(dataset.avail, dataset.action, dataset.prob, dataset.outcome,
+                 features, alpha0, adjusted, gram)
+
+
+def _test(avail, action, prob, outcome, features, alpha0, adjusted, gram):
+    """:func:`hypothesis_test` on the (N, T) arrays of a dataset.
+
+    The Monte Carlo engine calls it on its own output, which meets every
+    :class:`Dataset` check by construction except the finite outcome, and
+    which it checks itself.
+    """
     alpha0 = _level(alpha0)
     p = features.p
     q = features.q
-    n = len(dataset)
+    n = avail.shape[0]
     if n <= p + q:
         raise ConfigError(
             f"hypothesis test needs more than p + q = {p + q} subjects, got {n}"
         )
-    avail, X = _stack(dataset, features)
-    fit = _fit(avail, X, dataset.outcome, q)
-    sigma = _sandwich(avail, X, dataset.prob, fit, features, adjusted, gram)
+    avail, X = _stack(avail, action, prob, features)
+    fit = _fit(avail, X, outcome, q)
+    sigma = _sandwich(avail, X, prob, fit, features, adjusted, gram)
     try:
         stat = float(n) * float(fit.beta_hat @ _solve_sym(sigma, fit.beta_hat, "variance"))
     except NumericError as exc:

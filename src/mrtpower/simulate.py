@@ -88,7 +88,7 @@ from .design import (
     build_quadratic_features,
     elicit_quadratic_effect,
 )
-from .estimator import Dataset, SubjectRow, hypothesis_test
+from .estimator import Dataset, SubjectRow, _require_finite_outcome, _test
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -649,6 +649,17 @@ class GenerativeModel:
                     raise ConfigError(_FEEDBACK_RANGE_ERROR)
         if self.c_mean_avail is not None:
             object.__setattr__(self, "c_mean_avail", _freeze(self.c_mean_avail))
+        if self.scenario == "availability-feedback":
+            # each of the L lagged terms A I - rho tau of s_t lies in
+            # [-rho tau, 1 - rho tau]; the margin covers the rounding of s_t
+            # and of the bound, so eta s_t in the engine never overflows
+            center = self.rho * self.tau_path
+            bound = FEEDBACK_LAGS * float(np.maximum(center, 1.0 - center).max())
+            if not math.isfinite(abs(self.eta) * bound * (1.0 + 1e-9)):
+                raise ConfigError(
+                    f"eta = {self.eta!r} is too strong: the availability-feedback "
+                    f"term eta * s overflows (|s| can reach {bound:.6g} in this design)"
+                )
 
     __eq__ = _value_eq
     __hash__ = None
@@ -909,12 +920,13 @@ def generate_subject(model, rng):
 def generate_dataset(model, n, *, seed, replicate=0):
     """n subjects drawn from per-subject streams keyed by (seed, replicate)."""
     n = _integer(n, "n", 1, _MAX_SUBJECTS)
-    (dataset,) = _replicate_datasets(model, n, seed, [replicate])
-    return dataset
+    return Dataset(*next(_replicate_arrays(model, n, seed, [replicate])))
 
 
-def _replicate_datasets(model, n, seed, replicates):
-    """Yield the n-subject datasets of ``replicates``, in order.
+def _replicate_arrays(model, n, seed, replicates):
+    """Yield the (avail, action, prob, outcome) (n, T) arrays of each of
+    ``replicates``, in order: read-only, and not checked as a
+    :class:`Dataset` checks them.
 
     Replicates are generated B = max(1, :func:`_engine_rows` // n) at a
     time, one engine call per block with the block's subjects stacked as
@@ -928,12 +940,10 @@ def _replicate_datasets(model, n, seed, replicates):
         units = [(rep, range(n)) for rep in replicates[start:start + block]]
         avail, action, outcome = _generate(model, _unit_streams(seed, units))
         for arr in (avail, action, outcome):
-            arr.setflags(write=False)  # each Dataset keeps its rows as views
+            arr.setflags(write=False)  # a Dataset keeps its rows as views
         for i in range(0, avail.shape[0], n):
             rows = slice(i, i + n)
-            yield Dataset(
-                avail=avail[rows], action=action[rows], prob=prob, outcome=outcome[rows]
-            )
+            yield avail[rows], action[rows], prob, outcome[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1070,17 +1080,22 @@ def _wilson_interval(successes, trials):
 def _replicate_outcomes(args):
     """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure.
 
-    The datasets come from :func:`_replicate_datasets`, whose block size
+    The datasets come from :func:`_replicate_arrays`, whose block size
     depends on n alone, so the outcomes do not depend on how replicates are
-    split among workers.
+    split among workers.  The engine's arrays go to the test as they are;
+    they meet every :class:`Dataset` check by construction except a finite
+    outcome, which is checked here, with the same error.  A :class:`Dataset`
+    is built only for ``each_dataset``.
     """
     model, features, n, alpha0, adjusted, gram, seed, each_dataset, indices = args
     out = []
-    for replicate, dataset in zip(indices, _replicate_datasets(model, n, seed, indices)):
+    for replicate, arrays in zip(indices, _replicate_arrays(model, n, seed, indices)):
+        avail, _, _, outcome = arrays
+        _require_finite_outcome(avail, outcome)
         if each_dataset is not None:
-            each_dataset(replicate, dataset)
+            each_dataset(replicate, Dataset(*arrays))
         try:
-            result = hypothesis_test(dataset, features, alpha0, adjusted=adjusted, gram=gram)
+            result = _test(*arrays, features, alpha0, adjusted, gram)
         except NumericError:
             out.append(-1)
         else:

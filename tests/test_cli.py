@@ -880,6 +880,15 @@ class TestSimulate:
             "parameterization (eta1, eta2) is too strong for this tau\n"
         )
 
+    def test_overflowing_availability_feedback_is_one_error_line(self, runner, tmp_path):
+        doc = tiny_sim_config(scenario={"name": "availability-feedback", "eta": 1e308}, reps=4)
+        res = runner.invoke(main, ["simulate", write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr == (
+            "error: eta = 1e+308 is too strong: the availability-feedback term "
+            "eta * s overflows (|s| can reach 3.8 in this design)\n"
+        )
+
     def test_nonquadratic_scenario_uses_shaped_effect(self, runner, tmp_path):
         doc = tiny_sim_config(
             scenario={"name": "nonquadratic-effect"},

@@ -85,8 +85,8 @@ def working_model():
 
 
 def _replicate_pass(model):
-    for dataset in simulate._replicate_datasets(model, 145, 1, range(3)):
-        assert np.shares_memory(dataset.prob, model.rho)
+    for _, _, prob, _ in simulate._replicate_arrays(model, 145, 1, range(3)):
+        assert np.shares_memory(prob, model.rho)
 
 
 def test_replicate_datasets_share_rho(working_model):

@@ -320,6 +320,23 @@ class TestGenerativeModel:
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(m, eta1=1e308)
 
+    def test_overflowing_availability_feedback_is_refused_when_built(self, design, tau_half,
+                                                                     effect_10):
+        # |s_t| <= 5 max(rho tau, 1 - rho tau) = 4 here, so eta = 1e308
+        # would overflow eta * s_t in the engine: refused by the constructor
+        # (so also by dataclasses.replace and by unpickling), naming eta
+        errors = ErrorProcess("iid-normal")
+        with pytest.raises(ConfigError, match=r"eta = 1e\+308 is too strong"):
+            GenerativeModel.availability_feedback(design, effect_10, tau_half, errors, eta=1e308)
+        m = GenerativeModel.availability_feedback(design, effect_10, tau_half, errors, eta=0.1)
+        with pytest.raises(ConfigError, match=r"eta = -1e\+308 is too strong"):
+            dataclasses.replace(m, eta=-1e308)
+        # just inside the bound the model builds, and generates without a
+        # numpy warning (pytest turns a RuntimeWarning into an error)
+        strong = dataclasses.replace(m, eta=-4.4e307)
+        data = generate_dataset(strong, 20, seed=3)
+        assert np.isin(data.avail, (0, 1)).all()
+
     def test_uncalibrated_model_cannot_generate(self, design, tau_half, effect_10):
         m = GenerativeModel.treatment_feedback(
             design, effect_10, tau_half, ErrorProcess("iid-normal"),

@@ -119,12 +119,12 @@ def test_one_stream_gives_consecutive_subjects(scenario, family):
 def test_replicate_block_equals_separate_datasets(scenario, family):
     model = _model(scenario, family)
     replicates = [0, 1, 2, 7]
-    block = list(simulate._replicate_datasets(model, N_SUBJECTS, SEED, replicates))
+    block = list(simulate._replicate_arrays(model, N_SUBJECTS, SEED, replicates))
     assert len(block) == len(replicates)
-    for data, rep in zip(block, replicates):
+    for arrays, rep in zip(block, replicates):
         alone = generate_dataset(model, N_SUBJECTS, seed=SEED, replicate=rep)
-        for name in ("avail", "action", "prob", "outcome"):
-            _same_bytes(getattr(data, name), getattr(alone, name))
+        for got, name in zip(arrays, ("avail", "action", "prob", "outcome")):
+            _same_bytes(got, getattr(alone, name))
 
 
 def test_report_is_worker_invariant_for_partial_blocks():
@@ -162,8 +162,8 @@ def _block_outputs(scenario, family):
     out = [json.dumps(monte_carlo(model, 10, 9, 0.05, seed=SEED).to_dict())]
     if model.sigma_star is not None:
         out += [model.c_mean_avail.tobytes(), repr(model.sigma_star)]
-    for data in simulate._replicate_datasets(model, N_SUBJECTS, SEED, [0, 1, 2, 7]):
-        out += [getattr(data, name).tobytes() for name in ("avail", "action", "outcome")]
+    for avail, action, _, outcome in simulate._replicate_arrays(model, N_SUBJECTS, SEED, [0, 1, 2, 7]):
+        out += [avail.tobytes(), action.tobytes(), outcome.tobytes()]
     return out
 
 
