@@ -25,7 +25,10 @@ time, decimals serialized with 17 significant digits, and the outcome field
 literally empty when avail=0.
 """
 
+import codecs
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -312,7 +315,8 @@ def _instantiate_model(spec, design, effect, tau, errors, *, seed):
 # ---------------------------------------------------------------------
 
 
-_READ_CHUNK = 4096  # lines per columnar pass: bounds the reader's and writer's temporaries
+_READ_CHUNK = 4096  # lines: the reader holds one chunk of lines, the writer about one of rows
+_READ_BLOCK = 1 << 16  # bytes per read of a dataset file, decoded a block at a time
 
 
 def write_dataset(dataset, path):
@@ -360,35 +364,32 @@ def read_dataset(path):
     are read by ``int`` and ``float``, so exactly what they accept is
     accepted.
 
-    A valid file laid out as ``write_dataset`` lays it out (subject and t
-    texts ``str(i)`` and ``"1"``..``str(T)``, where T is the number of
-    leading lines that start with ``"0,"``) is parsed column by column,
-    ``_READ_CHUNK`` lines at a time.  Every other file is parsed line by
-    line, in file order, by :func:`_read_lines`.
+    The file is streamed: a first pass decodes it and counts its lines, so
+    an undecodable byte is reported before any bad line.  A valid file laid
+    out as ``write_dataset`` lays it out (subject and t texts ``str(i)`` and
+    ``"1"``..``str(T)``) is then parsed column by column, ``_READ_CHUNK``
+    lines at a time; any other file is read again from line 1 and parsed
+    line by line, in file order, by :func:`_read_lines`.  So the reader
+    holds the columns, one block and one chunk of lines, never the whole
+    text or a list of all its lines.
     """
-    try:
-        # universal newlines: \n, \r\n and \r end a line, and nothing else
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read dataset: {exc}") from None
-    if lines[-1] == "":
-        lines.pop()  # the final line's newline, or an empty file
-    if not lines or lines[0] != DATASET_HEADER:
-        raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
-    n_rows = len(lines) - 1
-    if n_rows == 0:
-        raise ConfigError("dataset has no data rows")
-
-    T = sum(1 for _ in itertools.takewhile(
-        operator.methodcaller("startswith", "0,"), itertools.islice(lines, 1, None)))
-    columns = _Columns(n_rows, T)
-    if T and n_rows % T == 0 and all(
-            columns.parse(start, lines[start + 1:start + 1 + _READ_CHUNK])
-            for start in range(0, n_rows, _READ_CHUNK)):
-        shape = n_rows // T, T
+    n_rows, end = -1, "\n"  # lines after the header; the text's last character
+    for text in _text_blocks(path):
+        n_rows += text.count("\n")
+        end = text[-1:] or end
+    n_rows += end != "\n"  # a last line with no newline
+    with contextlib.closing(_line_chunks(path)) as chunks:
+        if next(chunks, None) != [DATASET_HEADER]:
+            raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
+        if n_rows == 0:
+            raise ConfigError("dataset has no data rows")
+        columns = _Columns(n_rows)
+        columnar = all(map(columns.parse, chunks)) and n_rows % columns.T == 0
+    if columnar:
+        shape = n_rows // columns.T, columns.T
     else:
-        shape = _read_lines(lines, columns)
+        with contextlib.closing(_line_chunks(path)) as chunks:
+            shape = _read_lines(itertools.chain.from_iterable(chunks), columns)
     from .estimator import Dataset
 
     arrays = [getattr(columns, name) for name in ("avail", "action", "prob", "outcome")]
@@ -397,21 +398,68 @@ def read_dataset(path):
     return Dataset(*(arr.reshape(shape) for arr in arrays))
 
 
+def _text_blocks(path):
+    """The file's text, ``_READ_BLOCK`` bytes at a time, decoded as a text-mode
+    ``open`` decodes it, with universal newlines: LF, CR LF and CR end a line."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    try:
+        with open(path, "rb") as fh:
+            while True:
+                block = fh.read(_READ_BLOCK)
+                try:
+                    yield decoder.decode(block, final=not block)
+                except UnicodeDecodeError:
+                    # decode the whole file, on this error path only, so that the
+                    # error names the byte's position in the file, not in the block
+                    fh.seek(0)
+                    fh.read().decode("utf-8")
+                    raise
+                if not block:
+                    return
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset: {exc}") from None
+
+
+def _line_chunks(path):
+    """The file's first line as a list, then its other lines, ``_READ_CHUNK`` a list."""
+    lines, tail, size = [], [], 1  # tail: the pieces of the line read so far
+    for text in _text_blocks(path):
+        first, *rest = text.split("\n")
+        tail.append(first)
+        if rest:  # joined once, however many blocks a long line spans
+            lines += ["".join(tail), *rest[:-1]]
+            tail = rest[-1:]
+        while len(lines) >= size:
+            yield lines[:size]
+            del lines[:size]
+            size = _READ_CHUNK
+    lines += filter(None, ["".join(tail)])  # a last line with no newline
+    if lines:
+        yield lines
+
+
 class _Columns:
     """Preallocated (R,) columns of a dataset CSV body of ``T``-row blocks."""
 
-    def __init__(self, n_rows, T):
-        self.T = T
+    def __init__(self, n_rows):
+        self.T = 0  # leading rows that start with "0,": final once a row does not
         self.avail = np.empty(n_rows, dtype=np.int8)
         self.action = np.empty(n_rows, dtype=np.int8)
         self.prob = np.empty(n_rows)
         self.outcome = np.full(n_rows, np.nan)
         self.prob_memo = {}  # prob text -> value, NaN if it fails its checks
+        self.filled = 0  # rows parsed so far
 
-    def parse(self, start, chunk):
-        """Fill rows ``start:start + len(chunk)``; False unless every line passes
+    def parse(self, chunk):
+        """Fill the next ``len(chunk)`` rows; False unless every line passes
         its field checks and the subject and t texts are the layout's."""
-        size = len(chunk)
+        start, size = self.filled, len(chunk)
+        self.filled += size
+        if self.T == start:  # subject 0's block so far; the layout is the same for any longer T
+            self.T += sum(1 for _ in itertools.takewhile(
+                operator.methodcaller("startswith", "0,"), chunk))
+        if not self.T:
+            return False
         rows = slice(start, start + size)
         if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
             return False
@@ -544,7 +592,7 @@ def _read_lines(lines, columns):
                 f"line {line_no}: expected decision time {blocks[-1]} for "
                 f"subject {subject}, got {t}"
             )
-    _check_block_length(blocks, len(lines))
+    _check_block_length(blocks, line_no)
     return len(blocks), blocks[0]
 
 
@@ -629,9 +677,8 @@ def size_command(config_file, grid):
     effect_axis = avail_axis = None
     if grid_sec is not None:
         effect_axis = grid_sec.number_list("effect_averages")
-        avail_axis = grid_sec.number_list(
-            "availability_averages", low=0.0, high=1.0, open_low=True
-        )
+        avail_axis = grid_sec.number_list("availability_averages", low=0.0, high=1.0,
+                                          open_low=True)
         grid_sec.finish()
     cfg.finish()
     digest = _digest("size", raw, {"grid": bool(grid)})
@@ -643,58 +690,32 @@ def size_command(config_file, grid):
                 "no solution: null effect (a zero average standardized effect "
                 "can never reach the power target)"
             )
-        return solve_sample_size(
-            SizingInputs(
-                design=design,
-                features=features,
-                tau=_build_availability(avail_params, design, avail_average),
-                effect=_build_effect(effect_params, design, effect_average),
-                alpha0=alpha0,
-                power_target=target,
-            )
-        )
+        return solve_sample_size(SizingInputs(
+            design=design, features=features,
+            tau=_build_availability(avail_params, design, avail_average),
+            effect=_build_effect(effect_params, design, effect_average),
+            alpha0=alpha0, power_target=target))
 
     if grid:
         if effect_axis is None:
-            raise ConfigError(
-                "--grid requires a 'grid' block with effect_averages and "
-                "availability_averages"
-            )
-        results = [
-            [solve(effect_average=d, avail_average=a) for a in avail_axis]
-            for d in effect_axis
-        ]
-        click.echo(
-            _render_table(
-                "effect avg \\ avail avg",
-                avail_axis,
-                effect_axis,
-                [[r.n for r in row] for row in results],
-            ),
-            err=True,
-        )
-        _emit(
-            {
-                "alpha0": alpha0,
-                "power_target": target,
-                "effect_averages": effect_axis,
-                "availability_averages": avail_axis,
-                "n": [[r.n for r in row] for row in results],
-                "achieved_power": [[r.achieved_power for r in row] for row in results],
-                "power_at_n_minus_1": [
-                    [r.power_at_n_minus_1 for r in row] for row in results
-                ],
-                "config_digest": digest,
-            }
-        )
+            raise ConfigError("--grid requires a 'grid' block with effect_averages and "
+                              "availability_averages")
+        results = [[solve(effect_average=d, avail_average=a) for a in avail_axis]
+                   for d in effect_axis]
+        sizes = [[r.n for r in row] for row in results]
+        click.echo(_render_table("effect avg \\ avail avg", avail_axis, effect_axis, sizes),
+                   err=True)
+        _emit({
+            "alpha0": alpha0, "power_target": target,
+            "effect_averages": effect_axis, "availability_averages": avail_axis, "n": sizes,
+            "achieved_power": [[r.achieved_power for r in row] for row in results],
+            "power_at_n_minus_1": [[r.power_at_n_minus_1 for r in row] for row in results],
+            "config_digest": digest,
+        })
     else:
         result = solve()
-        click.echo(
-            f"minimal sample size n = {result.n} "
-            f"(power {result.achieved_power:.4f}; at n-1: "
-            f"{result.power_at_n_minus_1:.4f})",
-            err=True,
-        )
+        click.echo(f"minimal sample size n = {result.n} (power {result.achieved_power:.4f}; "
+                   f"at n-1: {result.power_at_n_minus_1:.4f})", err=True)
         payload = result.to_dict()
         payload["config_digest"] = digest
         _emit(payload)
@@ -739,25 +760,19 @@ def power_command(config_file, mc, reps, seed, threads):
         "analytic_power": value,
         "power_target": target,
         "target_reached": reached,
-        "config_digest": _digest(
-            "power", raw, {"mc": mc, "reps": reps if mc else None,
-                           "seed": seed if mc else None}
-        ),
+        "config_digest": _digest("power", raw, {"mc": mc, "reps": reps if mc else None,
+                                                "seed": seed if mc else None}),
     }
     if mc:
         from .simulate import monte_carlo
 
         model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
-        report = monte_carlo(
-            model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads
-        )
+        report = monte_carlo(model, n, reps, alpha0, adjusted, seed=seed, gram=gram,
+                             threads=threads)
         payload["monte_carlo"] = report.to_dict()
-        click.echo(
-            f"analytic power {value:.4f} ({verdict}); simulated rate {report.rate:.4f} "
-            f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}, "
-            f"{report.replicates}/{report.requested} replicates)",
-            err=True,
-        )
+        click.echo(f"analytic power {value:.4f} ({verdict}); simulated rate {report.rate:.4f} "
+                   f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}, "
+                   f"{report.replicates}/{report.requested} replicates)", err=True)
     else:
         click.echo(f"analytic power at n = {n}: {value:.4f} ({verdict})", err=True)
     _emit(payload)
@@ -778,16 +793,11 @@ def analyze_command(dataset_file, config_file):
 
     from .estimator import hypothesis_test
 
-    dataset = read_dataset(dataset_file)
-    result = hypothesis_test(
-        dataset, build_quadratic_features(design), alpha0, adjusted, gram=gram
-    )
-    click.echo(
-        f"n = {result.n}; statistic {result.statistic:.6g} vs critical "
-        f"{result.critical_value:.6g}; p = {result.p_value:.4g}; "
-        f"reject = {result.reject}",
-        err=True,
-    )
+    result = hypothesis_test(read_dataset(dataset_file), build_quadratic_features(design),
+                             alpha0, adjusted, gram=gram)
+    click.echo(f"n = {result.n}; statistic {result.statistic:.6g} vs critical "
+               f"{result.critical_value:.6g}; p = {result.p_value:.4g}; "
+               f"reject = {result.reject}", err=True)
     payload = result.to_dict()
     payload["config_digest"] = _digest("analyze", raw, {})
     _emit(payload)
@@ -819,24 +829,15 @@ PAPER_TABLES = tuple(_PAPER_TABLES)
 
 def _run_paper_table(name, reps, seed, adjusted, gram, *, threads):
     if name not in _PAPER_TABLES:
-        raise ConfigError(
-            f"unknown table id {name!r}; expected one of {', '.join(PAPER_TABLES)}"
-        )
+        raise ConfigError(f"unknown table id {name!r}; expected one of {', '.join(PAPER_TABLES)}")
     from .simulate import ErrorProcess, GenerativeModel, monte_carlo
 
     row_label, row_values, col_label, col_values, model = _PAPER_TABLES[name]
     design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
     errors = ErrorProcess("iid-normal")
-    reports = [
-        [
-            monte_carlo(
-                model(GenerativeModel, design, errors, row, col), 42, reps, 0.05, adjusted,
-                seed=seed, gram=gram, threads=threads,
-            )
-            for col in col_values
-        ]
-        for row in row_values
-    ]
+    reports = [[monte_carlo(model(GenerativeModel, design, errors, row, col), 42, reps, 0.05,
+                            adjusted, seed=seed, gram=gram, threads=threads)
+                 for col in col_values] for row in row_values]
     payload = {
         "table": name,
         "n": 42,
@@ -849,16 +850,10 @@ def _run_paper_table(name, reps, seed, adjusted, gram, *, threads):
         "col_values": list(col_values),
         "rates": [[r.rate for r in row] for row in reports],
         "reports": [[r.to_dict() for r in row] for row in reports],
-        "config_digest": _digest(
-            "simulate", {"paper_table": name}, {"reps": reps, "seed": seed}
-        ),
+        "config_digest": _digest("simulate", {"paper_table": name}, {"reps": reps, "seed": seed}),
     }
-    table = _render_table(
-        f"{row_label} \\ {col_label}",
-        col_values,
-        row_values,
-        [[f"{r.rate:.3f}" for r in row] for row in reports],
-    )
+    table = _render_table(f"{row_label} \\ {col_label}", col_values, row_values,
+                          [[f"{r.rate:.3f}" for r in row] for row in reports])
     return payload, table
 
 
@@ -881,8 +876,7 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
     if paper_table is not None:
         if config_file is not None:
             raise ConfigError(
-                "--paper-table presets are self-contained; do not pass a config file"
-            )
+                "--paper-table presets are self-contained; do not pass a config file")
         payload, table = _run_paper_table(
             paper_table, *_monte_carlo_keys(_Section({}), reps, seed), threads=threads)
         click.echo(table, err=True)
@@ -915,19 +909,14 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
         except OSError as exc:
             raise ConfigError(f"cannot create export directory: {exc}") from None
         export = functools.partial(_export_replicate, export_dir, max(4, len(str(reps - 1))))
-    report = monte_carlo(
-        model, n, reps, alpha0, adjusted, seed=seed, gram=gram, threads=threads,
-        each_dataset=export,
-    )
+    report = monte_carlo(model, n, reps, alpha0, adjusted, seed=seed, gram=gram,
+                         threads=threads, each_dataset=export)
     if export_dir is not None:
         click.echo(f"wrote {reps} replicate dataset(s) to {export_dir}", err=True)
-    click.echo(
-        f"rejection rate {report.rate:.4f} "
-        f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}) from "
-        f"{report.replicates}/{report.requested} replicates"
-        + (f"; {report.failures} failed" if report.failures else ""),
-        err=True,
-    )
+    click.echo(f"rejection rate {report.rate:.4f} "
+               f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}) from "
+               f"{report.replicates}/{report.requested} replicates"
+               + (f"; {report.failures} failed" if report.failures else ""), err=True)
     _emit(report.to_dict())
 
 

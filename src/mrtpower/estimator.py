@@ -186,23 +186,24 @@ class TestResult:
 
 
 def _stack(avail, action, prob, features):
-    """Float availability (N, T) and the per-subject design tensor X (N, T, q+p).
+    """The per-subject design tensor X (N, T, q+p) of int8 availability.
 
     Rows of X at unavailable times are identically zero.  The public
     functions each stack for themselves; :func:`hypothesis_test` stacks
-    once and hands the arrays to the private ``_fit`` and ``_sandwich``.
+    once and hands X to the private ``_fit`` and ``_sandwich``, which read
+    the int8 ``avail`` itself: no float copy of it is kept.
 
     X is one C-contiguous float64 array, filled a column at a time with one
     multiply per element: ``X[n, t, i] = avail[n, t] * B[t, i]`` and
-    ``X[n, t, q + j] = centered[n, t] * Z[t, j]``.  That layout fixes the
-    output bits of the fit, G and m: BLAS reads X as one (N*T, q+p) matrix,
-    and the n-major einsums over X sum in t order, so another layout may
-    change how they sum.  K is summed over a copy of X's values in another
-    layout (see :func:`_subject_grams`).
+    ``X[n, t, q + j] = centered[n, t] * Z[t, j]``, where 0/1 times a float
+    is exact, as it was when avail was cast to float first.  That layout
+    fixes the output bits of the fit, G and m: BLAS reads X as one
+    (N*T, q+p) matrix, and the n-major einsums over X sum in t order, so
+    another layout may change how they sum.  K is summed over a copy of X's
+    values in another layout (see :func:`_subject_grams`).
     """
     if avail.shape[1] != features.T:
         raise ConfigError("subject length does not match the feature paths")
-    avail = avail.astype(np.float64)
     centered = avail * (action - prob)
     q = features.q
     X = np.empty(avail.shape + (q + features.p,))
@@ -210,7 +211,7 @@ def _stack(avail, action, prob, features):
         np.multiply(avail, features.B[:, i], out=X[:, :, i])
     for j in range(features.p):
         np.multiply(centered, features.Z[:, j], out=X[:, :, q + j])
-    return avail, X
+    return X
 
 
 # Subjects per block of :func:`_subject_grams`: about 0.6 MB at T = 210, so
@@ -243,14 +244,20 @@ def _subject_grams(X):
 
 def fit_working_model(dataset, features):
     """Pooled least squares for (alpha, beta) over all available rows."""
-    avail, X = _stack(dataset.avail, dataset.action, dataset.prob, features)
-    return _fit(avail, X, dataset.outcome, features.q)
+    X = _stack(dataset.avail, dataset.action, dataset.prob, features)
+    return _fit(dataset.avail, X, dataset.outcome, features.q)
 
 
 def _fit(avail, X, outcome, q):
-    # masked outcomes are selected, never multiplied, so the NaN markers at
-    # unavailable times cannot propagate
-    y = np.where(avail == 1.0, outcome, 0.0)
+    """The pooled fit, with y and the residuals the only (N, T) arrays it makes.
+
+    Masked outcomes are selected, never multiplied, so the NaN markers at
+    unavailable times cannot propagate: y is +0.0 there.  The residuals are
+    formed in the buffer of X @ theta with no mask.  At an unavailable time
+    X's row is all (signed) zeros, so the fitted value is +0.0 or -0.0, and
+    y minus it is +0.0: the value a mask would write.
+    """
+    y = np.where(avail == 1, outcome, 0.0)
     flat = X.reshape(-1, X.shape[2])
     gram = flat.T @ flat
     moment = flat.T @ y.reshape(-1)
@@ -259,7 +266,7 @@ def _fit(avail, X, outcome, q):
     except NumericError as exc:
         raise NumericError(f"singular design: {exc}") from exc
     fitted = X @ theta
-    residuals = np.where(avail == 1.0, y - fitted, 0.0)
+    residuals = np.subtract(y, fitted, out=fitted)
     for arr in (theta, residuals):
         arr.setflags(write=False)  # handed to ModelFit as they are, not copied
     return ModelFit(alpha_hat=theta[:q], beta_hat=theta[q:], residuals=residuals)
@@ -278,8 +285,8 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     lower-right block of the inverse of the averaged design Gram.  ``gram``
     selects the Gram convention for H (see module docstring).
     """
-    avail, X = _stack(dataset.avail, dataset.action, dataset.prob, features)
-    return _sandwich(avail, X, dataset.prob, fit, features, adjusted, gram)
+    X = _stack(dataset.avail, dataset.action, dataset.prob, features)
+    return _sandwich(dataset.avail, X, dataset.prob, fit, features, adjusted, gram)
 
 
 def _sandwich(avail, X, prob, fit, features, adjusted, gram):
@@ -358,7 +365,7 @@ def _test(avail, action, prob, outcome, features, alpha0, adjusted, gram):
         raise ConfigError(
             f"hypothesis test needs more than p + q = {p + q} subjects, got {n}"
         )
-    avail, X = _stack(avail, action, prob, features)
+    X = _stack(avail, action, prob, features)
     fit = _fit(avail, X, outcome, q)
     sigma = _sandwich(avail, X, prob, fit, features, adjusted, gram)
     try:

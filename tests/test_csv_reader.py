@@ -8,8 +8,8 @@ each input both readers either return a ``Dataset`` whose arrays have the
 same dtype, shape and bytes, or raise ``ConfigError`` with the same message
 (which names the first bad line in file order).  Inputs are small random
 datasets written by ``write_dataset`` and then damaged by up to two
-mutations, read with chunk sizes small enough that the chunk boundaries
-fall among the damage.
+mutations, read with chunk and read-block sizes small enough that their
+boundaries fall among the damage.
 """
 
 from unittest import mock
@@ -191,19 +191,23 @@ def csv_dir(tmp_path_factory):
     data=datasets(),
     mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
     chunk=st.sampled_from([1, 2, 3, 5, cli._READ_CHUNK]),
+    block=st.sampled_from([1, 2, 3, 7, cli._READ_BLOCK]),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     trailing=st.booleans(),
     draw=st.data(),
 )
-def test_columnar_reader_matches_oracle(csv_dir, data, mutations, chunk, newline,
+def test_columnar_reader_matches_oracle(csv_dir, data, mutations, chunk, block, newline,
                                         trailing, draw):
+    # blocks of a few bytes end inside fields, between CR and LF, inside the
+    # two bytes of a non-ASCII digit and before a last line with no newline
     path = csv_dir / "d.csv"
     write_dataset(data, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     for mutate in mutations:
         mutate(draw.draw, lines)
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
-    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_READ_CHUNK", chunk), \
+            mock.patch.object(cli, "_READ_BLOCK", block):
         got = read_result(read_dataset, path)
     assert got == read_result(reference_read_dataset, path)
 
@@ -340,3 +344,41 @@ def test_first_block_longer_than_a_chunk_reads_like_the_oracle(csv_dir, column, 
     got, by_lines = _read_by_lines(path)
     assert got == read_result(reference_read_dataset, path)
     assert by_lines == (text != "{v}")
+
+
+def _undecodable(path, lines, offset, damage):
+    """The file of ``lines`` with ``damage`` bytes put in at byte ``offset``."""
+    data = "\n".join(lines).encode("utf-8")
+    path.write_bytes(data[:offset] + damage + data[offset:])
+
+
+@pytest.mark.parametrize("block", [3, 1000, cli._READ_BLOCK])
+@pytest.mark.parametrize("damage,offset,position", [
+    (b"\xff", 9000, "byte 0xff in position 9000: invalid start byte"),
+    (b"\xe2\x28", 9000, "byte 0xe2 in position 9000: invalid continuation byte"),
+    (b"\xe2\x82", None, "bytes in position {end}-{end1}: unexpected end of data"),
+    (b"\xc3", 70000, "byte 0xc3 in position 70000: invalid continuation byte"),
+])
+def test_undecodable_byte_after_the_first_block_reads_like_the_oracle(csv_dir, block, damage,
+                                                                      offset, position):
+    # 5250 lines of about 25 bytes: the damage lies past the first block, at
+    # a position that a whole-file decode names
+    path = csv_dir / "undecodable.csv"
+    lines = _layout_file(path, 25, 210)
+    end = len("\n".join(lines).encode("utf-8"))
+    _undecodable(path, lines, end if offset is None else offset, damage)
+    with mock.patch.object(cli, "_READ_BLOCK", block):
+        got = read_result(read_dataset, path)
+    assert got == read_result(reference_read_dataset, path)
+    assert got == ("error", "cannot read dataset: 'utf-8' codec can't decode "
+                   + position.format(end=end, end1=end + 1))
+
+
+def test_undecodable_byte_is_reported_before_a_bad_line(csv_dir):
+    path = csv_dir / "undecodable.csv"
+    lines = _layout_file(path, 25, 210)
+    lines[0] = "not a header"
+    _undecodable(path, lines, 90000, b"\xff")
+    got = read_result(read_dataset, path)
+    assert got == read_result(reference_read_dataset, path)
+    assert got[1].startswith("cannot read dataset: 'utf-8' codec can't decode byte 0xff")

@@ -17,7 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
-from mrtpower import ConfigError, NumericError
+from mrtpower import ConfigError, NumericError, estimator
 from mrtpower.design import (
     FeaturePaths,
     TrialDesign,
@@ -245,6 +245,32 @@ class TestFit:
         data = simulate_subjects(design, feats, 5, seed=7)
         fit = fit_working_model(data, feats)
         assert np.all(fit.residuals[data.avail == 0] == 0.0)
+
+    def test_residuals_are_positive_zero_at_unavailable_times(self, design, feats, monkeypatch):
+        # action 0 where unavailable: the centred weight 0 * (0 - rho) is -0.0,
+        # so those design rows hold -0.0 entries; outcomes are negative elsewhere
+        rng = np.random.default_rng(3)
+        shape = (30, feats.T)
+        avail = (rng.random(shape) < 0.6).astype(np.int8)
+        action = np.where(avail == 1, rng.random(shape) < 0.4, 0)
+        data = Dataset(avail=avail, action=action, prob=np.full(shape, design.rho),
+                       outcome=np.where(avail == 1, -1.0 - rng.random(shape), np.nan))
+        fits = []
+        real_fit = estimator._fit
+
+        def recording_fit(*args):
+            fits.append(real_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(estimator, "_fit", recording_fit)
+        hypothesis_test(data, feats, 0.05)
+        fits.append(fit_working_model(data, feats))
+        off = data.avail == 0
+        X = estimator._stack(avail, action, data.prob, feats)
+        assert np.signbit(X[off]).any() and not X[off].any()  # signed zeros only
+        for fit in fits:
+            assert np.all(fit.residuals[off] == 0.0)
+            assert not np.signbit(fit.residuals[off]).any()
 
     def test_no_availability_is_singular(self, feats):
         shape = (5, feats.T)

@@ -58,9 +58,8 @@ def cases(draw):
 @given(case=cases())
 def test_design_tensor_layout_and_bits(case):
     dataset, features = case
-    avail, X = _stack(dataset.avail, dataset.action, dataset.prob, features)
+    X = _stack(dataset.avail, dataset.action, dataset.prob, features)
     n, t_len = dataset.avail.shape
     assert X.shape == (n, t_len, features.q + features.p)
     assert X.dtype == np.float64 and X.flags.c_contiguous
     assert X.tobytes() == _formula(dataset, features).tobytes()
-    assert avail.tobytes() == dataset.avail.astype(np.float64).tobytes()

@@ -57,7 +57,7 @@ def cases(draw):
 @given(case=cases())
 def test_block_grams_equal_the_n_major_einsum(case):
     avail, action, prob, features = case
-    _, X = _stack(avail, action, prob, features)
+    X = _stack(avail, action, prob, features)
     K = _subject_grams(X)
     k = features.q + features.p
     assert K.shape == (avail.shape[0], k, k)
@@ -72,5 +72,5 @@ def test_paper_design_grams_equal_the_n_major_einsum(n):
     rng = np.random.default_rng(n)
     avail = (rng.random((n, features.T)) < 0.5).astype(np.int8)
     action = (rng.random((n, features.T)) < 0.4).astype(np.int8)
-    _, X = _stack(avail, action, np.broadcast_to(0.4, avail.shape), features)
+    X = _stack(avail, action, np.broadcast_to(0.4, avail.shape), features)
     assert _subject_grams(X).tobytes() == np.einsum("nti,ntj->nij", X, X).tobytes()
