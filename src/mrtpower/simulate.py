@@ -1128,11 +1128,64 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
     return _canonical_digest(payload)
 
 
-def _process_pool(workers):
-    """A pool of ``workers`` processes; a 1-worker run never loads ``concurrent.futures``."""
-    from concurrent.futures import ProcessPoolExecutor
+def _send_outcomes(send, batch):
+    """A child's work: its batch's outcomes, or the error it raised, sent down ``send``."""
+    try:
+        result = _replicate_outcomes(batch)
+    except Exception as exc:  # the caller re-raises it, as a 1-worker run would
+        result = exc
+    with send:
+        send.send(result)
 
-    return ProcessPoolExecutor(max_workers=workers)
+
+def _forked_outcomes(batches):
+    """The outcomes of each batch: the first in this process, each other in a child.
+
+    Each child gets its batch as its ``Process`` argument, inherited at fork,
+    and sends back its outcome array, or the exception it raised, over a
+    one-way pipe.  The caller runs the first batch while the children run.
+    Each child's send end is closed here before the next child starts, so a
+    child that dies without sending reads as EOF; that raises naming the
+    child's exit code.  On any error every child is terminated, and every
+    child is joined before this returns or raises.  A 1-worker run never
+    calls this, so it never loads ``multiprocessing``.
+    """
+    import multiprocessing
+
+    children = []
+    try:
+        for batch in batches[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            with send:
+                child = multiprocessing.Process(target=_send_outcomes, args=(send, batch))
+                try:
+                    child.start()
+                except BaseException:
+                    receive.close()
+                    raise
+            children.append((child, receive))
+        parts = [_replicate_outcomes(batches[0])]
+        for worker, (child, receive) in enumerate(children, 1):
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"Monte Carlo worker {worker} exited with code {child.exitcode} "
+                    f"without sending its outcomes"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            parts.append(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return parts
 
 
 def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", threads=None,
@@ -1142,9 +1195,12 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     Each replicate generates ``n`` subjects on its own deterministic RNG
     streams and runs the hypothesis test; the report is identical for any
     worker count because per-replicate outcomes depend only on (seed,
-    replicate) and the tally is order-independent.  ``each_dataset(replicate,
-    dataset)``, if given, sees each replicate once, before its test, in the
-    process that generated it; it must pickle when ``threads > 1``, enters
+    replicate) and the tally is order-independent.  Worker w runs replicates
+    w, w + threads, ...: worker 0 is this process, and each other worker is
+    one child process, so a run starts ``threads - 1`` children, at most
+    ``reps - 1``.  ``each_dataset(replicate, dataset)``, if given, sees each
+    replicate once, before its test, in the process that generated it; it
+    must pickle only when children start by a method other than fork, enters
     neither the report nor its digest, and ends the run if it raises.  An
     ``alpha0`` outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, or an
     ``adjusted`` or ``gram`` that :func:`hypothesis_test` refuses, raises
@@ -1167,11 +1223,7 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
 
     batches = [(model, features, n, alpha0, adjusted, gram, seed, each_dataset,
                 range(w, reps, threads)) for w in range(threads)]
-    if threads == 1:
-        parts = list(map(_replicate_outcomes, batches))
-    else:
-        with _process_pool(threads) as pool:
-            parts = list(pool.map(_replicate_outcomes, batches))
+    parts = _forked_outcomes(batches) if threads > 1 else [_replicate_outcomes(batches[0])]
     outcomes = np.concatenate(parts)
 
     failures = int(np.sum(outcomes == -1))

@@ -756,21 +756,32 @@ class TestSimulate:
             assert exported.name == f"replicate-{replicate:04d}.csv"
             assert exported.read_bytes() == single.read_bytes()
 
-    @pytest.mark.parametrize("threads, generated_here", [(1, 9 * 23), (2, 0)])
+    @pytest.mark.parametrize("threads, generated_here", [(1, 9 * 23), (2, 9 * 12)])
     def test_export_generates_each_replicate_once(
         self, runner, tmp_path, monkeypatch, threads, generated_here
     ):
-        # rows generated in this process: every one with one worker, none
-        # with two, where the workers generate, test and write
+        # rows generated in this process: every one with one worker; with
+        # two, share 0's 12 replicates, while a child generates, tests and
+        # writes the other 11.  Every process logs each replicate it
+        # generates to one file, and each of the 23 appears there once.
         rows = []
+        log = tmp_path / "generated.txt"
 
         def counting(model, streams):
             out = generate(model, streams)
             rows.append(out[0].shape[0])
             return out
 
+        def logged(model, n, seed, replicates):
+            for replicate, arrays in zip(replicates, replicate_arrays(model, n, seed, replicates)):
+                with open(log, "a") as f:
+                    f.write(f"{replicate}\n")
+                yield arrays
+
         generate = simulate._generate
+        replicate_arrays = simulate._replicate_arrays
         monkeypatch.setattr(simulate, "_generate", counting)
+        monkeypatch.setattr(simulate, "_replicate_arrays", logged)
         path = write_json(tmp_path / "c.json", tiny_sim_config(reps=23))
         out_dir = tmp_path / "out"
         res = runner.invoke(
@@ -778,6 +789,7 @@ class TestSimulate:
         )
         assert res.exit_code == 0
         assert sum(rows) == generated_here
+        assert sorted(map(int, log.read_text().split())) == list(range(23))
         assert len(list(out_dir.iterdir())) == 23
 
     def test_export_is_thread_invariant(self, runner, tmp_path):

@@ -16,6 +16,7 @@ deterministic, not flaky.
 import dataclasses
 import functools
 import json
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -366,7 +367,8 @@ class TestGenerativeModel:
         json.dumps(d)  # must be serializable
 
     def test_pickle_round_trip_stays_read_only(self, design, tau_half, effect_10):
-        # each worker of a threads > 1 run gets a pickled model
+        # a threads > 1 run pickles the model for its children only when they
+        # start by a method other than fork
         working = GenerativeModel.working_true(
             design, effect_10, tau_half, ErrorProcess("ar1", 0.6)
         )
@@ -700,26 +702,23 @@ class TestMonteCarlo:
         })
 
     def test_no_worker_is_started_without_a_replicate(self, tiny_design, monkeypatch):
-        started = []
+        # threads=64 with 3 replicates: two children, and this process runs
+        # the third share (replicate 0)
+        started, here = [], []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+        class CountingProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
         m = tiny_null_model(tiny_design)
         alone = monte_carlo(m, 10, 3, 0.05, seed=7).to_dict()
-        monkeypatch.setattr(simulate, "_process_pool", SerialPool)
-        assert monte_carlo(m, 10, 3, 0.05, seed=7, threads=64).to_dict() == alone
-        assert started == [3]
+        monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+        report = monte_carlo(m, 10, 3, 0.05, seed=7, threads=64,
+                             each_dataset=lambda replicate, _: here.append(replicate))
+        assert report.to_dict() == alone
+        assert len(started) == 2
+        assert here == [0]
 
     def test_zero_rejections_interval_is_anchored_at_zero(self, tiny_design):
         m = tiny_null_model(tiny_design, average=0.25)
