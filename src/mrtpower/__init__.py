@@ -26,7 +26,7 @@ _HOME = {
     for module, names in (
         ("exceptions", ("ConfigError", "NumericError")),
         ("design", (
-            "TrialDesign", "FeaturePaths", "AvailabilityPattern", "EffectPath",
+            "GRAM_KINDS", "TrialDesign", "FeaturePaths", "AvailabilityPattern", "EffectPath",
             "build_quadratic_features", "elicit_quadratic_effect", "make_availability",
             "project_effect",
         )),
@@ -39,8 +39,8 @@ _HOME = {
             "solve_sample_size",
         )),
         ("estimator", (
-            "GRAM_KINDS", "Dataset", "ModelFit", "TestResult", "fit_working_model",
-            "sandwich_variance", "hypothesis_test", "asymptotic_targets",
+            "Dataset", "ModelFit", "TestResult", "fit_working_model", "sandwich_variance",
+            "hypothesis_test", "asymptotic_targets",
         )),
         ("simulate", (
             "ERROR_FAMILIES", "SCENARIOS", "VARIANCE_TRENDS", "ErrorProcess",

@@ -365,13 +365,13 @@ def read_dataset(path):
     accepted.
 
     The file is streamed: a first pass decodes it and counts its lines, so
-    an undecodable byte is reported before any bad line.  A valid file laid
-    out as ``write_dataset`` lays it out (subject and t texts ``str(i)`` and
-    ``"1"``..``str(T)``) is then parsed column by column, ``_READ_CHUNK``
-    lines at a time; any other file is read again from line 1 and parsed
-    line by line, in file order, by :func:`_read_lines`.  So the reader
-    holds the columns, one block and one chunk of lines, never the whole
-    text or a list of all its lines.
+    an undecodable byte is reported before any bad line; the second parses
+    it.  Chunks of ``_READ_CHUNK`` lines laid out as ``write_dataset`` lays
+    them out (subject and t texts ``str(i)`` and ``"1"``..``str(T)``) are
+    parsed column by column; from the first chunk that is not, to the end,
+    :func:`_read_lines` goes on line by line.  So the reader holds the
+    columns, one block and one chunk of lines.  A changed line count
+    between the passes is reported as a changed file.
     """
     n_rows, end = -1, "\n"  # lines after the header; the text's last character
     for text in _text_blocks(path):
@@ -384,18 +384,21 @@ def read_dataset(path):
         if n_rows == 0:
             raise ConfigError("dataset has no data rows")
         columns = _Columns(n_rows)
-        columnar = all(map(columns.parse, chunks)) and n_rows % columns.T == 0
-    if columnar:
-        shape = n_rows // columns.T, columns.T
-    else:
-        with contextlib.closing(_line_chunks(path)) as chunks:
-            shape = _read_lines(itertools.chain.from_iterable(chunks), columns)
+        rest = itertools.chain.from_iterable(itertools.dropwhile(columns.parse, chunks))
+        first = next(rest, None)  # the first line of the first chunk that parse rejects
+        full, part = divmod(columns.filled, columns.T or 1)
+        blocks = [columns.T] * full + [part] * (part > 0)  # rows of each subject block so far
+        if first is not None:  # the line parser takes over for good
+            _read_lines(itertools.chain([first], rest), columns, blocks)
+    if sum(blocks) < n_rows:
+        raise ConfigError("cannot read dataset: the file changed while it was read")
+    _check_block_length(blocks, n_rows + 1)
     from .estimator import Dataset
 
     arrays = [getattr(columns, name) for name in ("avail", "action", "prob", "outcome")]
     for arr in arrays:
         arr.setflags(write=False)  # the Dataset keeps the columns, not a copy
-    return Dataset(*(arr.reshape(shape) for arr in arrays))
+    return Dataset(*(arr.reshape(len(blocks), blocks[0]) for arr in arrays))
 
 
 def _text_blocks(path):
@@ -451,21 +454,20 @@ class _Columns:
         self.filled = 0  # rows parsed so far
 
     def parse(self, chunk):
-        """Fill the next ``len(chunk)`` rows; False unless every line passes
-        its field checks and the subject and t texts are the layout's."""
-        start, size = self.filled, len(chunk)
-        self.filled += size
-        if self.T == start:  # subject 0's block so far; the layout is the same for any longer T
-            self.T += sum(1 for _ in itertools.takewhile(
+        """Fill the next ``len(chunk)`` rows; False, with ``T`` and ``filled`` kept, unless
+        every line passes its field checks and the subject and t texts are the layout's."""
+        start, size, T = self.filled, len(chunk), self.T
+        if T == start:  # subject 0's block so far; the layout is the same for any longer T
+            T += sum(1 for _ in itertools.takewhile(
                 operator.methodcaller("startswith", "0,"), chunk))
-        if not self.T:
+        if not T or start + size > len(self.avail):  # more rows than counted: a changed file
             return False
         rows = slice(start, start + size)
         if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
             return False
         flat = ",".join(chunk).split(",")
         subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
-        if (subject, t) != _layout_texts(start, start + size, self.T):
+        if (subject, t) != _layout_texts(start, start + size, T):
             return False
         if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
             return False
@@ -488,8 +490,11 @@ class _Columns:
                                  np.float64, on.size)
         except ValueError:
             return False
+        if not np.isfinite(values).all():
+            return False
         self.outcome[start + on] = values
-        return bool(np.isfinite(values).all())
+        self.T, self.filled = T, start + size
+        return True
 
 
 def _layout_texts(start, stop, T):
@@ -522,19 +527,20 @@ def _prob_value(text):
     return value if 0.0 < value < 1.0 else math.nan
 
 
-def _read_lines(lines, columns):
-    """Parse a dataset CSV body into ``columns`` line by line; return (N, T).
+def _read_lines(lines, columns, blocks):
+    """Parse body lines into ``columns`` one by one from row ``columns.filled``,
+    adding them to ``blocks``, the rows of each subject block so far.
 
     Each line is split once and gets its field checks, then the block
     rules: a block starts where the subject changes, the previous block
     must be as long as subject 0's, the subject must be the block's index
-    and t its position in the block.  The last block's length is checked
-    at the last line.  The first line that fails raises ConfigError.
+    and t its position in the block.  The last block's length is left to
+    the caller.  The first line that fails raises ConfigError.
     """
-    columns.outcome.fill(np.nan)
-    blocks = []  # rows of each subject block so far, in subject order
-    for row, line in enumerate(itertools.islice(lines, 1, None)):
+    for row, line in enumerate(lines, columns.filled):
         line_no = row + 2
+        if row == len(columns.avail):
+            raise ConfigError("cannot read dataset: the file changed while it was read")
         fields = line.split(",")
         if len(fields) != 6:
             raise ConfigError(
@@ -592,8 +598,6 @@ def _read_lines(lines, columns):
                 f"line {line_no}: expected decision time {blocks[-1]} for "
                 f"subject {subject}, got {t}"
             )
-    _check_block_length(blocks, line_no)
-    return len(blocks), blocks[0]
 
 
 def _check_block_length(blocks, line_no):

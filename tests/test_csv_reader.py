@@ -346,6 +346,66 @@ def test_first_block_longer_than_a_chunk_reads_like_the_oracle(csv_dir, column, 
     assert by_lines == (text != "{v}")
 
 
+def _handed_lines(path):
+    """``read_result`` of the reader, and the lines it hands the line parser."""
+    handed, read_lines = [], cli._read_lines
+
+    def spy(lines, *args):
+        handed.extend(lines)
+        return read_lines(iter(handed), *args)
+
+    with mock.patch.object(cli, "_read_lines", spy):
+        return read_result(read_dataset, path), handed
+
+
+def test_a_last_line_spelled_otherwise_hands_the_line_parser_one_chunk(csv_dir):
+    # the N = 400 trial with its last subject spelled "+399": the columnar
+    # parser keeps every chunk before the last one
+    path = csv_dir / "trial.csv"
+    _trial_file(path)
+    clean = read_result(read_dataset, path)
+    text = path.read_text(encoding="utf-8")
+    last = text.rindex("\n", 0, -1) + 1
+    path.write_text(text[:last] + "+" + text[last:], encoding="utf-8")
+    got, handed = _handed_lines(path)
+    assert got == clean
+    assert 0 < len(handed) <= cli._READ_CHUNK
+    assert handed[-1] == "+" + text[last:-1]
+
+
+@pytest.mark.parametrize("column,text", [(0, "+{v}"), (1, "x"), (0, "0")])
+def test_the_line_parser_starts_at_the_first_rejected_chunk(csv_dir, column, text):
+    # 3 subjects over 4 times in chunks of 5 lines: the first mismatch, at
+    # row 7, lies in the second chunk, rows 5-9
+    path = csv_dir / "handed.csv"
+    lines = _layout_file(path, 3, 4)
+    _rewrite(path, lines, 7, column, text)
+    with mock.patch.object(cli, "_READ_CHUNK", 5):
+        got, handed = _handed_lines(path)
+    assert got == read_result(reference_read_dataset, path)
+    assert handed[0] == lines[6]  # row 5, the chunk's first line, as written
+
+
+@pytest.mark.parametrize("chunk", [2, cli._READ_CHUNK])
+@pytest.mark.parametrize("n,spelling", [(3, "{v}"), (1, "{v}"), (1, "+{v}")])
+def test_a_file_changed_between_the_passes_is_reported(csv_dir, chunk, n, spelling):
+    # a 2 x 3 file that grows by a subject, or loses three rows, after its
+    # lines are counted; "+{v}" sends the shorter file to the line parser
+    path, other = csv_dir / "changing.csv", csv_dir / "changed.csv"
+    _layout_file(path, 2, 3)
+    _rewrite(other, _layout_file(other, n, 3), 0, 0, spelling)
+    line_chunks = cli._line_chunks
+
+    def rewritten(name):
+        path.write_bytes(other.read_bytes())
+        return line_chunks(name)
+
+    with mock.patch.object(cli, "_line_chunks", rewritten), \
+            mock.patch.object(cli, "_READ_CHUNK", chunk):
+        got = read_result(read_dataset, path)
+    assert got == ("error", "cannot read dataset: the file changed while it was read")
+
+
 def _undecodable(path, lines, offset, damage):
     """The file of ``lines`` with ``damage`` bytes put in at byte ``offset``."""
     data = "\n".join(lines).encode("utf-8")

@@ -8,6 +8,7 @@ as ``python -m mrtpower.cli`` does, so the CLI module itself runs as
 ``__main__``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -109,6 +110,9 @@ class TestStartUp:
         })
         assert cli_loaded("power", config) == CORE
 
+    def test_a_design_name_read_through_the_package_loads_no_estimator(self):
+        assert loaded("import mrtpower\nmrtpower.GRAM_KINDS") == CORE
+
     def test_analyze(self, tmp_path):
         design = TrialDesign(**DESIGN)
         model = GenerativeModel.working_true(
@@ -137,6 +141,19 @@ class TestLazyNamespace:
                 continue
             home = importlib.import_module(f"mrtpower.{mrtpower._HOME[name]}")
             assert getattr(mrtpower, name) is getattr(home, name), name
+
+    def test_every_public_name_is_defined_at_the_top_level_of_its_home(self):
+        # a name listed under a module that only imports it loads that module
+        package = Path(mrtpower.__file__).parent
+        defined = {}
+        for home in set(mrtpower._HOME.values()):
+            tree = ast.parse((package / f"{home}.py").read_text(encoding="utf-8"))
+            defined[home] = {node.name for node in tree.body
+                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            defined[home].update(name.id for node in tree.body if isinstance(node, ast.Assign)
+                                 for target in node.targets for name in ast.walk(target)
+                                 if isinstance(name, ast.Name))
+        assert [name for name, home in mrtpower._HOME.items() if name not in defined[home]] == []
 
     def test_star_import_and_dir_list_every_public_name(self):
         namespace = {}
