@@ -39,14 +39,15 @@ _HOME = {
             "solve_sample_size",
         )),
         ("estimator", (
-            "Dataset", "ModelFit", "TestResult", "fit_working_model", "sandwich_variance",
-            "hypothesis_test", "asymptotic_targets",
+            "Dataset", "SubjectRow", "ModelFit", "TestResult", "fit_working_model",
+            "sandwich_variance", "hypothesis_test", "asymptotic_targets",
         )),
         ("simulate", (
-            "ERROR_FAMILIES", "SCENARIOS", "VARIANCE_TRENDS", "ErrorProcess",
-            "GenerativeModel", "MonteCarloReport", "shaped_effect", "variance_trend_path",
-            "calibrate_sigma_star", "subject_stream", "generate_subject", "generate_dataset",
-            "monte_carlo", "config_digest", "resolve_threads",
+            "ERROR_FAMILIES", "SCENARIOS", "VARIANCE_TRENDS", "VARIANCE_TREND_SPAN",
+            "ALPHA_COEFFS", "FEEDBACK_LAGS", "ErrorProcess", "GenerativeModel",
+            "MonteCarloReport", "ar_autocovariances", "draw_errors", "shaped_effect",
+            "variance_trend_path", "calibrate_sigma_star", "subject_stream", "generate_subject",
+            "generate_dataset", "monte_carlo", "config_digest", "resolve_threads",
         )),
     )
     for name in names
@@ -59,7 +60,8 @@ _EAGER = {
     "distributions": distributions,
     "samplesize": samplesize,
 }
-_LAZY_MODULES = ("estimator", "simulate")
+# Submodules loaded on first access: every other home of a public name.
+_LAZY_MODULES = set(_HOME.values()).difference(_EAGER)
 
 globals().update(
     (name, getattr(_EAGER[home], name)) for name, home in _HOME.items() if home in _EAGER

@@ -881,6 +881,9 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
         if config_file is not None:
             raise ConfigError(
                 "--paper-table presets are self-contained; do not pass a config file")
+        if export_dir is not None:
+            raise ConfigError("--paper-table presets run several cells whose replicate "
+                              "files would collide; do not pass --export")
         payload, table = _run_paper_table(
             paper_table, *_monte_carlo_keys(_Section({}), reps, seed), threads=threads)
         click.echo(table, err=True)

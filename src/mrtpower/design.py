@@ -11,11 +11,14 @@ Conventions used throughout the package:
   average conditional outcome standard deviation;
 * every Gram matrix is guarded and solved on its equilibrated (unit-diagonal)
   form by :func:`_equilibrated_eigh`, so long trials' large u^2 column is harmless;
-* the four design types are immutable value types: arrays are read-only, and
-  two instances are equal, and hash alike, when their scalar fields and the
-  dtype, shape and bytes of their arrays agree.  The hash is computed once
-  per instance, and pickling re-runs the constructor, so neither a hash nor
-  a cached array travels to another process;
+* every frozen type of the package is declared by :func:`_value_type`, one
+  rule for all: arrays are read-only, and two instances are equal, and hash
+  alike, when their scalar fields and the dtype, shape and bytes of their
+  arrays agree (a dataset, a fit, a test result and a generative model are
+  unhashable).
+  The hash is computed once per instance, and pickling re-runs the
+  constructor, so a copy is validated and read-only again, and neither a
+  hash nor a cached array travels to another process;
 * :func:`make_availability`, :func:`elicit_quadratic_effect` and
   :func:`build_quadratic_features` validate their arguments on every call,
   then return the object built for the same normalized arguments and design
@@ -35,7 +38,7 @@ import math
 import numbers
 import operator
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -43,6 +46,7 @@ import numpy as np
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
+    "GRAM_KINDS",
     "TrialDesign",
     "FeaturePaths",
     "AvailabilityPattern",
@@ -154,6 +158,24 @@ def _reduce_through_init(self):
     # and read-only again (restoring __dict__ would leave writeable arrays,
     # and carry a hash of per-process salted bytes or a cached array).
     return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _value_type(cls=None, *, hashable=True):
+    """Declare ``cls`` a frozen dataclass that is a value, as every frozen type
+    of the package is: ``==`` by content (:func:`_value_eq`), a hash of the
+    content computed once (:func:`_value_hash`; none when ``hashable`` is
+    false), and pickling through the constructor
+    (:func:`_reduce_through_init`).  Use as ``@_value_type`` or
+    ``@_value_type(hashable=False)``.
+    """
+    def declare(cls):
+        cls = dataclass(frozen=True, eq=False)(cls)
+        cls.__eq__ = _value_eq
+        cls.__hash__ = _value_hash if hashable else None
+        cls.__reduce__ = _reduce_through_init
+        return cls
+
+    return declare if cls is None else declare(cls)
 
 
 def _integer(value, name, low=None, high=None):
@@ -275,7 +297,7 @@ def _weighted_projection(F, w, values, what):
     return _solve_sym(F.T @ (w[:, None] * F), F.T @ (w * values), what)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class TrialDesign:
     """Decision-time grid and randomization probabilities of a trial.
 
@@ -305,10 +327,6 @@ class TrialDesign:
             raise ConfigError("all randomization probabilities must lie in (0, 1)")
         object.__setattr__(self, "rho", _freeze(rho))
 
-    __eq__ = _value_eq
-    __hash__ = _value_hash
-    __reduce__ = _reduce_through_init
-
     @property
     def T(self):
         return self.days * self.decisions_per_day
@@ -325,7 +343,7 @@ class TrialDesign:
         return u.mean(), (u * u).mean()
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class FeaturePaths:
     """Per-time feature vectors Z_t (effect, p-dim) and B_t (nuisance, q-dim).
 
@@ -351,10 +369,6 @@ class FeaturePaths:
         object.__setattr__(self, "Z", _freeze(Z))
         object.__setattr__(self, "B", self.Z if shared else _freeze(B))
 
-    __eq__ = _value_eq
-    __hash__ = _value_hash
-    __reduce__ = _reduce_through_init
-
     @property
     def T(self):
         return self.Z.shape[0]
@@ -368,7 +382,7 @@ class FeaturePaths:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type
 class AvailabilityPattern:
     """Expected availability tau_t = E[I_t] per decision time."""
 
@@ -388,12 +402,8 @@ class AvailabilityPattern:
             )
         object.__setattr__(self, "tau", _freeze(tau))
 
-    __eq__ = _value_eq
-    __hash__ = _value_hash
-    __reduce__ = _reduce_through_init
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type
 class EffectPath:
     """Standardized proximal effect d(t), quadratic-in-day or explicit.
 
@@ -404,7 +414,7 @@ class EffectPath:
 
     form: str
     path: np.ndarray
-    coeffs: np.ndarray = field(default=None)
+    coeffs: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "form", _choice(self.form, "form", ("quadratic", "explicit")))
@@ -416,10 +426,6 @@ class EffectPath:
         if not np.all(np.isfinite(path)):
             raise ConfigError("effect path must be finite")
         object.__setattr__(self, "path", path)
-
-    __eq__ = _value_eq
-    __hash__ = _value_hash
-    __reduce__ = _reduce_through_init
 
     @classmethod
     def quadratic(cls, coeffs, design):

@@ -35,10 +35,9 @@ tail at d2 = 1, 1 - y is formed from a rounded y near 1, with errors up to
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .design import _integer, _level, _real
+from .design import _integer, _level, _real, _value_type
 from .exceptions import NumericError
 
 __all__ = [
@@ -304,7 +303,7 @@ def _f_quantile_kernel(prob, d1, d2):
 # public API
 # ======================================================================
 
-@dataclass(frozen=True)
+@_value_type
 class FDistParams:
     """Degrees of freedom and noncentrality of an F distribution.
 

@@ -33,13 +33,12 @@ Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .design import GRAM_KINDS, _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze
-from .design import _inv_eigh, _level, _real_array, _reduce_through_init, _solve_sym, _value_eq
+from .design import _inv_eigh, _level, _real_array, _solve_sym, _value_type
 from .design import _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
@@ -65,7 +64,7 @@ class SubjectRow(NamedTuple):
     outcome: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type(hashable=False)
 class Dataset:
     """N subjects' trajectories over T decision times, as (N, T) arrays.
 
@@ -108,10 +107,6 @@ class Dataset:
         object.__setattr__(self, "prob", _freeze(prob))
         object.__setattr__(self, "outcome", _freeze(outcome))
 
-    __eq__ = _value_eq
-    __hash__ = None
-    __reduce__ = _reduce_through_init
-
     def __len__(self):
         return self.avail.shape[0]
 
@@ -126,7 +121,7 @@ def _require_finite_outcome(avail, outcome):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type(hashable=False)
 class ModelFit:
     """Pooled least-squares solution and per-subject residuals.
 
@@ -142,12 +137,8 @@ class ModelFit:
         for name in ("alpha_hat", "beta_hat", "residuals"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
-    __eq__ = _value_eq
-    __hash__ = None
-    __reduce__ = _reduce_through_init
 
-
-@dataclass(frozen=True, eq=False)
+@_value_type(hashable=False)
 class TestResult:
     """Outcome of the proximal-effect test at level ``alpha0``."""
 
@@ -166,10 +157,6 @@ class TestResult:
         object.__setattr__(self, "adjustment", adjustment)
         for name in ("beta_hat", "sigma_beta_hat"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-
-    __eq__ = _value_eq
-    __hash__ = None
-    __reduce__ = _reduce_through_init
 
     def to_dict(self):
         return {

@@ -30,14 +30,13 @@ changes which n are evaluated, not the answer.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .design import (
     _MEMO_SIZE, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh,
-    _freeze, _integer, _level, _real, _reduce_through_init,
+    _freeze, _integer, _level, _real, _value_type,
 )
 from .distributions import (
     _QUANTILE_CDF_TOL, FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
@@ -65,7 +64,7 @@ _START_BISECTIONS = 20
 _START_LAM_MAX = 1.0e8
 
 
-@dataclass(frozen=True)
+@_value_type
 class SizingInputs:
     """Everything the sizing formula consumes.
 
@@ -104,8 +103,6 @@ class SizingInputs:
         if self.features.T != T or self.tau.tau.shape[0] != T or self.effect.path.shape[0] != T:
             raise ConfigError("design, features, availability and effect lengths differ")
 
-    __reduce__ = _reduce_through_init
-
     @cached_property
     def q_matrix(self):
         """Read-only Q for these inputs, shared by every input with equal
@@ -125,7 +122,7 @@ def _per_subject(effect, tau, design, features):
     return noncentrality(1, effect, _q_matrix(tau, design, features))
 
 
-@dataclass(frozen=True)
+@_value_type
 class SampleSizeResult:
     """Minimal sample size with its certificate.
 

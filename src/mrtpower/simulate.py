@@ -65,7 +65,6 @@ Lagged quantities at times before the study start contribute zero.
 import dataclasses
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,8 +82,7 @@ from .design import (
     _level,
     _real,
     _real_array,
-    _reduce_through_init,
-    _value_eq,
+    _value_type,
     build_quadratic_features,
     elicit_quadratic_effect,
 )
@@ -103,9 +101,12 @@ __all__ = [
     "MonteCarloReport",
     "ar_autocovariances",
     "calibrate_sigma_star",
+    "config_digest",
+    "draw_errors",
     "generate_dataset",
     "generate_subject",
     "monte_carlo",
+    "resolve_threads",
     "shaped_effect",
     "subject_stream",
     "variance_trend_path",
@@ -170,7 +171,7 @@ _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class ErrorProcess:
     """Noise family for the outcome model, scaled to unit marginal variance.
 
@@ -579,7 +580,7 @@ def shaped_effect(design, average, max_day, plateau_fraction):
     return EffectPath.explicit(shape * (average / float(np.mean(shape))))
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type(hashable=False)
 class GenerativeModel:
     """One fully specified generative scenario.
 
@@ -660,10 +661,6 @@ class GenerativeModel:
                     f"eta = {self.eta!r} is too strong: the availability-feedback "
                     f"term eta * s overflows (|s| can reach {bound:.6g} in this design)"
                 )
-
-    __eq__ = _value_eq
-    __hash__ = None
-    __reduce__ = _reduce_through_init
 
     # -- derived views ----------------------------------------------------
 
@@ -1012,7 +1009,7 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class MonteCarloReport:
     """Rejection tally over independent simulated trials.
 
@@ -1020,7 +1017,8 @@ class MonteCarloReport:
     replicates aborted by a numeric estimation failure are tallied in
     ``failures`` instead (their sum is ``requested``).  ``rate`` is
     rejections / replicates, and ``ci_low``/``ci_high`` its 95% score
-    (Wilson) interval.
+    (Wilson) interval.  Counts that no run produces (no replicate completed,
+    or more rejections than completed replicates) raise :class:`ConfigError`.
     """
 
     requested: int
@@ -1029,6 +1027,13 @@ class MonteCarloReport:
     alpha0: float
     seed: int
     config_digest: str
+
+    def __post_init__(self):
+        requested = _integer(self.requested, "requested", 1)
+        failures = _integer(self.failures, "failures", 0, requested - 1)
+        _integer(self.rejections, "rejections", 0, requested - failures)
+        _level(self.alpha0)
+        _integer(self.seed, "seed", 0)
 
     @property
     def replicates(self):

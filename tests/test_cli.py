@@ -980,3 +980,15 @@ class TestPaperTables:
         res = runner.invoke(main, ["simulate", path, "--paper-table", "typeI-6wk"])
         assert res.exit_code == 2
         assert "self-contained" in res.stderr
+
+    def test_preset_refuses_export(self, runner, tmp_path):
+        out_dir = tmp_path / "exp"
+        res = runner.invoke(
+            main, ["simulate", "--paper-table", "typeI-6wk", "--reps", "3",
+                   "--export", str(out_dir)]
+        )
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --paper-table presets run several cells")
+        assert len(res.stderr.splitlines()) == 1
+        assert not out_dir.exists()

@@ -286,15 +286,30 @@ FACTORIES = {
 }
 
 
-def test_every_frozen_dataclass_is_covered():
-    found = {
+def frozen_dataclasses():
+    return {
         obj
         for module in (design, distributions, estimator, samplesize, simulate, cli)
         for obj in vars(module).values()
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
         and obj.__module__ == module.__name__ and obj.__dataclass_params__.frozen
     }
-    assert found == set(FACTORIES)
+
+
+def test_every_frozen_dataclass_is_covered():
+    assert frozen_dataclasses() == set(FACTORIES)
+
+
+def test_every_frozen_dataclass_follows_the_value_rule():
+    # declared by design._value_type, so none carries dataclass's own
+    # equality, hash or __dict__ pickling
+    off_rule = sorted(
+        cls.__name__ for cls in frozen_dataclasses()
+        if cls.__eq__ is not design._value_eq
+        or cls.__reduce__ is not design._reduce_through_init
+        or cls.__hash__ not in (design._value_hash, None)
+    )
+    assert off_rule == []
 
 
 @pytest.mark.parametrize("cls", list(FACTORIES), ids=lambda cls: cls.__name__)
@@ -314,19 +329,19 @@ def test_equality_by_content_never_raises(cls):
         assert hash(b) == key
 
 
-@pytest.mark.parametrize(
-    "cls", [TrialDesign, FeaturePaths, AvailabilityPattern, EffectPath],
-    ids=lambda cls: cls.__name__,
-)
+@pytest.mark.parametrize("cls", list(FACTORIES), ids=lambda cls: cls.__name__)
 def test_design_types_are_values(cls):
     make, same, other = FACTORIES[cls]
     a = make(same)
-    key = hash(a)
+    if cls.__hash__ is not None:
+        key = hash(a)
     copy = pickle.loads(pickle.dumps(a))
     assert "_hash" not in copy.__dict__  # the salted hash stays in its process
-    assert copy == a and hash(copy) == key
-    assert len({a, make(same), copy}) == 1
-    assert make(other) not in {a}
+    assert copy == a
+    if cls.__hash__ is not None:
+        assert hash(copy) == key
+        assert len({a, make(same), copy}) == 1
+        assert make(other) not in {a}
     for value in values(copy):
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable

@@ -155,6 +155,12 @@ class TestLazyNamespace:
                                  if isinstance(name, ast.Name))
         assert [name for name, home in mrtpower._HOME.items() if name not in defined[home]] == []
 
+    def test_every_home_modules_all_lists_its_public_names(self):
+        for home in set(mrtpower._HOME.values()):
+            module = importlib.import_module(f"mrtpower.{home}")
+            names = {name for name, where in mrtpower._HOME.items() if where == home}
+            assert set(module.__all__) == names, home
+
     def test_star_import_and_dir_list_every_public_name(self):
         namespace = {}
         exec("from mrtpower import *", namespace)

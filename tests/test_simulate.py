@@ -701,6 +701,25 @@ class TestMonteCarlo:
             "seed": 1, "config_digest": "x",
         })
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ((3, 3, 0, 0.05, 1), "failures"),   # no replicate completed
+            ((3, 0, 5, 0.05, 1), "rejections"),  # more rejections than replicates
+            ((0, 0, 0, 0.05, 1), "requested"),
+            ((3, -1, 0, 0.05, 1), "failures"),
+            ((3, 1, -1, 0.05, 1), "rejections"),
+            ((3, 0, 1, 0.5, 1), "alpha0"),
+            ((3, 0, 1, 0.05, -1), "seed"),
+            ((3.0, 0, 1, 0.05, 1), "requested"),
+        ],
+        ids=["all-failed", "rejections-over-replicates", "no-request", "negative-failures",
+             "negative-rejections", "alpha0", "negative-seed", "float-count"],
+    )
+    def test_report_refuses_counts_no_run_produces(self, counts, match):
+        with pytest.raises(ConfigError, match=match):
+            MonteCarloReport(*counts, "x")
+
     def test_no_worker_is_started_without_a_replicate(self, tiny_design, monkeypatch):
         # threads=64 with 3 replicates: two children, and this process runs
         # the third share (replicate 0)
