@@ -13,9 +13,22 @@ Four commands cover the user workflows:
   ``--export`` writes every replicate's dataset as CSV and ``--paper-table``
   runs one of the bundled preset grids.
 
-Configuration is a single JSON document per run.  It validates completely
-before any computation starts, unknown keys are errors, and every message
-carries the offending field path.  Machine output (JSON) goes to standard
+Configuration is a single JSON document per run.  Unknown keys are errors,
+and every message carries the offending field path.  Each command reads the
+document's blocks and keys in one order, and reports the first bad one:
+
+* ``size``     -- design, availability, effect, alpha0, power, grid;
+* ``power``    -- design, availability, effect, alpha0, n, power, errors,
+  scenario, reps, seed, adjusted, gram;
+* ``analyze``  -- design, alpha0, adjusted, gram;
+* ``simulate`` -- design, availability, effect, errors, scenario, n, alpha0,
+  reps, seed, adjusted, gram.
+
+A block's unknown keys are reported as the block is read, the root's after
+the last key.  The whole document is checked before anything is built from
+it (availability, effect, generative model, dataset); only ``size`` and
+``power`` check the design's quadratic features (at least 3 days) as soon as
+they have read ``design``.  Machine output (JSON) goes to standard
 output; human-readable tables and notes go to standard error.  Exit codes:
 0 success, 2 configuration/validation error, 3 numeric failure.
 
@@ -25,10 +38,8 @@ time, decimals serialized with 17 significant digits, and the outcome field
 literally empty when avail=0.
 """
 
-import codecs
 import contextlib
 import functools
-import io
 import itertools
 import json
 import math
@@ -173,11 +184,11 @@ class _Section:
 
 
 # ---------------------------------------------------------------------
-# block parsers and builders
+# block readers
 # ---------------------------------------------------------------------
 
 
-def _parse_design(cfg):
+def _read_design(cfg):
     sec = cfg.section("design")
     days = sec.integer("days", low=1)
     per_day = sec.integer("decisions_per_day", low=1)
@@ -186,95 +197,96 @@ def _parse_design(cfg):
     return TrialDesign(days=days, decisions_per_day=per_day, rho=rho)
 
 
-def _availability_params(cfg):
+def _read_trial(cfg, design):
+    """Read the ``availability`` and ``effect`` blocks of a trial of ``design``.
+
+    Returns ``build(effect_average, avail_average, *, sizing=False)``, which
+    builds ``(tau, effect)`` at those averages, the config's own by default.  With ``sizing``, a null effect (zero average, zero initial
+    value) raises before it is elicited, as no sample size can detect it.
+    """
     sec = cfg.section("availability")
-    params = {
-        "kind": sec.string("kind", choices=AVAILABILITY_KINDS),
-        "average": sec.number("average", low=0.0, high=1.0, open_low=True),
-        "shape": {},
-    }
-    if params["kind"] != "constant":
-        params["shape"]["amplitude"] = sec.number("amplitude")
-    if params["kind"] == "piecewise":
-        params["shape"]["break_day"] = sec.integer("break_day", low=1)
+    kind = sec.string("kind", choices=AVAILABILITY_KINDS)
+    config_avail = sec.number("average", low=0.0, high=1.0, open_low=True)
+    shape = {}
+    if kind != "constant":
+        shape["amplitude"] = sec.number("amplitude")
+    if kind == "piecewise":
+        shape["break_day"] = sec.integer("break_day", low=1)
     sec.finish()
-    return params
 
-
-def _build_availability(params, design, average=None):
-    return make_availability(
-        params["kind"],
-        params["average"] if average is None else average,
-        design,
-        **params["shape"],
-    )
-
-
-def _effect_params(cfg):
     sec = cfg.section("effect")
     form = sec.string("form", choices=EFFECT_FORMS)
-    if form == "quadratic":
-        params = {
-            "form": form,
-            "initial": sec.number("initial", 0.0),
-            "average": sec.number("average"),
-            "max_day": sec.integer("max_day", low=1),
-        }
-    else:
-        params = {
-            "form": form,
-            "average": sec.number("average"),
-            "max_day": sec.integer("max_day", low=1),
-            "plateau_fraction": sec.number("plateau_fraction", low=0.0, high=1.0),
-        }
+    initial = sec.number("initial", 0.0) if form == "quadratic" else 0.0
+    config_effect = sec.number("average")
+    max_day = sec.integer("max_day", low=1)
+    if form == "shaped":
+        fraction = sec.number("plateau_fraction", low=0.0, high=1.0)
     sec.finish()
-    return params
+
+    def build(effect_average=config_effect, avail_average=config_avail, *, sizing=False):
+        if sizing and effect_average == 0.0 and initial == 0.0:
+            raise ConfigError(
+                "no solution: null effect (a zero average standardized effect "
+                "can never reach the power target)"
+            )
+        tau = make_availability(kind, avail_average, design, **shape)
+        if form == "quadratic":
+            return tau, elicit_quadratic_effect(initial, effect_average, max_day, design)
+        from .simulate import shaped_effect
+
+        return tau, shaped_effect(design, effect_average, max_day, fraction)
+
+    return build
 
 
-def _build_effect(params, design, average=None):
-    avg = params["average"] if average is None else average
-    if params["form"] == "quadratic":
-        return elicit_quadratic_effect(params["initial"], avg, params["max_day"], design)
-    from .simulate import shaped_effect
+def _read_scenario(cfg, *, required):
+    """Read the ``errors`` and ``scenario`` blocks.
 
-    return shaped_effect(design, avg, params["max_day"], params["plateau_fraction"])
-
-
-def _parse_errors(cfg):
-    """The ``errors`` block as an ``ErrorProcess``; None (iid-normal) when absent."""
+    Returns ``build(design, tau, effect, seed)``, the generative model, with
+    sigma* calibrated on ``seed`` for treatment feedback.  No ``errors``
+    block means iid-normal errors, no ``scenario`` block working-true.
+    """
     sec = cfg.section("errors", required=False)
-    if sec is None:
-        return None
-    from .simulate import ERROR_FAMILIES, ErrorProcess
+    errors = None
+    if sec is not None:
+        from .simulate import ERROR_FAMILIES, ErrorProcess
 
-    family = sec.string("family", choices=ERROR_FAMILIES)
-    phi = sec.number("phi", _MISSING if family in ("ar1", "ar5") else 0.0)
-    sec.finish()
-    return ErrorProcess(family, phi)
+        family = sec.string("family", choices=ERROR_FAMILIES)
+        phi = sec.number("phi", _MISSING if family in ("ar1", "ar5") else 0.0)
+        sec.finish()
+        errors = ErrorProcess(family, phi)
 
-
-def _scenario_spec(cfg, *, required):
     sec = cfg.section("scenario", required=required)
-    if sec is None:
-        return {"name": "working-true"}
-    from .simulate import SCENARIOS, VARIANCE_TRENDS
+    name, params, calibration = "working-true", {}, None
+    if sec is not None:
+        from .simulate import SCENARIOS, VARIANCE_TRENDS
 
-    name = sec.string("name", choices=SCENARIOS)
-    spec = {"name": name}
-    if name == "weekend-mean":
-        spec["theta"] = sec.number("theta")
-    elif name == "heteroscedastic":
-        spec["variance_ratio"] = sec.number("variance_ratio", low=0.0, open_low=True)
-        spec["variance_trend"] = sec.string("variance_trend", choices=VARIANCE_TRENDS)
-    elif name == "availability-feedback":
-        spec["eta"] = sec.number("eta")
-    elif name == "treatment-feedback":
-        for key in ("eta1", "eta2", "gamma1", "gamma2"):
-            spec[key] = sec.number(key)
-        reps = sec.integer("calibration_reps", None, low=1)
-        spec["calibration"] = {} if reps is None else {"reps": reps}
-    sec.finish()
-    return spec
+        name = sec.string("name", choices=SCENARIOS)
+        if name == "weekend-mean":
+            params["theta"] = sec.number("theta")
+        elif name == "heteroscedastic":
+            params["variance_ratio"] = sec.number("variance_ratio", low=0.0, open_low=True)
+            params["variance_trend"] = sec.string("variance_trend", choices=VARIANCE_TRENDS)
+        elif name == "availability-feedback":
+            params["eta"] = sec.number("eta")
+        elif name == "treatment-feedback":
+            for key in ("eta1", "eta2", "gamma1", "gamma2"):
+                params[key] = sec.number(key)
+            reps = sec.integer("calibration_reps", None, low=1)
+            calibration = {} if reps is None else {"reps": reps}
+        sec.finish()
+
+    def build(design, tau, effect, seed):
+        from .simulate import ErrorProcess, GenerativeModel, calibrate_sigma_star
+
+        model = getattr(GenerativeModel, name.replace("-", "_"))(
+            design, effect, tau, ErrorProcess("iid-normal") if errors is None else errors,
+            **params)
+        if calibration is not None:
+            model = calibrate_sigma_star(model, **calibration, seed=seed)
+        return model
+
+    return build
 
 
 def _alpha0(cfg):
@@ -296,27 +308,13 @@ def _monte_carlo_keys(cfg, reps, seed):
     return (reps, seed, *_test_keys(cfg))
 
 
-def _instantiate_model(spec, design, effect, tau, errors, *, seed):
-    from .simulate import ErrorProcess, GenerativeModel, calibrate_sigma_star
-
-    if errors is None:
-        errors = ErrorProcess("iid-normal")
-    params = dict(spec)
-    build = getattr(GenerativeModel, params.pop("name").replace("-", "_"))
-    calibration = params.pop("calibration", None)
-    model = build(design, effect, tau, errors, **params)
-    if calibration is not None:
-        model = calibrate_sigma_star(model, **calibration, seed=seed)
-    return model
-
-
 # ---------------------------------------------------------------------
 # dataset CSV I/O
 # ---------------------------------------------------------------------
 
 
 _READ_CHUNK = 4096  # lines: the reader holds one chunk of lines, the writer about one of rows
-_READ_BLOCK = 1 << 16  # bytes per read of a dataset file, decoded a block at a time
+_READ_BLOCK = 1 << 16  # characters per read of a dataset file
 
 
 def write_dataset(dataset, path):
@@ -402,23 +400,18 @@ def read_dataset(path):
 
 
 def _text_blocks(path):
-    """The file's text, ``_READ_BLOCK`` bytes at a time, decoded as a text-mode
-    ``open`` decodes it, with universal newlines: LF, CR LF and CR end a line."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    """The file's text, ``_READ_BLOCK`` characters at a time, as a text-mode
+    ``open`` reads it, with universal newlines: LF, CR LF and CR end a line."""
     try:
-        with open(path, "rb") as fh:
-            while True:
-                block = fh.read(_READ_BLOCK)
-                try:
-                    yield decoder.decode(block, final=not block)
-                except UnicodeDecodeError:
-                    # decode the whole file, on this error path only, so that the
-                    # error names the byte's position in the file, not in the block
-                    fh.seek(0)
-                    fh.read().decode("utf-8")
-                    raise
-                if not block:
-                    return
+        with open(path, encoding="utf-8") as fh:
+            try:
+                yield from iter(functools.partial(fh.read, _READ_BLOCK), "")
+            except UnicodeDecodeError:
+                # decode the whole file, on this error path only, so that the
+                # error names the byte's position in the file, not in the block
+                fh.buffer.seek(0)
+                fh.buffer.read().decode("utf-8")
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from None
 
@@ -671,10 +664,9 @@ def size_command(config_file, grid):
     """Solve for the minimal sample size meeting the power target."""
     raw = load_config(config_file)
     cfg = _Section(raw)
-    design = _parse_design(cfg)
+    design = _read_design(cfg)
     features = build_quadratic_features(design)
-    avail_params = _availability_params(cfg)
-    effect_params = _effect_params(cfg)
+    build_trial = _read_trial(cfg, design)
     alpha0 = _alpha0(cfg)
     target = cfg.number("power", low=0.0, high=1.0, open_low=True, open_high=True)
     grid_sec = cfg.section("grid", required=False)
@@ -687,25 +679,16 @@ def size_command(config_file, grid):
     cfg.finish()
     digest = _digest("size", raw, {"grid": bool(grid)})
 
-    def solve(effect_average=None, avail_average=None):
-        average = effect_params["average"] if effect_average is None else effect_average
-        if average == 0.0 and effect_params.get("initial", 0.0) == 0.0:
-            raise ConfigError(
-                "no solution: null effect (a zero average standardized effect "
-                "can never reach the power target)"
-            )
-        return solve_sample_size(SizingInputs(
-            design=design, features=features,
-            tau=_build_availability(avail_params, design, avail_average),
-            effect=_build_effect(effect_params, design, effect_average),
-            alpha0=alpha0, power_target=target))
+    def solve(*averages):
+        tau, effect = build_trial(*averages, sizing=True)
+        return solve_sample_size(SizingInputs(design=design, features=features, tau=tau,
+                                              effect=effect, alpha0=alpha0, power_target=target))
 
     if grid:
         if effect_axis is None:
             raise ConfigError("--grid requires a 'grid' block with effect_averages and "
                               "availability_averages")
-        results = [[solve(effect_average=d, avail_average=a) for a in avail_axis]
-                   for d in effect_axis]
+        results = [[solve(d, a) for a in avail_axis] for d in effect_axis]
         sizes = [[r.n for r in row] for row in results]
         click.echo(_render_table("effect avg \\ avail avg", avail_axis, effect_axis, sizes),
                    err=True)
@@ -736,20 +719,17 @@ def power_command(config_file, mc, reps, seed, threads):
     """Analytic power at a fixed sample size, against the power target."""
     raw = load_config(config_file)
     cfg = _Section(raw)
-    design = _parse_design(cfg)
+    design = _read_design(cfg)
     features = build_quadratic_features(design)
-    avail_params = _availability_params(cfg)
-    effect_params = _effect_params(cfg)
+    build_trial = _read_trial(cfg, design)
     alpha0 = _alpha0(cfg)
     n = cfg.integer("n", low=1)
     target = cfg.number("power", 0.8, low=0.0, high=1.0, open_low=True, open_high=True)
-    errors = _parse_errors(cfg)
-    spec = _scenario_spec(cfg, required=False)
+    build_model = _read_scenario(cfg, required=False)
     reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
     cfg.finish()
 
-    tau = _build_availability(avail_params, design)
-    effect = _build_effect(effect_params, design)
+    tau, effect = build_trial()
     inputs = SizingInputs(
         design=design, features=features, tau=tau, effect=effect,
         alpha0=alpha0, power_target=target,
@@ -770,9 +750,8 @@ def power_command(config_file, mc, reps, seed, threads):
     if mc:
         from .simulate import monte_carlo
 
-        model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
-        report = monte_carlo(model, n, reps, alpha0, adjusted, seed=seed, gram=gram,
-                             threads=threads)
+        report = monte_carlo(build_model(design, tau, effect, seed), n, reps, alpha0, adjusted,
+                             seed=seed, gram=gram, threads=threads)
         payload["monte_carlo"] = report.to_dict()
         click.echo(f"analytic power {value:.4f} ({verdict}); simulated rate {report.rate:.4f} "
                    f"(95% CI {report.ci_low:.4f}-{report.ci_high:.4f}, "
@@ -790,7 +769,7 @@ def analyze_command(dataset_file, config_file):
     """Test for a proximal treatment effect in a CSV dataset."""
     raw = load_config(config_file)
     cfg = _Section(raw)
-    design = _parse_design(cfg)
+    design = _read_design(cfg)
     alpha0 = _alpha0(cfg)
     adjusted, gram = _test_keys(cfg)
     cfg.finish()
@@ -894,11 +873,9 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
 
     raw = load_config(config_file)
     cfg = _Section(raw)
-    design = _parse_design(cfg)
-    avail_params = _availability_params(cfg)
-    effect_params = _effect_params(cfg)
-    errors = _parse_errors(cfg)
-    spec = _scenario_spec(cfg, required=True)
+    design = _read_design(cfg)
+    build_trial = _read_trial(cfg, design)
+    build_model = _read_scenario(cfg, required=True)
     n = cfg.integer("n", low=1)
     alpha0 = _alpha0(cfg)
     reps, seed, adjusted, gram = _monte_carlo_keys(cfg, reps, seed)
@@ -906,9 +883,7 @@ def simulate_command(config_file, reps, seed, threads, export_dir, paper_table):
 
     from .simulate import monte_carlo
 
-    tau = _build_availability(avail_params, design)
-    effect = _build_effect(effect_params, design)
-    model = _instantiate_model(spec, design, effect, tau, errors, seed=seed)
+    model = build_model(design, *build_trial(), seed)
     export = None
     if export_dir is not None:
         try:

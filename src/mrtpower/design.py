@@ -297,6 +297,24 @@ def _weighted_projection(F, w, values, what):
     return _solve_sym(F.T @ (w[:, None] * F), F.T @ (w * values), what)
 
 
+def _information_weights(tau, rho, T):
+    """(tau_t, w_t = tau_t rho_t (1 - rho_t)), the availability and the
+    per-time weights of the effect's information, as length-T float arrays.
+
+    ``tau`` is an :class:`AvailabilityPattern` or an array, ``rho`` a scalar
+    or an array; each is read by :func:`_real_array`, and a length other
+    than the features' ``T`` raises :class:`ConfigError`.
+    """
+    tau = _real_array(getattr(tau, "tau", tau), "tau")
+    rho = _real_array(rho, "rho")
+    if tau.shape != (T,):
+        raise ConfigError("availability and feature path lengths differ")
+    if rho.shape not in ((), (1,), (T,)):
+        raise ConfigError(f"rho must be a scalar or have length {T}, got shape {rho.shape}")
+    rho = np.broadcast_to(rho, (T,))
+    return tau, tau * rho * (1.0 - rho)
+
+
 @_value_type
 class TrialDesign:
     """Decision-time grid and randomization probabilities of a trial.
@@ -588,7 +606,6 @@ def project_effect(path, tau, features, rho):
     Z = features.Z
     if values.shape[0] != Z.shape[0]:
         raise ConfigError("effect path and feature path lengths differ")
-    rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), (Z.shape[0],))
-    w = tau.tau * rho_arr * (1.0 - rho_arr)
+    _, w = _information_weights(tau, rho, Z.shape[0])
     coeffs = _weighted_projection(Z, w, values, "projection Gram matrix")
     return EffectPath(form="quadratic", path=Z @ coeffs, coeffs=coeffs)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .design import GRAM_KINDS, _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze
 from .design import _inv_eigh, _level, _real_array, _solve_sym, _value_type
-from .design import _weighted_projection
+from .design import _information_weights, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
 
@@ -389,11 +389,7 @@ def asymptotic_targets(generative, features):
     """
     alpha_path = np.asarray(generative.alpha_path, dtype=np.float64)
     beta_path = np.asarray(generative.beta_path, dtype=np.float64)
-    tau = np.asarray(getattr(generative.tau, "tau", generative.tau), dtype=np.float64)
-    rho = np.broadcast_to(
-        np.asarray(generative.rho, dtype=np.float64), (features.T,)
-    )
+    tau, w = _information_weights(generative.tau, generative.rho, features.T)
     alpha_tilde = _weighted_projection(features.B, tau, alpha_path, "nuisance projection")
-    w = tau * rho * (1.0 - rho)
     beta_tilde = _weighted_projection(features.Z, w, beta_path, "effect projection")
     return alpha_tilde, beta_tilde

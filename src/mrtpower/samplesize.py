@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import (
     _MEMO_SIZE, AvailabilityPattern, EffectPath, FeaturePaths, TrialDesign, _equilibrated_eigh,
-    _freeze, _integer, _level, _real, _value_type,
+    _freeze, _information_weights, _integer, _level, _real, _value_type,
 )
 from .distributions import (
     _QUANTILE_CDF_TOL, FDistParams, _f_quantile_kernel, _ncf_cdf_kernel, f_quantile, ncf_cdf,
@@ -162,12 +162,8 @@ def compute_q_matrix(tau, rho, features):
     AvailabilityPattern or a bare array; ``rho`` a scalar or per-time array.
     Raises when Q, scaled to unit diagonal, is not numerically positive definite.
     """
-    tau_arr = np.asarray(getattr(tau, "tau", tau), dtype=np.float64)
     Z = features.Z
-    if tau_arr.shape[0] != Z.shape[0]:
-        raise ConfigError("availability and feature path lengths differ")
-    rho_arr = np.broadcast_to(np.asarray(rho, dtype=np.float64), (Z.shape[0],))
-    w = tau_arr * rho_arr * (1.0 - rho_arr)
+    _, w = _information_weights(tau, rho, Z.shape[0])
     q = Z.T @ (w[:, None] * Z)
     q = 0.5 * (q + q.T)
     try:

@@ -65,7 +65,7 @@ Lagged quantities at times before the study start contribute zero.
 import dataclasses
 import math
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -1082,8 +1082,9 @@ def _wilson_interval(successes, trials):
     return low, high
 
 
-def _replicate_outcomes(args):
-    """Outcomes for a batch of replicates: 1 reject, 0 accept, -1 failure.
+def _replicate_outcomes(model, features, n, alpha0, adjusted, gram, seed, each_dataset,
+                        indices):
+    """Outcomes for the replicates ``indices``: 1 reject, 0 accept, -1 failure.
 
     The datasets come from :func:`_replicate_arrays`, whose block size
     depends on n alone, so the outcomes do not depend on how replicates are
@@ -1092,7 +1093,6 @@ def _replicate_outcomes(args):
     outcome, which is checked here, with the same error.  A :class:`Dataset`
     is built only for ``each_dataset``.
     """
-    model, features, n, alpha0, adjusted, gram, seed, each_dataset, indices = args
     out = []
     for replicate, arrays in zip(indices, _replicate_arrays(model, n, seed, indices)):
         avail, _, _, outcome = arrays
@@ -1120,12 +1120,16 @@ def resolve_threads(threads=None):
 
 
 def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
-    """sha256 digest of the full run configuration (excludes worker count)."""
+    """sha256 digest of the full run configuration (excludes worker count).
+
+    Each argument is read by the rule :func:`monte_carlo` applies to it, so
+    a configuration that it refuses has no digest.
+    """
     payload = {
         "model": model.describe(),
-        "n": _integer(n, "n"),
-        "reps": _integer(reps, "reps"),
-        "alpha0": float(alpha0),
+        "n": _integer(n, "n", 1, _MAX_SUBJECTS),
+        "reps": _integer(reps, "reps", 1, _MAX_COUNT),
+        "alpha0": _level(alpha0),
         "adjusted": _flag(adjusted, "adjusted"),
         "gram": _choice(gram, "gram", GRAM_KINDS),
         "seed": _integer(seed, "seed", 0),
@@ -1133,43 +1137,44 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
     return _canonical_digest(payload)
 
 
-def _send_outcomes(send, batch):
-    """A child's work: its batch's outcomes, or the error it raised, sent down ``send``."""
+def _send_outcomes(send, run, share):
+    """A child's work: ``run(share)``, or the error it raised, sent down ``send``."""
     try:
-        result = _replicate_outcomes(batch)
+        result = run(share)
     except Exception as exc:  # the caller re-raises it, as a 1-worker run would
         result = exc
     with send:
         send.send(result)
 
 
-def _forked_outcomes(batches):
-    """The outcomes of each batch: the first in this process, each other in a child.
+def _worker_outcomes(run, shares):
+    """``run(share)`` of each share: the first in this process, each other in a child.
 
-    Each child gets its batch as its ``Process`` argument, inherited at fork,
-    and sends back its outcome array, or the exception it raised, over a
-    one-way pipe.  The caller runs the first batch while the children run.
-    Each child's send end is closed here before the next child starts, so a
-    child that dies without sending reads as EOF; that raises naming the
-    child's exit code.  On any error every child is terminated, and every
-    child is joined before this returns or raises.  A 1-worker run never
-    calls this, so it never loads ``multiprocessing``.
+    Each child gets ``run`` and its share as its ``Process`` arguments,
+    inherited at fork, and sends back its outcome array, or the exception it
+    raised, over a one-way pipe.  The caller runs the first share while the
+    children run.  Each child's send end is closed here before the next
+    child starts, so a child that dies without sending reads as EOF; that
+    raises naming the child's exit code.  On any error every child is
+    terminated, and every child is joined before this returns or raises.
+    ``multiprocessing`` is loaded only to start a child, so a 1-worker run
+    never loads it.
     """
-    import multiprocessing
-
     children = []
     try:
-        for batch in batches[1:]:
+        for share in shares[1:]:
+            import multiprocessing
+
             receive, send = multiprocessing.Pipe(duplex=False)
             with send:
-                child = multiprocessing.Process(target=_send_outcomes, args=(send, batch))
+                child = multiprocessing.Process(target=_send_outcomes, args=(send, run, share))
                 try:
                     child.start()
                 except BaseException:
                     receive.close()
                     raise
             children.append((child, receive))
-        parts = [_replicate_outcomes(batches[0])]
+        parts = [run(shares[0])]
         for worker, (child, receive) in enumerate(children, 1):
             try:
                 result = receive.recv()
@@ -1226,10 +1231,10 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     threads = min(resolve_threads(threads), reps)
     seed = _integer(seed, "seed", 0)
 
-    batches = [(model, features, n, alpha0, adjusted, gram, seed, each_dataset,
-                range(w, reps, threads)) for w in range(threads)]
-    parts = _forked_outcomes(batches) if threads > 1 else [_replicate_outcomes(batches[0])]
-    outcomes = np.concatenate(parts)
+    run = partial(_replicate_outcomes, model, features, n, alpha0, adjusted, gram, seed,
+                  each_dataset)
+    outcomes = np.concatenate(
+        _worker_outcomes(run, [range(w, reps, threads) for w in range(threads)]))
 
     failures = int(np.sum(outcomes == -1))
     if failures == reps:

@@ -4,13 +4,17 @@ guards, and the copy rule of ``design._freeze``.
 
 A real array argument (a design's rho, feature and availability paths, an
 effect path or its coefficients, a dataset's probabilities and outcomes, a
-generative model's mean and noise paths, ``project_effect``'s path) accepts
+generative model's mean and noise paths, ``project_effect``'s path, the
+availability and randomization probabilities that ``compute_q_matrix``,
+``project_effect`` and ``asymptotic_targets`` weight by) accepts
 anything numpy reads as real numbers, and refuses strings, bytes, Python
 objects and complex numbers, numeric strings such as "0.4" included, with a
-ConfigError naming the argument.  The value types keep a copy of a caller's
+ConfigError naming the argument; those three also refuse a tau or rho of
+another length than the features'.  The value types keep a copy of a caller's
 writable array and leave that array writable.
 """
 
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,7 +30,8 @@ from mrtpower.design import (
     make_availability,
     project_effect,
 )
-from mrtpower.estimator import Dataset
+from mrtpower.estimator import Dataset, asymptotic_targets
+from mrtpower.samplesize import compute_q_matrix
 from mrtpower.simulate import ErrorProcess, GenerativeModel
 
 TINY = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
@@ -42,6 +47,11 @@ def _dataset(**arrays):
         prob=np.full(SHAPE, 0.4), outcome=np.zeros(SHAPE),
     )
     return Dataset(**{**base, **arrays})
+
+
+def _targets(tau=TAU, rho=0.4, features=FEATURES):
+    paths = SimpleNamespace(alpha_path=np.zeros(TINY.T), beta_path=EFFECT.path, tau=tau, rho=rho)
+    return asymptotic_targets(paths, features)
 
 
 def _model(**paths):
@@ -78,6 +88,11 @@ ARGUMENTS = [
     Argument("alpha_path", np.zeros(TINY.T), lambda v: _model(alpha_path=v)),
     Argument("sigma1", np.ones(TINY.T), lambda v: _model(sigma1=v)),
     Argument("sigma0", np.ones(TINY.T), lambda v: _model(sigma0=v)),
+    Argument("rho", np.array(0.4), lambda v: compute_q_matrix(TAU, v, FEATURES)),
+    Argument("tau", TAU.tau, lambda v: compute_q_matrix(v, 0.4, FEATURES)),
+    Argument("rho", np.full(TINY.T, 0.4), lambda v: project_effect(EFFECT, TAU, FEATURES, v)),
+    Argument("rho", np.array(0.4), lambda v: _targets(rho=v)),
+    Argument("tau", TAU.tau, lambda v: _targets(tau=v)),
 ]
 
 REFUSED = {
@@ -99,6 +114,32 @@ def test_every_real_array_argument_follows_one_rule(index, kind):
     what, convert = REFUSED[kind]
     with pytest.raises(ConfigError, match=f"^{arg.name} must hold numbers, got {what}$"):
         arg.call(convert(arg.value))
+
+
+LONG_FEATURES = build_quadratic_features(TrialDesign(days=4, decisions_per_day=4, rho=0.4))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: compute_q_matrix(TAU, np.full(5, 0.4), FEATURES),
+         "rho must be a scalar or have length 12, got shape (5,)"),
+        (lambda: project_effect(EFFECT, TAU, FEATURES, np.full(5, 0.4)),
+         "rho must be a scalar or have length 12, got shape (5,)"),
+        (lambda: _targets(rho=np.full(5, 0.4)),
+         "rho must be a scalar or have length 12, got shape (5,)"),
+        (lambda: compute_q_matrix(TAU, 0.4, LONG_FEATURES),
+         "availability and feature path lengths differ"),
+        (lambda: project_effect(np.zeros(16), TAU, LONG_FEATURES, 0.4),
+         "availability and feature path lengths differ"),
+        (lambda: _targets(features=LONG_FEATURES), "availability and feature path lengths differ"),
+    ],
+    ids=["q-rho", "projection-rho", "targets-rho", "q-tau", "projection-tau", "targets-tau"],
+)
+def test_tau_and_rho_take_the_features_length(call, message):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_dataset_copies_a_writable_prob():

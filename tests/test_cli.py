@@ -221,6 +221,65 @@ class TestConfigValidation:
         assert res.exit_code == 2
         assert "cannot read config" in res.stderr
 
+    # Each config breaks two keys; the error is the one its command meets first.
+    # size and power build the design's features as soon as they read it, and
+    # no command builds availability, effect or model before its last key.
+    @pytest.mark.parametrize(
+        "command,breaks,message",
+        [
+            ("size", {"design.days": 2, "availability.kind": "bogus"},
+             "quadratic day features need at least 3 days (u^2 = u on days 0 and 1), got days=2"),
+            ("size", {"availability.average": 0, "effect.form": "zzz"},
+             "availability.average must be a number in (0, 1], got 0"),
+            ("size", {"effect.max_day": 0, "alpha0": 0.7},
+             "effect.max_day must be an integer >= 1, got 0"),
+            ("size", {"foo": 1, "power": 2}, "power must be a number in (0, 1), got 2"),
+            ("size", {"effect.average": 0.0, "effect.max_day": 100},
+             "no solution: null effect (a zero average standardized effect can never reach "
+             "the power target)"),
+            ("size", {"effect.average": 0.0, "foo": 1}, "unknown configuration key(s): 'foo'"),
+            ("power", {"design.days": 2, "effect.form": "zzz"},
+             "quadratic day features need at least 3 days (u^2 = u on days 0 and 1), got days=2"),
+            ("power", {"effect.average": 0.0, "effect.max_day": 100},
+             "max_day must satisfy 1 < max_day <= days=42, got 100"),
+            ("power", {"errors.family": "ar9", "scenario.name": "nope"},
+             "errors.family must be one of iid-normal, iid-t3-scaled, iid-exp-centered, ar1, "
+             "ar5; got 'ar9'"),
+            ("power", {"n": 0, "errors.phi": 2}, "n must be an integer >= 1, got 0"),
+            ("power", {"scenario.theta": 1, "reps": 0},
+             "unknown configuration key(s): 'scenario.theta'"),
+            ("power", {"alpha0": 0.7, "design.extra": 1},
+             "unknown configuration key(s): 'design.extra'"),
+            ("simulate", {"design.days": 2, "effect.form": "zzz"},
+             "effect.form must be one of quadratic, shaped; got 'zzz'"),
+            ("simulate", {"errors.phi": 2, "n": 0}, "phi must be a number in (-1, 1), got 2.0"),
+            ("simulate", {"scenario.name": "nope", "alpha0": 0.7},
+             "scenario.name must be one of working-true, availability-feedback, weekend-mean, "
+             "nonquadratic-effect, heteroscedastic, treatment-feedback; got 'nope'"),
+            ("simulate", {"n": 0, "alpha0": 0.7}, "n must be an integer >= 1, got 0"),
+            ("simulate", {"availability.kind": "linear", "availability.amplitude": 1.5, "foo": 1},
+             "unknown configuration key(s): 'foo'"),
+            ("simulate", {"effect.max_day": 100, "reps": 0}, "reps must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_first_error_comes_from_the_first_key_read(
+            self, runner, tmp_path, command, breaks, message):
+        doc = {
+            "size": self.size_doc(),
+            "power": dict(self.size_doc(), n=42, errors={"family": "ar1", "phi": 0.5},
+                          scenario={"name": "working-true"}),
+            "simulate": tiny_sim_config(errors={"family": "ar1", "phi": 0.5}),
+        }[command]
+        for key, value in breaks.items():
+            *blocks, last = key.split(".")
+            target = doc
+            for block in blocks:
+                target = target[block]
+            target[last] = value
+        res = runner.invoke(main, [command, write_json(tmp_path / "c.json", doc)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
+
 
 # =====================================================================
 # size

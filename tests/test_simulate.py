@@ -661,6 +661,20 @@ class TestMonteCarlo:
         assert monte_carlo(m, 11, 5, 0.05, seed=7).config_digest != base.config_digest
         assert config_digest(m, 10, 5, 0.05, True, "summed", 7) == base.config_digest
 
+    @pytest.mark.parametrize(
+        "n,reps,alpha0",
+        [(10, 5, "0.05"), (10, 5, float("nan")), (10, 5, 0.7), (10, 5, True), (10, 0, 0.05),
+         (10, -3, 0.05), (0, 5, 0.05)],
+        ids=["alpha0-string", "alpha0-nan", "alpha0-0.7", "alpha0-true", "reps-0", "reps-neg",
+             "n-0"],
+    )
+    def test_digest_refuses_what_monte_carlo_refuses(self, tiny_design, n, reps, alpha0):
+        m = tiny_null_model(tiny_design)
+        with pytest.raises(ConfigError):
+            monte_carlo(m, n, reps, alpha0, seed=1)
+        with pytest.raises(ConfigError):
+            config_digest(m, n, reps, alpha0, True, "summed", 1)
+
     def test_failed_replicates_are_counted_separately(self, tiny_design):
         # sparse availability makes some replicates numerically singular;
         # probed: 9 of 30 fail at this configuration
