@@ -18,7 +18,8 @@ Conventions used throughout the package:
   unhashable).
   The hash is computed once per instance, and pickling re-runs the
   constructor, so a copy is validated and read-only again, and neither a
-  hash nor a cached array travels to another process;
+  hash, a cached array nor a cached text (a generative model's encoded
+  description) travels to another process;
 * :func:`make_availability`, :func:`elicit_quadratic_effect` and
   :func:`build_quadratic_features` validate their arguments on every call,
   then return the object built for the same normalized arguments and design
@@ -156,7 +157,7 @@ def _value_hash(self):
 def _reduce_through_init(self):
     # Pickle a frozen dataclass as a constructor call, so a copy is validated
     # and read-only again (restoring __dict__ would leave writeable arrays,
-    # and carry a hash of per-process salted bytes or a cached array).
+    # and carry a hash of per-process salted bytes, a cached array or text).
     return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
@@ -258,9 +259,21 @@ def _flag(value, name):
     return bool(value)
 
 
-def _canonical_digest(payload):
-    """sha256 hex digest of ``payload`` as sorted, compact, UTF-8 JSON."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# ``value`` as sorted, compact JSON text; one encoder for every call, where
+# ``json.dumps`` with these options would build one per call
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical_digest(payload, **encoded):
+    """sha256 hex digest of the dict ``payload`` as sorted, compact, UTF-8 JSON.
+
+    Each keyword adds one more entry, its value given already encoded as
+    :func:`_canonical_json` text; the digest equals that of the payload
+    holding the value itself.
+    """
+    parts = {key: _canonical_json(value) for key, value in payload.items()}
+    parts.update(encoded)
+    canon = "{" + ",".join(f"{_canonical_json(key)}:{parts[key]}" for key in sorted(parts)) + "}"
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

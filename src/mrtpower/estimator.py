@@ -385,11 +385,19 @@ def asymptotic_targets(generative, features):
                       sum_t tau_t rho_t(1-rho_t) beta(t) Z_t
 
     from a generative model exposing closed-form paths ``alpha_path``,
-    ``beta_path``, ``tau`` and ``rho``.
+    ``beta_path``, ``tau`` and ``rho``.  Each path is read by
+    :func:`_real_array`, and a path of another length than the features'
+    raises :class:`ConfigError`.
     """
-    alpha_path = np.asarray(generative.alpha_path, dtype=np.float64)
-    beta_path = np.asarray(generative.beta_path, dtype=np.float64)
-    tau, w = _information_weights(generative.tau, generative.rho, features.T)
+    T = features.T
+    tau, w = _information_weights(generative.tau, generative.rho, T)
+    paths = []
+    for name in ("alpha_path", "beta_path"):
+        path = _real_array(getattr(generative, name), name)
+        if path.shape != (T,):
+            raise ConfigError(f"{name} must have length {T}, got shape {path.shape}")
+        paths.append(path)
+    alpha_path, beta_path = paths
     alpha_tilde = _weighted_projection(features.B, tau, alpha_path, "nuisance projection")
     beta_tilde = _weighted_projection(features.Z, w, beta_path, "effect projection")
     return alpha_tilde, beta_tilde

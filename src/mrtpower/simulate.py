@@ -65,7 +65,7 @@ Lagged quantities at times before the study start contribute zero.
 import dataclasses
 import math
 import os
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .design import (
     EffectPath,
     TrialDesign,
     _canonical_digest,
+    _canonical_json,
     _choice,
     _flag,
     _freeze,
@@ -378,15 +379,15 @@ def _availability_feedback(model, u_avail, action):
     s = np.empty(n)
     prob = np.empty(n)
     treated = np.empty(n, dtype=bool)
-    avail = np.empty((n, T), dtype=np.int8)
-    steps = zip(range(T), u_avail.T, action.T, avail.T, back[T - 1::-1])
+    on = np.empty((T, n), dtype=bool)  # on[t] holds I_t, so each step writes contiguously
+    steps = zip(range(T), u_avail.T, action.T, on, back[T - 1::-1])
     for t, u, a, i, term in steps:
         np.add.reduce(back[T - 1 - t:T - t + lags], axis=0, out=s)
         np.add(tau[t], eta * s, out=prob)
         np.less(u, prob, out=i)
         np.logical_and(i, a, out=treated)
         np.subtract(treated, center[t], out=term)
-    return avail
+    return np.ascontiguousarray(on.T).view(np.int8)
 
 
 def _treatment_feedback(model, u_avail, action, eps):
@@ -414,16 +415,16 @@ def _treatment_feedback(model, u_avail, action, eps):
     table = _feedback_table(model)
     recent = np.zeros((lags, n), dtype=bool)  # A I at the last L times, in turn
     c_path = np.empty((T, n), dtype=np.int8)
-    avail = np.empty((n, T), dtype=np.int8)
-    steps = zip(range(T), prob, table, c_path, u_avail.T, action.T, avail.T)
+    on = np.empty((T, n), dtype=bool)  # on[t] holds I_t, so each step writes contiguously
+    steps = zip(range(T), prob, table, c_path, u_avail.T, action.T, on)
     for t, p, row, c, u, a, i in steps:
         np.add.reduce(recent, axis=0, dtype=np.int8, out=c)
-        np.add(row[c], p, out=p)
+        np.add(row.take(c), p, out=p)
         np.less(u, p, out=i)
         np.logical_and(i, a, out=recent[t % lags])
     if not (prob.min() >= 0.0 and prob.max() <= 1.0):
         raise ConfigError(_FEEDBACK_RANGE_ERROR)
-    return avail, c_path.T
+    return np.ascontiguousarray(on.T).view(np.int8), c_path.T
 
 
 def _feedback_table(model):
@@ -703,6 +704,11 @@ class GenerativeModel:
                 continue
             out[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return out
+
+    @cached_property
+    def _description_json(self):
+        # describe() as canonical JSON text, encoded once per instance
+        return _canonical_json(self.describe())
 
     # -- scenario constructors --------------------------------------------
 
@@ -1123,10 +1129,11 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
     """sha256 digest of the full run configuration (excludes worker count).
 
     Each argument is read by the rule :func:`monte_carlo` applies to it, so
-    a configuration that it refuses has no digest.
+    a configuration that it refuses has no digest.  The model enters as its
+    :meth:`GenerativeModel.describe`, encoded once per model instance; the
+    digest is that of the whole payload encoded at once.
     """
     payload = {
-        "model": model.describe(),
         "n": _integer(n, "n", 1, _MAX_SUBJECTS),
         "reps": _integer(reps, "reps", 1, _MAX_COUNT),
         "alpha0": _level(alpha0),
@@ -1134,7 +1141,7 @@ def config_digest(model, n, reps, alpha0, adjusted, gram, seed):
         "gram": _choice(gram, "gram", GRAM_KINDS),
         "seed": _integer(seed, "seed", 0),
     }
-    return _canonical_digest(payload)
+    return _canonical_digest(payload, model=model._description_json)
 
 
 def _send_outcomes(send, run, share):

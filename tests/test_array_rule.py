@@ -10,7 +10,9 @@ availability and randomization probabilities that ``compute_q_matrix``,
 anything numpy reads as real numbers, and refuses strings, bytes, Python
 objects and complex numbers, numeric strings such as "0.4" included, with a
 ConfigError naming the argument; those three also refuse a tau or rho of
-another length than the features'.  The value types keep a copy of a caller's
+another length than the features', and ``asymptotic_targets`` also its
+``alpha_path`` and ``beta_path`` (the generative model's mean and effect
+paths, which it projects).  The value types keep a copy of a caller's
 writable array and leave that array writable.
 """
 
@@ -49,8 +51,9 @@ def _dataset(**arrays):
     return Dataset(**{**base, **arrays})
 
 
-def _targets(tau=TAU, rho=0.4, features=FEATURES):
-    paths = SimpleNamespace(alpha_path=np.zeros(TINY.T), beta_path=EFFECT.path, tau=tau, rho=rho)
+def _targets(tau=TAU, rho=0.4, features=FEATURES, alpha_path=np.zeros(TINY.T),
+             beta_path=EFFECT.path):
+    paths = SimpleNamespace(alpha_path=alpha_path, beta_path=beta_path, tau=tau, rho=rho)
     return asymptotic_targets(paths, features)
 
 
@@ -93,6 +96,8 @@ ARGUMENTS = [
     Argument("rho", np.full(TINY.T, 0.4), lambda v: project_effect(EFFECT, TAU, FEATURES, v)),
     Argument("rho", np.array(0.4), lambda v: _targets(rho=v)),
     Argument("tau", TAU.tau, lambda v: _targets(tau=v)),
+    Argument("alpha_path", np.zeros(TINY.T), lambda v: _targets(alpha_path=v)),
+    Argument("beta_path", EFFECT.path, lambda v: _targets(beta_path=v)),
 ]
 
 REFUSED = {
@@ -133,8 +138,13 @@ LONG_FEATURES = build_quadratic_features(TrialDesign(days=4, decisions_per_day=4
         (lambda: project_effect(np.zeros(16), TAU, LONG_FEATURES, 0.4),
          "availability and feature path lengths differ"),
         (lambda: _targets(features=LONG_FEATURES), "availability and feature path lengths differ"),
+        (lambda: _targets(alpha_path=np.zeros(5)),
+         "alpha_path must have length 12, got shape (5,)"),
+        (lambda: _targets(beta_path=np.zeros((1, 12))),
+         "beta_path must have length 12, got shape (1, 12)"),
     ],
-    ids=["q-rho", "projection-rho", "targets-rho", "q-tau", "projection-tau", "targets-tau"],
+    ids=["q-rho", "projection-rho", "targets-rho", "q-tau", "projection-tau", "targets-tau",
+         "targets-alpha-path", "targets-beta-path"],
 )
 def test_tau_and_rho_take_the_features_length(call, message):
     with pytest.raises(ConfigError) as info:
