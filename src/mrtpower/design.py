@@ -9,6 +9,9 @@ Conventions used throughout the package:
   quadratic feature path is Z_t = B_t = (1, u_t, u_t^2)';
 * an effect path d(t) is the proximal treatment effect standardized by the
   average conditional outcome standard deviation;
+* every per-decision-time path (rho, tau, an effect, a generative model's
+  mean and noise) is read by :func:`_real_array`, one rule for all: 1-D of
+  length T, each entry a finite number in range, a scalar only as rho;
 * every Gram matrix is guarded and solved on its equilibrated (unit-diagonal)
   form by :func:`_equilibrated_eigh`, so long trials' large u^2 column is harmless;
 * every frozen type of the package is declared by :func:`_value_type`, one
@@ -102,17 +105,40 @@ def _freeze(arr, dtype=np.float64):
 _NOT_NUMBERS = {"U": "strings", "S": "bytes", "O": "Python objects", "c": "complex numbers"}
 
 
-def _real_array(value, name):
+def _real_array(value, name, T=None, low=None, high=None, *,
+                open_low=False, open_high=False, broadcast=False):
     """``value`` as a float64 array, not copied if it is one already.
 
     An array of strings, bytes, objects or complex numbers, numeric strings
     such as "0.4" included, raises :class:`ConfigError` naming ``name``, as
-    :func:`_real` does for a scalar.
+    :func:`_real` does for a scalar.  Given a length ``T`` (``...``: any
+    non-empty length), this is the whole path rule: a 1-D array of length T
+    (a scalar repeated T times when ``broadcast``) whose every entry passes
+    :func:`_real` with these bounds, returned by :func:`_freeze`.
     """
     arr = np.asarray(value)
     if arr.dtype.kind in _NOT_NUMBERS:
         raise ConfigError(f"{name} must hold numbers, got {_NOT_NUMBERS[arr.dtype.kind]}")
-    return arr.astype(np.float64, copy=False)
+    arr = arr.astype(np.float64, copy=False)
+    if T is None:
+        return arr
+    if T is ...:
+        if arr.ndim != 1 or arr.size == 0:
+            raise ConfigError(f"{name} must be 1-D and non-empty, got shape {arr.shape}")
+    elif arr.shape != (T,) and not (broadcast and arr.shape in ((), (1,))):
+        scalar = "be a scalar or " if broadcast else ""
+        raise ConfigError(f"{name} must {scalar}have length {T}, got shape {arr.shape}")
+    for extreme in (arr.min(), arr.max()):  # a NaN is both
+        _real(float(extreme), f"every entry of {name}" if arr.ndim else name, low, high,
+              open_low=open_low, open_high=open_high)
+    if broadcast and arr.shape != (T,):
+        try:
+            arr = np.full(T, arr)
+        except ValueError:  # numpy's "Maximum allowed dimension exceeded"
+            raise ConfigError(
+                f"the design has T = {T} decision times, more than an array can hold"
+            ) from None
+    return _freeze(arr)
 
 
 _FLOAT = struct.Struct("<d")
@@ -314,17 +340,12 @@ def _information_weights(tau, rho, T):
     """(tau_t, w_t = tau_t rho_t (1 - rho_t)), the availability and the
     per-time weights of the effect's information, as length-T float arrays.
 
-    ``tau`` is an :class:`AvailabilityPattern` or an array, ``rho`` a scalar
-    or an array; each is read by :func:`_real_array`, and a length other
-    than the features' ``T`` raises :class:`ConfigError`.
+    ``tau`` is an :class:`AvailabilityPattern` or a path in [0, 1], ``rho``
+    a scalar or a path in (0, 1); each is read by :func:`_real_array` at
+    the features' ``T``.
     """
-    tau = _real_array(getattr(tau, "tau", tau), "tau")
-    rho = _real_array(rho, "rho")
-    if tau.shape != (T,):
-        raise ConfigError("availability and feature path lengths differ")
-    if rho.shape not in ((), (1,), (T,)):
-        raise ConfigError(f"rho must be a scalar or have length {T}, got shape {rho.shape}")
-    rho = np.broadcast_to(rho, (T,))
+    tau = _real_array(getattr(tau, "tau", tau), "tau", T, 0.0, 1.0)
+    rho = _real_array(rho, "rho", T, 0.0, 1.0, open_low=True, open_high=True, broadcast=True)
     return tau, tau * rho * (1.0 - rho)
 
 
@@ -343,20 +364,10 @@ class TrialDesign:
     def __post_init__(self):
         for name in ("days", "decisions_per_day"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
-        rho = _real_array(self.rho, "rho")
-        if rho.shape not in ((), (1,), (self.T,)):
-            raise ConfigError(
-                f"rho must be a scalar or have length {self.T}, got shape {rho.shape}"
-            )
-        try:
-            rho = np.broadcast_to(rho, (self.T,)).copy()
-        except ValueError:  # numpy's "Maximum allowed dimension exceeded"
-            raise ConfigError(
-                f"the design has T = {self.T} decision times, more than an array can hold"
-            ) from None
-        if not np.all((rho > 0.0) & (rho < 1.0)):
-            raise ConfigError("all randomization probabilities must lie in (0, 1)")
-        object.__setattr__(self, "rho", _freeze(rho))
+        rho = _real_array(
+            self.rho, "rho", self.T, 0.0, 1.0, open_low=True, open_high=True, broadcast=True
+        )
+        object.__setattr__(self, "rho", rho)
 
     @property
     def T(self):
@@ -394,6 +405,9 @@ class FeaturePaths:
         B = Z if shared else np.atleast_2d(_real_array(self.B, "B"))
         if Z.shape[0] != B.shape[0]:
             raise ConfigError("Z and B must have one row per decision time")
+        for name, arr in (("Z", Z), ("B", B)):
+            for extreme in (arr.min(), arr.max()):  # a NaN is both
+                _real(float(extreme), f"every entry of {name}")
         _equilibrated_eigh(Z.T @ Z, "effect-feature Gram matrix")
         if not shared:
             _equilibrated_eigh(B.T @ B, "nuisance-feature Gram matrix")
@@ -423,23 +437,22 @@ class AvailabilityPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _choice(self.kind, "kind", AVAILABILITY_KINDS))
-        tau = _real_array(self.tau, "tau")
-        # written so that NaN fails both checks
-        if not np.all((tau >= 0.0) & (tau <= 1.0)):
-            raise ConfigError("availability values must lie in [0, 1]")
-        if not abs(float(tau.mean()) - self.target_average) <= 1e-9:
+        tau = _real_array(self.tau, "tau", ..., 0.0, 1.0)
+        target_average = _real(self.target_average, "target_average", 0.0, 1.0)
+        if not abs(float(tau.mean()) - target_average) <= 1e-9:
             raise ConfigError(
                 "availability pattern mean does not match its target average"
             )
-        object.__setattr__(self, "tau", _freeze(tau))
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "target_average", target_average)
 
 
 @_value_type
 class EffectPath:
     """Standardized proximal effect d(t), quadratic-in-day or explicit.
 
-    ``path`` always holds the evaluated per-time values, which must be
-    finite; ``coeffs`` is the (d1, d2, d3) day-quadratic when
+    ``path`` always holds the evaluated per-time values, a path read by
+    :func:`_real_array`; ``coeffs`` is the (d1, d2, d3) day-quadratic when
     ``form == "quadratic"``.
     """
 
@@ -450,17 +463,14 @@ class EffectPath:
     def __post_init__(self):
         object.__setattr__(self, "form", _choice(self.form, "form", ("quadratic", "explicit")))
         if self.form == "quadratic":
-            if self.coeffs is None or np.shape(self.coeffs) != (3,):
+            if self.coeffs is None:
                 raise ConfigError("quadratic effect requires 3 coefficients")
-            object.__setattr__(self, "coeffs", _freeze(_real_array(self.coeffs, "coeffs")))
-        path = _freeze(_real_array(self.path, "path"))
-        if not np.all(np.isfinite(path)):
-            raise ConfigError("effect path must be finite")
-        object.__setattr__(self, "path", path)
+            object.__setattr__(self, "coeffs", _real_array(self.coeffs, "coeffs", 3))
+        object.__setattr__(self, "path", _real_array(self.path, "path", ...))
 
     @classmethod
     def quadratic(cls, coeffs, design):
-        coeffs = _real_array(coeffs, "coeffs")
+        coeffs = _real_array(coeffs, "coeffs", 3)
         u = design.day_index
         path = coeffs[0] + coeffs[1] * u + coeffs[2] * u * u
         return cls(form="quadratic", path=path, coeffs=coeffs)
@@ -615,10 +625,8 @@ def project_effect(path, tau, features, rho):
 
     Idempotent on paths already in the span.
     """
-    values = path.path if isinstance(path, EffectPath) else _real_array(path, "path")
     Z = features.Z
-    if values.shape[0] != Z.shape[0]:
-        raise ConfigError("effect path and feature path lengths differ")
+    values = _real_array(getattr(path, "path", path), "path", Z.shape[0])
     _, w = _information_weights(tau, rho, Z.shape[0])
     coeffs = _weighted_projection(Z, w, values, "projection Gram matrix")
     return EffectPath(form="quadratic", path=Z @ coeffs, coeffs=coeffs)

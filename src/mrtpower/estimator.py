@@ -386,18 +386,12 @@ def asymptotic_targets(generative, features):
 
     from a generative model exposing closed-form paths ``alpha_path``,
     ``beta_path``, ``tau`` and ``rho``.  Each path is read by
-    :func:`_real_array`, and a path of another length than the features'
-    raises :class:`ConfigError`.
+    :func:`_real_array` at the features' length.
     """
     T = features.T
     tau, w = _information_weights(generative.tau, generative.rho, T)
-    paths = []
-    for name in ("alpha_path", "beta_path"):
-        path = _real_array(getattr(generative, name), name)
-        if path.shape != (T,):
-            raise ConfigError(f"{name} must have length {T}, got shape {path.shape}")
-        paths.append(path)
-    alpha_path, beta_path = paths
+    alpha_path = _real_array(generative.alpha_path, "alpha_path", T)
+    beta_path = _real_array(generative.beta_path, "beta_path", T)
     alpha_tilde = _weighted_projection(features.B, tau, alpha_path, "nuisance projection")
     beta_tilde = _weighted_projection(features.Z, w, beta_path, "effect projection")
     return alpha_tilde, beta_tilde

@@ -12,7 +12,9 @@ Two broad classes matter to callers (and to the CLI's exit codes):
 Each kind of argument has one rule, in :mod:`mrtpower.design`, shared by
 the library and the config reader: ``_integer`` (a count, a day, an index or
 a degree of freedom), ``_real`` (a finite number in its range; ``_level``
-for a significance level), ``_choice`` (a ``str`` among named options) and
+for a significance level), ``_real_array`` (an array of real numbers, and
+given its length T a per-decision-time path: 1-D of length T, each entry a
+number by ``_real``), ``_choice`` (a ``str`` among named options) and
 ``_flag`` (a bool).  An argument that breaks its rule raises
 :class:`ConfigError` naming it, from a config or from the library, kernels
 included; a ``ConfigError`` is a ``ValueError`` too.  Left outside the rules,

@@ -628,29 +628,22 @@ class GenerativeModel:
         for name in ("sigma1", "sigma0"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, np.ones(T))
-        for name in ("alpha_path", "sigma1", "sigma0"):
-            arr = _freeze(_real_array(getattr(self, name), name))
-            if arr.shape != (T,):
-                raise ConfigError(f"{name} must have length {T}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
-        if np.any(self.sigma1 < 0.0) or np.any(self.sigma0 < 0.0):
-            raise ConfigError("noise scales must be nonnegative")
-        if self.effect.path.shape != (T,):
-            raise ConfigError("effect path length does not match the design")
-        if self.tau.tau.shape != (T,):
-            raise ConfigError("availability pattern length does not match the design")
+        for name, low in (("alpha_path", None), ("sigma1", 0.0), ("sigma0", 0.0),
+                          ("c_mean", None), ("c_mean_avail", None)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real_array(getattr(self, name), name, T, low))
+        _real_array(self.effect.path, "effect", T)
+        _real_array(self.tau.tau, "tau", T)
+        if self.sigma_star is not None:
+            sigma_star = _real(self.sigma_star, "sigma_star", 0.0, open_low=True)
+            object.__setattr__(self, "sigma_star", sigma_star)
         if self.c_mean is not None:
-            object.__setattr__(self, "c_mean", _freeze(self.c_mean))
             if self.scenario == "treatment-feedback":
                 # checked once here, so the engine needs no errstate of its own
                 with np.errstate(over="ignore", invalid="ignore"):
                     finite = np.isfinite(_feedback_table(self)).all()
                 if not finite:
                     raise ConfigError(_FEEDBACK_RANGE_ERROR)
-        if self.c_mean_avail is not None:
-            object.__setattr__(self, "c_mean_avail", _freeze(self.c_mean_avail))
         if self.scenario == "availability-feedback":
             # each of the L lagged terms A I - rho tau of s_t lies in
             # [-rho tau, 1 - rho tau]; the margin covers the rounding of s_t

@@ -291,9 +291,13 @@ class TestAvailability:
     def test_direct_construction_rejects_nan(self, design):
         tau = np.full(210, 0.5)
         tau[7] = np.nan
-        with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
+        with pytest.raises(
+            ConfigError, match=r"^every entry of tau must be a number in \[0, 1\], got nan$"
+        ):
             AvailabilityPattern(tau=tau, kind="constant", target_average=0.5)
-        with pytest.raises(ConfigError, match="target average"):
+        with pytest.raises(
+            ConfigError, match=r"^target_average must be a number in \[0, 1\], got nan$"
+        ):
             AvailabilityPattern(
                 tau=np.full(210, 0.5), kind="constant", target_average=float("nan")
             )
