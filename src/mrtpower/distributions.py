@@ -21,7 +21,10 @@ the F quantile search is memoized per (prob, d1, d2) in a bounded
 ``lru_cache`` (``hotelling_critical`` keeps no cache of its own); a failed
 search is cached as NaN and raises on every call.  Within one search the
 log-beta normalizer ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b) is computed
-once, not at every bisection step.  Neither changes a returned bit.
+once, not at every bisection step.  The noncentral series shares ln Gamma(a0+b)
+and ln Gamma(b) between its modal incomplete beta and its recurrence anchor,
+and it and the continued fraction were rewritten to do less work per term.
+None of this changes a returned bit (tests/test_kernel_bits.py).
 
 Accuracy notes: the continued fraction is iterated to ~1e-15 relative
 convergence, giving CDF values accurate to ~1e-13 absolute; the log-gamma
@@ -38,7 +41,7 @@ import math
 from functools import lru_cache
 
 from .design import _integer, _level, _real, _value_type
-from .exceptions import NumericError
+from .exceptions import ConfigError, NumericError
 
 __all__ = [
     "FDistParams",
@@ -84,9 +87,9 @@ _LN_PI = 1.1447298858494001741  # log(pi)
 # ======================================================================
 
 def _lanczos_ln_gamma(x):
-    # Lanczos sum, valid for x >= 0.5.  The terms are unrolled for CPython
-    # speed: a loop over _LANCZOS gives the same bits but takes ~40% longer
-    # per call, and solving one sizing cell makes over a thousand calls.
+    # Lanczos sum, valid for x >= 0.5.  Unrolled for CPython speed: a loop
+    # over _LANCZOS gives the same bits but takes ~40% longer per call, and a
+    # sizing cell makes 10 calls (two noncentral-F series of 5 each).
     z = x - 1.0
     acc = _LANCZOS[0]
     acc += _LANCZOS[1] / (z + 1.0)
@@ -111,38 +114,45 @@ def _ln_gamma_kernel(x):
 def _beta_cf(a, b, x):
     # Lentz's algorithm for the continued fraction in the incomplete beta
     # (Numerical Recipes normalization).  Returns NaN on non-convergence.
+    # Float counters m and m2 = 2m (exact up to _CF_MAXIT) keep ints out of
+    # the sums; d < tiny and -tiny < d is abs(d) < tiny, NaN and -0.0 too;
+    # the odd step subtracts a positive aa, which rounds as adding -aa does.
     tiny = 1.0e-300
+    eps = _CF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
+    if d < tiny and -tiny < d:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = m2 = 0.0
+    for _ in range(_CF_MAXIT):
+        m += 1.0
+        m2 += 2.0
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if d < tiny and -tiny < d:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if c < tiny and -tiny < c:
             c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
+        aa = (a + m) * (qab + m) * x / (am2 * (qap + m2))
+        d = 1.0 - aa * d
+        if d < tiny and -tiny < d:
             d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
+        c = 1.0 - aa / c
+        if c < tiny and -tiny < c:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if abs(delta - 1.0) < eps:
             return h
     return math.nan
 
@@ -168,10 +178,6 @@ def _inc_beta_body(a, b, x, ln_norm):
     return 1.0 - math.exp(ln_front) * cf / b
 
 
-def _reg_inc_beta_kernel(a, b, x):
-    return _inc_beta_body(a, b, x, _ln_beta_norm(a, b))
-
-
 def _f_cdf_kernel(x, d1, d2, ln_norm):
     # ln_norm = _ln_beta_norm(d1/2, d2/2)
     if x <= 0.0:
@@ -190,11 +196,15 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
         return 0.0
     half = 0.5 * lam
     y = d1 * x / (d1 * x + d2)
+    h1 = 0.5 * d1
     b = 0.5 * d2
     k0 = int(half)
-    a0 = 0.5 * d1 + k0
+    a0 = h1 + k0
+    # shared by the normalizer of i0 and the anchor t0: 5 log-gammas, not 7
+    lg_ab = _ln_gamma_kernel(a0 + b)
+    lg_b = _ln_gamma_kernel(b)
 
-    i0 = _reg_inc_beta_kernel(a0, b, y)
+    i0 = _inc_beta_body(a0, b, y, lg_ab - _ln_gamma_kernel(a0) - lg_b)
     if math.isnan(i0):
         return math.nan
     # Poisson weight at the modal index, in log space for large lam
@@ -205,17 +215,14 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
     # T at a0 (log space); lets both directions start from one anchor
     if 0.0 < y < 1.0:
         t0 = math.exp(
-            _ln_gamma_kernel(a0 + b)
-            - _ln_gamma_kernel(a0 + 1.0)
-            - _ln_gamma_kernel(b)
-            + a0 * math.log(y)
-            + b * math.log1p(-y)
+            lg_ab - _ln_gamma_kernel(a0 + 1.0) - lg_b + a0 * math.log(y) + b * math.log1p(-y)
         )
     else:
         t0 = 0.0
 
     total = p0 * i0
-    iterations = 0
+    tol = _SERIES_TOL
+    last = k0 + _SERIES_CAP  # past this k the series has over _SERIES_CAP terms
 
     # upward pass: k = k0+1, k0+2, ...
     p = p0
@@ -224,32 +231,32 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
     k = k0
     while True:
         icur -= t  # I_y(a+1, b)
-        t *= y * ((0.5 * d1 + k) + b) / ((0.5 * d1 + k) + 1.0)
+        a = h1 + k
+        t *= y * (a + b) / (a + 1.0)
         p *= half / (k + 1.0)
         k += 1
         if icur < 0.0:
             icur = 0.0  # guard against cancellation at the tail
         term = p * icur
         total += term
-        iterations += 1
-        if iterations > _SERIES_CAP:
+        if k > last:
             return math.nan
         # stop once the term is negligible and the remaining Poisson mass
         # (geometric bound, valid once k+1 > lam/2) is negligible too
-        ratio = half / (k + 1.0)
-        if term < _SERIES_TOL and ratio < 1.0:
-            tail_bound = p * ratio / (1.0 - ratio)
-            if tail_bound < _SERIES_TOL:
+        if term < tol:
+            ratio = half / (k + 1.0)
+            if ratio < 1.0 and p * ratio / (1.0 - ratio) < tol:
                 break
 
     # downward pass: k = k0-1, ..., 0
+    last = k - _SERIES_CAP  # the upward pass added k - k0 terms; below this k, too many
     p = p0
     icur = i0
     t = t0
     k = k0
     while k > 0:
         # T_{a-1} = T_a * a / (y * (a - 1 + b));  I_y(a-1,b) = I_y(a,b) + T_{a-1}
-        a = 0.5 * d1 + k
+        a = h1 + k
         t = t * a / (y * (a - 1.0 + b))
         icur += t
         if icur > 1.0:
@@ -258,13 +265,13 @@ def _ncf_cdf_kernel(x, d1, d2, lam):
         k -= 1
         term = p * icur
         total += term
-        iterations += 1
-        if iterations > _SERIES_CAP:
+        if k < last:
             return math.nan
-        if term < _SERIES_TOL and k >= 1:
+        if term < tol:
             # downward Poisson tail bound: successive ratios are <= k/half
+            # (at k = 0 the bound is 0 and the loop ends either way)
             ratio = k / half
-            if ratio < 1.0 and p * ratio / (1.0 - ratio) < _SERIES_TOL:
+            if ratio < 1.0 and p * ratio / (1.0 - ratio) < tol:
                 break
 
     if total < 0.0:
@@ -318,8 +325,9 @@ class FDistParams:
     def __post_init__(self):
         object.__setattr__(self, "d1", _integer(self.d1, "d1", 1))
         object.__setattr__(self, "d2", _integer(self.d2, "d2", 1))
-        if not (self.lam >= 0.0):
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        # +inf passes, so that ncf_cdf can say the noncentrality is infinite
+        if self.lam != math.inf:
+            object.__setattr__(self, "lam", _real(self.lam, "lam", 0.0))
 
 
 def ln_gamma(x):
@@ -331,7 +339,7 @@ def reg_inc_beta(a, b, x):
     """Regularized incomplete beta function I_x(a, b), finite a, b > 0, x in [0, 1]."""
     a, b = _real(a, "a", 0.0, open_low=True), _real(b, "b", 0.0, open_low=True)
     x = _real(x, "x", 0.0, 1.0)
-    value = _reg_inc_beta_kernel(a, b, x)
+    value = _inc_beta_body(a, b, x, _ln_beta_norm(a, b))
     if math.isnan(value):
         raise NumericError(
             f"incomplete-beta continued fraction failed to converge "
@@ -347,18 +355,16 @@ def reg_inc_beta(a, b, x):
 
 def _central(params):
     if params.lam != 0.0:
-        raise ValueError("central F function called with nonzero noncentrality")
+        raise ConfigError(f"lam must be 0 for the central F distribution, got {params.lam!r}")
     return float(params.d1), float(params.d2)
 
 
 def f_cdf(x, params):
-    """P(F <= x) for the central F distribution given by ``params``."""
+    """P(F <= x) for the central F distribution given by ``params``; x = +inf gives 1."""
     d1, d2 = _central(params)
-    x = float(x)
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"f_cdf requires x >= 0, got {x}")
-    if math.isinf(x):
+    if x == math.inf:
         return 1.0
+    x = _real(x, "x", 0.0)
     value = _f_cdf_kernel(x, d1, d2, _ln_beta_norm(0.5 * d1, 0.5 * d2))
     if math.isnan(value):
         raise NumericError(f"F CDF evaluation failed (x={x}, d1={d1}, d2={d2})")
@@ -381,12 +387,11 @@ def f_quantile(prob, params):
     search is remembered too and raises again on every call.
     """
     d1, d2 = _central(params)
-    return _f_quantile(float(prob), d1, d2)
+    return _f_quantile(_real(prob, "prob", 0.0, 1.0, open_low=True, open_high=True), d1, d2)
 
 
 def _f_quantile(prob, d1, d2):
-    if not (0.0 < prob < 1.0):
-        raise ValueError(f"f_quantile requires prob in (0, 1), got {prob}")
+    # prob in (0, 1): read by _real in f_quantile, by _level in hotelling_critical
     value = _f_quantile_kernel(prob, d1, d2)
     if math.isnan(value):
         raise NumericError(
@@ -402,19 +407,17 @@ def ncf_cdf(x, params):
     Poisson-mixture series over incomplete betas, summed outward from the
     modal Poisson index; terminates when both the current term and an
     analytic bound on the remaining Poisson tail fall below 1e-13.  An
-    infinite noncentrality raises :class:`NumericError`.
+    infinite noncentrality raises :class:`NumericError`; x = +inf gives 1.
     """
-    x = float(x)
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"ncf_cdf requires x >= 0, got {x}")
-    if math.isinf(x):
+    if x == math.inf:
         return 1.0
-    if math.isinf(params.lam):
+    x = _real(x, "x", 0.0)
+    if params.lam == math.inf:
         raise NumericError(
             f"noncentrality is infinite (x={x}, d1={params.d1}, d2={params.d2}); "
             f"the effect is too large for the noncentral-F series"
         )
-    value = _ncf_cdf_kernel(x, float(params.d1), float(params.d2), float(params.lam))
+    value = _ncf_cdf_kernel(x, float(params.d1), float(params.d2), params.lam)
     if math.isnan(value):
         raise NumericError(
             f"noncentral-F series did not converge within the iteration cap "

@@ -17,10 +17,10 @@ given its length T a per-decision-time path: 1-D of length T, each entry a
 number by ``_real``), ``_choice`` (a ``str`` among named options) and
 ``_flag`` (a bool).  An argument that breaks its rule raises
 :class:`ConfigError` naming it, from a config or from the library, kernels
-included; a ``ConfigError`` is a ``ValueError`` too.  Left outside the rules,
-on the sizing hot path, are the central and noncentral F functions
-(``f_cdf``, ``f_quantile``, ``ncf_cdf``) and ``FDistParams.lam``: they raise
-a plain ``ValueError`` for a value out of their domain.
+included (``f_cdf``, ``f_quantile``, ``ncf_cdf`` and ``FDistParams.lam`` too;
+x = +inf and lam = +inf pass, the one as probability 1, the other to
+``ncf_cdf``'s :class:`NumericError`); a ``ConfigError`` is a ``ValueError``
+too.
 """
 
 __all__ = ["ConfigError", "NumericError"]

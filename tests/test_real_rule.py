@@ -11,7 +11,9 @@ argument's range raise ConfigError naming the argument.
 
 The holes the rule closes end in one of the package's errors too: a
 non-finite effect path, an infinite or NaN noncentrality and a NaN sigma*,
-none of them after a numpy warning.
+none of them after a numpy warning.  The F functions read x, prob and lam by
+the rule as well, where x = +inf (probability 1) and lam = +inf (refused by
+ncf_cdf with NumericError) still pass.
 """
 
 import dataclasses
@@ -34,7 +36,7 @@ from mrtpower.design import (
     make_availability,
     project_effect,
 )
-from mrtpower.distributions import FDistParams, ncf_cdf
+from mrtpower.distributions import FDistParams, f_cdf, f_quantile, ncf_cdf
 from mrtpower.estimator import hypothesis_test
 from mrtpower.samplesize import SizingInputs, power
 from mrtpower.simulate import (
@@ -232,9 +234,12 @@ def test_non_finite_effect_path_is_config_error(build, message):
 
 
 def test_infinite_noncentrality_is_numeric_error():
-    with pytest.raises(NumericError, match="noncentrality is infinite"):
-        ncf_cdf(1.0, FDistParams(3, 10, math.inf))
-    assert ncf_cdf(math.inf, FDistParams(3, 10, 2.0)) == 1.0
+    # lam = +inf builds, for ncf_cdf to refuse; x = +inf is the whole distribution
+    for inf in (math.inf, np.float64("inf"), np.float32("inf")):
+        with pytest.raises(NumericError, match="noncentrality is infinite"):
+            ncf_cdf(1.0, FDistParams(3, 10, inf))
+        assert ncf_cdf(inf, FDistParams(3, 10, 2.0)) == 1.0
+        assert f_cdf(inf, FDistParams(3, 10)) == 1.0
 
 
 def _one_error_line(res, code, start):
@@ -341,3 +346,36 @@ def test_config_real_keys_follow_the_rule(tmp_path, section, key, text, message)
     res = CliRunner().invoke(main, ["size", str(path)])
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
+
+
+# -- the F functions' own arguments ---------------------------------------
+
+F_ARGUMENTS = {
+    "x": [lambda v: f_cdf(v, FDistParams(3, 10)), lambda v: ncf_cdf(v, FDistParams(3, 10, 2.0))],
+    "prob": [lambda v: f_quantile(v, FDistParams(3, 10))],
+    "lam": [lambda v: FDistParams(3, 10, v)],
+}
+F_REFUSED = {
+    "string": "1", "None": None, "bool": True, "nan": math.nan, "-inf": -math.inf, "negative": -1,
+}
+F_CASES = [
+    (name, index, kind)
+    for name, calls in F_ARGUMENTS.items()
+    for index in range(len(calls))
+    for kind in F_REFUSED
+]
+
+
+@pytest.mark.parametrize(
+    "name,index,kind", F_CASES, ids=[f"{n}-{i}-{k}" for n, i, k in F_CASES]
+)
+def test_f_function_arguments_follow_the_rule(name, index, kind):
+    with pytest.raises(ConfigError) as info:
+        F_ARGUMENTS[name][index](F_REFUSED[kind])
+    assert str(info.value).startswith(f"{name} must be a number"), str(info.value)
+
+
+@pytest.mark.parametrize("call", [f_cdf, f_quantile], ids=["f_cdf", "f_quantile"])
+def test_central_f_functions_refuse_a_noncentrality_by_name(call):
+    with pytest.raises(ConfigError, match=r"^lam must be 0 for the central F distribution, got 2\.0$"):
+        call(0.5, FDistParams(3, 10, 2.0))

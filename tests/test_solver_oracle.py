@@ -134,14 +134,26 @@ def test_tiny_alpha0_sized_where_the_gallop_from_n_min_failed():
 
 
 def test_criterion_01_cells_take_few_power_evaluations(monkeypatch):
+    # Each power evaluation makes one call of each public F function, so
+    # perfbench's traced counts of _power, ncf_cdf and f_quantile all count
+    # the same real work.
     calls = []
+    public = {"f_quantile": 0, "ncf_cdf": 0}
     real_power = samplesize._power
 
     def counting_power(p, q, n, alpha0, lam):
         calls.append(n)
         return real_power(p, q, n, alpha0, lam)
 
+    def counting(name, function):
+        def call(*args):
+            public[name] += 1
+            return function(*args)
+        return call
+
     monkeypatch.setattr(samplesize, "_power", counting_power)
+    for name in public:
+        monkeypatch.setattr(samplesize, name, counting(name, getattr(samplesize, name)))
     design = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
     features = build_quadratic_features(design)
     for dbar, avail in CRITERION_01_CELLS:
@@ -155,3 +167,4 @@ def test_criterion_01_cells_take_few_power_evaluations(monkeypatch):
         ))
     mean = len(calls) / len(CRITERION_01_CELLS)
     assert mean <= MAX_MEAN_POWER_EVALS
+    assert public == {"f_quantile": len(calls), "ncf_cdf": len(calls)}
