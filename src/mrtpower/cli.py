@@ -43,7 +43,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -349,9 +348,6 @@ def write_dataset(dataset, path):
         raise ConfigError(f"cannot write dataset: {exc}") from None
 
 
-_BINARY = frozenset(("0", "1"))
-
-
 def read_dataset(path):
     """Read a dataset CSV into one :class:`~mrtpower.estimator.Dataset`.
 
@@ -359,17 +355,14 @@ def read_dataset(path):
     times must run 1..T within each block, and every block must have the
     same length.  A bad file is reported at its first bad line in file
     order, with that line's number and the first check it fails.  Numbers
-    are read by ``int`` and ``float``, so exactly what they accept is
-    accepted.
+    are read as ``int`` and ``float`` read them.
 
-    The file is streamed: a first pass decodes it and counts its lines, so
-    an undecodable byte is reported before any bad line; the second parses
-    it.  Chunks of ``_READ_CHUNK`` lines laid out as ``write_dataset`` lays
-    them out (subject and t texts ``str(i)`` and ``"1"``..``str(T)``) are
-    parsed column by column; from the first chunk that is not, to the end,
-    :func:`_read_lines` goes on line by line.  So the reader holds the
-    columns, one block and one chunk of lines.  A changed line count
-    between the passes is reported as a changed file.
+    A first pass decodes the file and counts its lines, so an undecodable
+    byte is reported before any bad line; the second parses each chunk of
+    ``_READ_CHUNK`` lines as one byte buffer (:meth:`_Columns.parse`), and
+    from the first chunk that it leaves :func:`_read_lines` goes on line by
+    line.  So the reader holds the columns, one block and one chunk of
+    lines.  A changed line count between the passes is a changed file.
     """
     n_rows, end = -1, "\n"  # lines after the header; the text's last character
     for text in _text_blocks(path):
@@ -447,68 +440,75 @@ class _Columns:
         self.filled = 0  # rows parsed so far
 
     def parse(self, chunk):
-        """Fill the next ``len(chunk)`` rows; False, with ``T`` and ``filled`` kept, unless
-        every line passes its field checks and the subject and t texts are the layout's."""
+        """Fill the next ``len(chunk)`` rows from one byte buffer; False, with ``T`` and ``filled``
+        kept, unless it is ASCII with no NUL, every line passes its field checks, the subject and
+        t texts are the layout's, no field is over 64 bytes and every outcome byte is one of
+        ``+-.0-9Ee``, on whose texts numpy's cast reads what ``float`` reads."""
         start, size, T = self.filled, len(chunk), self.T
+        text = "\n".join(chunk)
+        if not text.isascii() or "\0" in text or start + size > len(self.avail):
+            return False  # or more rows than the first pass counted: a changed file
+        buf = np.frombuffer(text.encode("ascii") + b"\n", dtype=np.uint8)
+        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # each field's end
+        if ends.size != 6 * size or (buf[ends[5::6]] != ord("\n")).any():
+            return False  # a line without 6 fields
+        ends = ends.reshape(size, 6).T.copy()  # (6, L): one row a field
+        first = np.zeros_like(ends)  # each field's first byte: 0, then 1 past the last end
+        np.add(ends[5, :-1], 1, out=first[0, 1:])
+        np.add(ends[:-1], 1, out=first[1:])
+        width = ends - first
         if T == start:  # subject 0's block so far; the layout is the same for any longer T
-            T += sum(1 for _ in itertools.takewhile(
-                operator.methodcaller("startswith", "0,"), chunk))
-        if not T or start + size > len(self.avail):  # more rows than counted: a changed file
+            zero = (width[0] == 1) & (buf[first[0]] == ord("0"))
+            T += size if zero.all() else int(zero.argmin())
+        subject, t = np.divmod(np.arange(start, start + size), T or 1)
+        flags = buf[first[2:4]]  # avail and action: a byte below "0" wraps past "1"
+        if (not T or not _is_decimal(buf, ends[:2], width[:2], np.stack([subject, t + 1]))
+                or (width[2:4] != 1).any() or (flags - ord("0") > 1).any()
+                or width.max() > 64):  # a (rows, longest field) grid stays small
             return False
-        rows = slice(start, start + size)
-        if list(map(str.count, chunk, itertools.repeat(","))).count(5) != size:
-            return False
-        flat = ",".join(chunk).split(",")
-        subject, t, avail, action, prob, outcome = (flat[k::6] for k in range(6))
-        if (subject, t) != _layout_texts(start, start + size, T):
-            return False
-        if not _BINARY.issuperset(avail) or not _BINARY.issuperset(action):
-            return False
-        avail = _binary_column(avail)
-        self.avail[rows] = avail
-        self.action[rows] = _binary_column(action)
-
+        avail, action = flags == ord("1")
+        buf = np.concatenate((buf, np.zeros(width.max(), np.uint8)))  # room for windows
+        prob = _field_texts(buf, first[4], width[4])
+        one = prob[:1].tobytes() * size == prob.tobytes()  # as usual, one text for all rows
+        texts = (prob[:1] if one else prob).tolist()
         memo = self.prob_memo
-        new = set(prob).difference(memo)
-        memo.update(zip(new, map(_prob_value, new)))
-        self.prob[rows] = np.fromiter(map(memo.__getitem__, prob), np.float64, size)
-        if np.isnan(self.prob[rows]).any():
+        memo.update((key, _prob_value(key.decode())) for key in set(texts).difference(memo))
+        prob = np.fromiter(map(memo.__getitem__, texts), np.float64, len(texts))
+        outcome = _field_texts(buf, first[5, avail], width[5, avail])
+        if (np.isnan(prob).any() or ((width[5] == 0) == avail).any()  # an outcome iff avail
+                or outcome.tobytes().translate(None, b"\0+-.0123456789Ee")):
             return False
-
-        if any(itertools.compress(outcome, (~avail).tolist())):
-            return False  # an outcome on an unavailable row
-        on = np.flatnonzero(avail)
         try:
-            values = np.fromiter(map(float, itertools.compress(outcome, avail.tolist())),
-                                 np.float64, on.size)
+            with np.errstate(over="ignore"):  # "1e309" reads as inf, as float reads it
+                values = outcome.astype(np.float64)
         except ValueError:
             return False
         if not np.isfinite(values).all():
             return False
-        self.outcome[start + on] = values
+        rows = slice(start, start + size)
+        self.avail[rows], self.action[rows], self.prob[rows] = avail, action, prob
+        self.outcome[rows][avail] = values
         self.T, self.filled = T, start + size
         return True
 
 
-def _layout_texts(start, stop, T):
-    """The subject and t texts of rows ``start:stop`` of a file of T-row blocks.
-
-    Built for those rows alone, so they take O(stop - start) memory at any T.
-    """
-    block, offset = divmod(start, T)
-    head = min(T - offset, stop - start)  # rows left in the first block
-    full, tail = divmod(stop - start - head, T)  # whole blocks after it, then the rest
-    counts = [head] + [T] * full + [tail]
-    period = list(map(str, range(1, min(T, stop - start - head) + 1)))
-    subject = list(itertools.chain.from_iterable(
-        map(itertools.repeat, map(str, itertools.count(block)), counts)))
-    t = list(map(str, range(offset + 1, offset + head + 1))) + period * full + period[:tail]
-    return subject, t
+def _is_decimal(buf, ends, width, values):
+    """Whether each field of ``width`` bytes ending at ``ends`` is ``str`` of its value."""
+    places, number = len(str(values.max())), np.zeros_like(values)
+    ok = (width >= 1) & (width <= places) & ((buf[ends - width] != ord("0")) | (width == 1))
+    for k in range(places):  # the digit k places from the right, 0 left of the field
+        digit = (buf.take(ends - (k + 1), mode="clip") - np.uint8(ord("0"))) * (width > k)
+        ok &= digit <= 9
+        number += digit * np.int64(10**k)
+    return (ok & (number == values)).all()
 
 
-def _binary_column(texts):
-    """Texts known to be "0" or "1" as a bool array."""
-    return np.frombuffer("".join(texts).encode(), dtype=np.uint8) == ord("1")
+def _field_texts(buf, first, width):
+    """The fields of ``width`` bytes from ``first`` as NUL-padded bytes (``S``) items."""
+    size = max(int(width.max(initial=0)), 1)
+    grid = np.ndarray((len(buf) - size + 1, size), np.uint8, buf, strides=(1, 1))[first]
+    grid *= np.tri(size + 1, size, -1, dtype=np.uint8).take(width, axis=0)  # w ones in row w
+    return grid.view(f"S{size}").ravel()
 
 
 def _prob_value(text):
@@ -548,9 +548,9 @@ def _read_lines(lines, columns, blocks):
             t = int(t)
         except ValueError:
             raise ConfigError(f"line {line_no}: t must be an integer, got {t!r}") from None
-        if avail not in _BINARY:
+        if avail not in ("0", "1"):
             raise ConfigError(f"line {line_no}: avail must be 0 or 1, got {avail!r}")
-        if action not in _BINARY:
+        if action not in ("0", "1"):
             raise ConfigError(f"line {line_no}: action must be 0 or 1, got {action!r}")
         try:
             value = float(prob)

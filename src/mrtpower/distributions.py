@@ -38,6 +38,7 @@ tail at d2 = 1, 1 - y is formed from a rounded y near 1, with errors up to
 """
 
 import math
+import numbers
 from functools import lru_cache
 
 from .design import _integer, _level, _real, _value_type
@@ -326,8 +327,14 @@ class FDistParams:
         object.__setattr__(self, "d1", _integer(self.d1, "d1", 1))
         object.__setattr__(self, "d2", _integer(self.d2, "d2", 1))
         # +inf passes, so that ncf_cdf can say the noncentrality is infinite
-        if self.lam != math.inf:
+        if not _is_infinity(self.lam):
             object.__setattr__(self, "lam", _real(self.lam, "lam", 0.0))
+
+
+def _is_infinity(value):
+    """Whether ``value`` is a real number equal to +inf.  Anything else, an array
+    included, is left to :func:`_real`, so it is refused by name."""
+    return (isinstance(value, float) or isinstance(value, numbers.Real)) and value == math.inf
 
 
 def ln_gamma(x):
@@ -362,7 +369,7 @@ def _central(params):
 def f_cdf(x, params):
     """P(F <= x) for the central F distribution given by ``params``; x = +inf gives 1."""
     d1, d2 = _central(params)
-    if x == math.inf:
+    if _is_infinity(x):
         return 1.0
     x = _real(x, "x", 0.0)
     value = _f_cdf_kernel(x, d1, d2, _ln_beta_norm(0.5 * d1, 0.5 * d2))
@@ -407,9 +414,11 @@ def ncf_cdf(x, params):
     Poisson-mixture series over incomplete betas, summed outward from the
     modal Poisson index; terminates when both the current term and an
     analytic bound on the remaining Poisson tail fall below 1e-13.  An
-    infinite noncentrality raises :class:`NumericError`; x = +inf gives 1.
+    infinite noncentrality raises :class:`NumericError`; x = +inf gives 1, and
+    an x so small that y = d1 x / (d1 x + d2) underflows to 0 gives 0, as in
+    :func:`f_cdf`.
     """
-    if x == math.inf:
+    if _is_infinity(x):
         return 1.0
     x = _real(x, "x", 0.0)
     if params.lam == math.inf:
@@ -417,7 +426,10 @@ def ncf_cdf(x, params):
             f"noncentrality is infinite (x={x}, d1={params.d1}, d2={params.d2}); "
             f"the effect is too large for the noncentral-F series"
         )
-    value = _ncf_cdf_kernel(x, float(params.d1), float(params.d2), params.lam)
+    d1, d2 = float(params.d1), float(params.d2)
+    if d1 * x / (d1 * x + d2) == 0.0:
+        return 0.0  # the series divides by y
+    value = _ncf_cdf_kernel(x, d1, d2, params.lam)
     if math.isnan(value):
         raise NumericError(
             f"noncentral-F series did not converge within the iteration cap "

@@ -32,7 +32,7 @@ from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 DESIGN = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
 MiB = 2**20
-READ_BOUND = 6 * MiB  # traced at 3.44 MiB
+READ_BOUND = 6 * MiB  # traced at 3.41 MiB
 TEST_BOUND = int(5.5 * MiB)  # traced at 5.25 MiB: X alone is 3.85
 
 

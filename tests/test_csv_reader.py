@@ -12,16 +12,18 @@ mutations, read with chunk and read-block sizes small enough that their
 boundaries fall among the damage.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference_csv import reference_read_dataset
 from mrtpower import cli
-from mrtpower.cli import DATASET_HEADER, read_dataset, write_dataset
+from mrtpower.cli import DATASET_HEADER, main, read_dataset, write_dataset
 from mrtpower.design import TrialDesign, elicit_quadratic_effect, make_availability
 from mrtpower.estimator import Dataset
 from mrtpower.exceptions import ConfigError
@@ -289,13 +291,110 @@ def test_write_dataset_files_never_take_the_line_path(csv_dir, n, t_len):
     assert got == read_result(reference_read_dataset, path)
 
 
-def test_layout_texts_are_the_canonical_texts():
-    for t_len in range(1, 7):
-        for start in range(0, 20):
-            for stop in range(start + 1, 24):
-                rows = range(start, stop)
-                assert cli._layout_texts(start, stop, t_len) == (
-                    [str(r // t_len) for r in rows], [str(r % t_len + 1) for r in rows])
+# outcomes at the edges of float's reading, in the bytes the columnar cast
+# reads: the smallest subnormal, a text that rounds up to it, a negative
+# zero, an upper-case exponent, signs and points at either end, and a
+# 40-digit mantissa
+EDGE_OUTCOMES = ["5e-324", "2.4703282292062328e-324", "-0.0", "1E5", "+.5", "5.",
+                 "3.141592653589793238462643383279502884197", "-1e-400"]
+
+
+def _edge_file(path, outcomes, probs=("0.4",)):
+    """Two subjects over ``len(outcomes) // 2`` times, as the writer lays them out, all
+    available, with these outcome texts and the prob texts in turn."""
+    t_len = len(outcomes) // 2
+    lines = [DATASET_HEADER] + [
+        f"{row // t_len},{row % t_len + 1},1,{row % 2},{probs[row % len(probs)]},{text}"
+        for row, text in enumerate(outcomes)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_line_by_line(path):
+    with mock.patch.object(cli._Columns, "parse", return_value=False):
+        return read_result(read_dataset, path)
+
+
+def test_columnar_cast_reads_edge_outcomes_as_float_does(csv_dir):
+    # pytest turns a RuntimeWarning from the cast into an error
+    path = csv_dir / "edges.csv"
+    _edge_file(path, EDGE_OUTCOMES)
+    got, by_lines = _read_by_lines(path)
+    assert not by_lines
+    assert got == read_result(reference_read_dataset, path) == _read_line_by_line(path)
+    assert got[1][3][2] == np.array([float(text) for text in EDGE_OUTCOMES]).tobytes()
+
+
+def test_an_overflowing_outcome_is_reported_as_float_reads_it(csv_dir, tmp_path):
+    # "1e309" casts to inf without a warning; the line parser then reports it
+    outcomes = EDGE_OUTCOMES[:5] + ["1e309"] + EDGE_OUTCOMES[6:]
+    path = csv_dir / "overflow.csv"
+    _edge_file(path, outcomes)
+    got, by_lines = _read_by_lines(path)
+    assert by_lines
+    assert got == read_result(reference_read_dataset, path) == _read_line_by_line(path)
+    assert got == ("error", "line 7: outcome must be a finite number, got '1e309'")
+    config = tmp_path / "analyze.json"
+    config.write_text(json.dumps({"design": {"days": 3, "decisions_per_day": 4, "rho": 0.4},
+                                  "alpha0": 0.05}))
+    res = CliRunner().invoke(main, ["analyze", str(path), str(config)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: line 7: outcome must be a finite number, got '1e309'\n"
+
+
+@pytest.mark.parametrize("probs", [
+    ("0.4", "0.40000000000000002"),
+    (".5", "0.25", "3e-1", "0.4"),
+], ids=["two-spellings-of-0.4", "hand-written"])
+@pytest.mark.parametrize("chunk", [3, cli._READ_CHUNK])
+def test_several_prob_texts_in_a_chunk_stay_columnar(csv_dir, probs, chunk):
+    path = csv_dir / "probs.csv"
+    _edge_file(path, [str(value) for value in np.linspace(-2.0, 2.0, 12)], probs)
+    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+        got, by_lines = _read_by_lines(path)
+    assert not by_lines
+    assert got == read_result(reference_read_dataset, path)
+    assert got[1][2][2] == np.array([float(probs[r % len(probs)]) for r in range(12)]).tobytes()
+
+
+@pytest.mark.parametrize("text", [" {v}", "{v}\t", "1_0", "0x1p1"])
+def test_an_outcome_byte_outside_the_cast_class_takes_the_line_path(csv_dir, text):
+    # float reads all of these but the last as numbers; the columnar parse
+    # leaves any outcome byte but +-.0-9Ee to the line parser
+    path = csv_dir / "outcome-bytes.csv"
+    lines = _layout_file(path, 3, 7)
+    _rewrite(path, lines, 8, 5, text)  # row 8 is available
+    got, by_lines = _read_by_lines(path)
+    assert by_lines
+    assert got == read_result(reference_read_dataset, path)
+
+
+@pytest.mark.parametrize("column", [4, 5])
+@pytest.mark.parametrize("digits", [62, 63])
+def test_a_field_over_64_bytes_takes_the_line_path(csv_dir, column, digits):
+    # "0." and 62 digits is 64 bytes; a longer prob or outcome goes line by
+    # line, so that no grid of every row by the longest text is built
+    path = csv_dir / "long-field.csv"
+    lines = _layout_file(path, 3, 7)
+    _rewrite(path, lines, 8, column, "0." + "1" * digits)  # row 8 is available
+    got, by_lines = _read_by_lines(path)
+    assert by_lines == (digits > 62)
+    assert got == read_result(reference_read_dataset, path)
+    assert got[0] == "data"
+
+
+@pytest.mark.parametrize("row,column,text", [(19, 1, "1:"), (18, 1, "2/"), (400, 0, "1:")])
+def test_a_byte_next_to_the_digits_is_not_a_digit(csv_dir, row, column, text):
+    # ":" and "/" lie 10 above and 1 below "0": without a digit check, digit
+    # arithmetic could read "1:" as 20 and "2/" as 19, here the t of rows 19
+    # and 18 and the subject of row 400
+    path = csv_dir / "digits.csv"
+    lines = _layout_file(path, 21, 20)
+    _rewrite(path, lines, row, column, text)
+    got, by_lines = _read_by_lines(path)
+    assert by_lines
+    assert got == read_result(reference_read_dataset, path)
+    assert got[0] == "error"
 
 
 # 12 subjects over 11 times; rows 119 and 131 hold subject and t 10 and 11,

@@ -252,6 +252,13 @@ class TestNcfCdf:
     def test_at_zero(self):
         assert ncf_cdf(0.0, FDistParams(3, 36, 13.0)) == 0.0
 
+    def test_subnormal_x_whose_y_underflows_gives_zero(self):
+        # y = d1 x / (d1 x + d2) rounds to 0.0: 0, as f_cdf gives there, not a
+        # division by y in the series
+        for x in (5e-324, 1e-320):
+            assert ncf_cdf(x, FDistParams(1, 10**8, 10.0)) == 0.0
+            assert f_cdf(x, FDistParams(1, 10**8)) == 0.0
+
     def test_monte_carlo_grid(self):
         # 20-point grid vs the 10^7-draw Monte Carlo oracle, 3-SE agreement
         for x, d1, d2, lam, p_mc, se in ref.NCF_CDF_MC_TABLE:

@@ -357,6 +357,7 @@ F_ARGUMENTS = {
 }
 F_REFUSED = {
     "string": "1", "None": None, "bool": True, "nan": math.nan, "-inf": -math.inf, "negative": -1,
+    "array": np.array([1.0, 2.0]),
 }
 F_CASES = [
     (name, index, kind)
