@@ -312,18 +312,18 @@ def _monte_carlo_keys(cfg, reps, seed):
 # ---------------------------------------------------------------------
 
 
-_READ_CHUNK = 4096  # lines: the reader holds one chunk of lines, the writer about one of rows
+_WRITE_CHUNK = 4096  # rows, about, the writer formats and writes at a time
 _READ_BLOCK = 1 << 16  # characters per read of a dataset file
 
 
 def write_dataset(dataset, path):
     """Write a :class:`~mrtpower.estimator.Dataset` as round-trip CSV.
 
-    Columns are formatted a block of subjects, about ``_READ_CHUNK`` lines,
+    Columns are formatted a block of subjects, about ``_WRITE_CHUNK`` rows,
     at a time, and each block is one ``write``.
     """
     n, t_len = dataset.avail.shape
-    block = max(1, _READ_CHUNK // t_len)
+    block = max(1, _WRITE_CHUNK // t_len)
     flags = ("0,0,", "0,1,", "1,0,", "1,1,")  # "avail,action," at 2 * avail + action
     t_texts = [f",{t}," for t in range(1, t_len + 1)]
     prob_texts = {}
@@ -358,29 +358,29 @@ def read_dataset(path):
     are read as ``int`` and ``float`` read them.
 
     A first pass decodes the file and counts its lines, so an undecodable
-    byte is reported before any bad line; the second parses each chunk of
-    ``_READ_CHUNK`` lines as one byte buffer (:meth:`_Columns.parse`), and
-    from the first chunk that it leaves :func:`_read_lines` goes on line by
-    line.  So the reader holds the columns, one block and one chunk of
-    lines.  A changed line count between the passes is a changed file.
+    byte is reported before any bad line.  The second parses the text of
+    the lines that end in each read block as one byte buffer
+    (:meth:`_Columns.parse`), and from the first text that it leaves
+    :func:`_read_lines` goes on line by line.  So the reader holds the
+    columns, one block and one text of at most ``_READ_BLOCK`` characters
+    and a line.  A changed line count between the passes is a changed file.
     """
-    n_rows, end = -1, "\n"  # lines after the header; the text's last character
-    for text in _text_blocks(path):
-        n_rows += text.count("\n")
-        end = text[-1:] or end
-    n_rows += end != "\n"  # a last line with no newline
-    with contextlib.closing(_line_chunks(path)) as chunks:
-        if next(chunks, None) != [DATASET_HEADER]:
+    n_rows = sum(text.count("\n") + 1 for text in _line_texts(path)) - 1  # after the header
+    with contextlib.closing(_line_texts(path)) as texts:
+        header, newline, body = next(texts, "").partition("\n")
+        if header != DATASET_HEADER:
             raise ConfigError(f"line 1: dataset header must be exactly {DATASET_HEADER!r}")
         if n_rows == 0:
             raise ConfigError("dataset has no data rows")
         columns = _Columns(n_rows)
-        rest = itertools.chain.from_iterable(itertools.dropwhile(columns.parse, chunks))
-        first = next(rest, None)  # the first line of the first chunk that parse rejects
+        texts = itertools.chain([body] if newline else [], texts)  # the body's texts
+        rest = itertools.dropwhile(columns.parse, texts)
+        first = next(rest, None)  # the first text that parse rejects
         full, part = divmod(columns.filled, columns.T or 1)
         blocks = [columns.T] * full + [part] * (part > 0)  # rows of each subject block so far
         if first is not None:  # the line parser takes over for good
-            _read_lines(itertools.chain([first], rest), columns, blocks)
+            lines = (text.split("\n") for text in itertools.chain([first], rest))
+            _read_lines(itertools.chain.from_iterable(lines), columns, blocks)
     if sum(blocks) < n_rows:
         raise ConfigError("cannot read dataset: the file changed while it was read")
     _check_block_length(blocks, n_rows + 1)
@@ -409,22 +409,17 @@ def _text_blocks(path):
         raise ConfigError(f"cannot read dataset: {exc}") from None
 
 
-def _line_chunks(path):
-    """The file's first line as a list, then its other lines, ``_READ_CHUNK`` a list."""
-    lines, tail, size = [], [], 1  # tail: the pieces of the line read so far
+def _line_texts(path):
+    """For each block of :func:`_text_blocks` in which a line ends, the lines that end in it
+    as one text with no final newline; then a last line with no newline, if there is one."""
+    tail = []  # the pieces of the line read so far
     for text in _text_blocks(path):
-        first, *rest = text.split("\n")
-        tail.append(first)
-        if rest:  # joined once, however many blocks a long line spans
-            lines += ["".join(tail), *rest[:-1]]
-            tail = rest[-1:]
-        while len(lines) >= size:
-            yield lines[:size]
-            del lines[:size]
-            size = _READ_CHUNK
-    lines += filter(None, ["".join(tail)])  # a last line with no newline
-    if lines:
-        yield lines
+        lines, newline, part = text.rpartition("\n")
+        if newline:  # joined once, however many blocks a long line spans
+            yield "".join([*tail, lines])
+            tail = []
+        tail.append(part)
+    yield from filter(None, ["".join(tail)])
 
 
 class _Columns:
@@ -439,13 +434,13 @@ class _Columns:
         self.prob_memo = {}  # prob text -> value, NaN if it fails its checks
         self.filled = 0  # rows parsed so far
 
-    def parse(self, chunk):
-        """Fill the next ``len(chunk)`` rows from one byte buffer; False, with ``T`` and ``filled``
-        kept, unless it is ASCII with no NUL, every line passes its field checks, the subject and
-        t texts are the layout's, no field is over 64 bytes and every outcome byte is one of
-        ``+-.0-9Ee``, on whose texts numpy's cast reads what ``float`` reads."""
-        start, size, T = self.filled, len(chunk), self.T
-        text = "\n".join(chunk)
+    def parse(self, text):
+        """Fill the next rows from the lines of ``text``, newline-separated, as one byte buffer;
+        False, with ``T`` and ``filled`` kept, unless it is ASCII with no NUL, every line passes
+        its field checks, the subject and t texts are the layout's, no field is over 64 bytes and
+        every outcome byte is one of ``+-.0-9Ee``, on whose texts numpy's cast reads what
+        ``float`` reads."""
+        start, size, T = self.filled, text.count("\n") + 1, self.T
         if not text.isascii() or "\0" in text or start + size > len(self.avail):
             return False  # or more rows than the first pass counted: a changed file
         buf = np.frombuffer(text.encode("ascii") + b"\n", dtype=np.uint8)

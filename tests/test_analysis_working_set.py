@@ -3,14 +3,15 @@ The analysis path's working set: ``read_dataset`` and ``hypothesis_test``
 on the N = 400 trial of the paper's six-week design (T = 210).
 
 The reader streams the file, so it holds the (R,) columns, one read block
-and one chunk of lines, never the whole text or a list of all its lines;
-the test keeps X (N, T, q+p) and y and the residuals, with no float copy of
-the availability.  Peaks are traced by tracemalloc, which sees numpy's
-buffers, after a warm-up call; the same call allocates the same buffers, so
-the peak repeats.  The bounds sit between the traced peaks of this code and
-those of the whole-file reader and the estimator with its spare (N, T)
-arrays (numpy 2.4, Python 3.11): 11.1 MiB for either read, 7.13 MiB for
-the test.
+and the text of the lines that end in it, never the whole text or a list
+of lines; the test keeps X (N, T, q+p) and y and the residuals, with no
+float copy of the availability.  Peaks are traced by tracemalloc, which
+sees numpy's buffers, after a warm-up call; the same call allocates the
+same buffers, so the peak repeats.  The bounds sit between the traced
+peaks of this code and those of the whole-file reader and the estimator
+with its spare (N, T) arrays (numpy 2.4, Python 3.11): 11.1 MiB for either
+read, 7.13 MiB for the test.  The read bound also lies below the 3.41 MiB
+of a reader that holds 4096 lines at a time as a list of line strings.
 """
 
 import tracemalloc
@@ -32,7 +33,7 @@ from mrtpower.simulate import ErrorProcess, GenerativeModel, generate_dataset
 
 DESIGN = TrialDesign(days=42, decisions_per_day=5, rho=0.4)
 MiB = 2**20
-READ_BOUND = 6 * MiB  # traced at 3.41 MiB
+READ_BOUND = 3 * MiB  # traced at 2.23 MiB, 2.28 when the line parser takes the last text
 TEST_BOUND = int(5.5 * MiB)  # traced at 5.25 MiB: X alone is 3.85
 
 

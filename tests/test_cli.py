@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from _reference_csv import reference_read_dataset
-from mrtpower.cli import DATASET_HEADER, _READ_CHUNK, main, read_dataset, write_dataset
+from mrtpower.cli import DATASET_HEADER, _READ_BLOCK, main, read_dataset, write_dataset
 from mrtpower.design import (
     TrialDesign,
     build_quadratic_features,
@@ -588,20 +588,24 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="subject 1 has 1 rows"):
             read_dataset(path)
 
-    # chunk boundaries: bodies longer than one columnar pass of the reader
+    # read-block boundaries: bodies longer than one block text of the reader
 
     def long_body(self, n_sub=5, n_t=1000):
-        # with 1000 rows per subject, subject 4's block spans rows 4000-4999,
-        # across the chunk boundary after row _READ_CHUNK = 4096
+        # with 1000 rows per subject, subject 3's block spans rows 3000-3999,
+        # across the end of the first _READ_BLOCK characters after row 3994
         return [DATASET_HEADER] + [
             f"{s},{t},1,{t % 3 == 0:d},0.4,{0.5 + s}" if (s + t) % 2
             else f"{s},{t},0,{t % 3 == 0:d},0.4,"
             for s in range(n_sub) for t in range(1, n_t + 1)
         ]
 
+    def second_text_line(self, lines):
+        # the first line that does not end in the first _READ_BLOCK characters
+        return "\n".join(lines)[:_READ_BLOCK].count("\n") + 1
+
     def test_block_spanning_two_chunks_reads_like_the_oracle(self, tmp_path):
         lines = self.long_body()
-        assert len(lines) - 1 > _READ_CHUNK
+        assert len("\n".join(lines)) > _READ_BLOCK
         path = self.write_lines(tmp_path, lines)
         new, old = read_dataset(path), reference_read_dataset(path)
         assert new.avail.shape == (5, 1000)
@@ -611,7 +615,7 @@ class TestDatasetIO:
 
     def test_bad_line_first_in_second_chunk(self, tmp_path):
         lines = self.long_body()
-        line_no = _READ_CHUNK + 2
+        line_no = self.second_text_line(lines)
         lines[line_no - 1] = lines[line_no - 1].replace(",0.4,", ",1.5,")
         path = self.write_lines(tmp_path, lines)
         with pytest.raises(ConfigError, match=rf"^line {line_no}: randomization probability"):
@@ -619,7 +623,7 @@ class TestDatasetIO:
 
     def test_subject_beyond_int64_in_second_chunk_reads_like_the_oracle(self, tmp_path):
         lines = self.long_body()
-        line_no = _READ_CHUNK + 2
+        line_no = self.second_text_line(lines)
         fields = lines[line_no - 1].split(",")
         lines[line_no - 1] = ",".join(["99999999999999999999"] + fields[1:])
         path = self.write_lines(tmp_path, lines)
@@ -659,7 +663,7 @@ class TestDatasetIO:
     def test_earlier_of_two_bad_lines_in_different_chunks(self, tmp_path, first, first_message):
         lines = self.long_body()
         lines[8] = first  # line 9: subject 0, t = 8
-        lines[_READ_CHUNK + 50] = "4,1,1,0,0.4"  # a field-count error in the second chunk
+        lines[self.second_text_line(lines) + 50] = "4,1,1,0,0.4"  # a field-count error, later
         path = self.write_lines(tmp_path, lines)
         with pytest.raises(ConfigError, match=rf"^line 9: {re.escape(first_message)}$"):
             read_dataset(path)

@@ -8,8 +8,8 @@ each input both readers either return a ``Dataset`` whose arrays have the
 same dtype, shape and bytes, or raise ``ConfigError`` with the same message
 (which names the first bad line in file order).  Inputs are small random
 datasets written by ``write_dataset`` and then damaged by up to two
-mutations, read with chunk and read-block sizes small enough that their
-boundaries fall among the damage.
+mutations, read with read blocks small enough that their boundaries fall
+among the damage.
 """
 
 import json
@@ -192,14 +192,13 @@ def csv_dir(tmp_path_factory):
 @given(
     data=datasets(),
     mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
-    chunk=st.sampled_from([1, 2, 3, 5, cli._READ_CHUNK]),
     block=st.sampled_from([1, 2, 3, 7, cli._READ_BLOCK]),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     trailing=st.booleans(),
     draw=st.data(),
 )
-def test_columnar_reader_matches_oracle(csv_dir, data, mutations, chunk, block, newline,
-                                        trailing, draw):
+def test_columnar_reader_matches_oracle(csv_dir, data, mutations, block, newline, trailing,
+                                        draw):
     # blocks of a few bytes end inside fields, between CR and LF, inside the
     # two bytes of a non-ASCII digit and before a last line with no newline
     path = csv_dir / "d.csv"
@@ -208,8 +207,7 @@ def test_columnar_reader_matches_oracle(csv_dir, data, mutations, chunk, block, 
     for mutate in mutations:
         mutate(draw.draw, lines)
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
-    with mock.patch.object(cli, "_READ_CHUNK", chunk), \
-            mock.patch.object(cli, "_READ_BLOCK", block):
+    with mock.patch.object(cli, "_READ_BLOCK", block):
         got = read_result(read_dataset, path)
     assert got == read_result(reference_read_dataset, path)
 
@@ -277,7 +275,7 @@ def _trial_file(path):
     write_dataset(generate_dataset(model, 400, seed=1), path)
 
 
-@pytest.mark.parametrize("n,t_len", [(1, 3), (1, cli._READ_CHUNK + 5), (3, cli._READ_CHUNK + 5),
+@pytest.mark.parametrize("n,t_len", [(1, 3), (1, cli._WRITE_CHUNK + 5), (3, cli._WRITE_CHUNK + 5),
                                      (400, 210)])
 def test_write_dataset_files_never_take_the_line_path(csv_dir, n, t_len):
     path = csv_dir / "written.csv"
@@ -346,11 +344,12 @@ def test_an_overflowing_outcome_is_reported_as_float_reads_it(csv_dir, tmp_path)
     ("0.4", "0.40000000000000002"),
     (".5", "0.25", "3e-1", "0.4"),
 ], ids=["two-spellings-of-0.4", "hand-written"])
-@pytest.mark.parametrize("chunk", [3, cli._READ_CHUNK])
-def test_several_prob_texts_in_a_chunk_stay_columnar(csv_dir, probs, chunk):
+@pytest.mark.parametrize("block", [3, 4096])
+def test_several_prob_texts_in_a_chunk_stay_columnar(csv_dir, probs, block):
+    # read blocks of 3 characters give one line a text, of 4096 the whole file
     path = csv_dir / "probs.csv"
     _edge_file(path, [str(value) for value in np.linspace(-2.0, 2.0, 12)], probs)
-    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_READ_BLOCK", block):
         got, by_lines = _read_by_lines(path)
     assert not by_lines
     assert got == read_result(reference_read_dataset, path)
@@ -403,16 +402,16 @@ SPELLED = [(spelling, row) for spelling in ("+{v}", "0{v}", " {v}", "{v} ", "{v[
            for row in (0, 7, 119, 131) if row >= 119 or "_" not in spelling]
 
 
-@pytest.mark.parametrize("chunk", [5, cli._READ_CHUNK])
+@pytest.mark.parametrize("block", [5, 4096])  # characters: a line a text, or the whole file
 @pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("spelling,row", SPELLED)
-def test_non_canonical_integer_texts_read_as_int_reads_them(csv_dir, chunk, column, spelling,
+def test_non_canonical_integer_texts_read_as_int_reads_them(csv_dir, block, column, spelling,
                                                             row):
     path = csv_dir / "spelled.csv"
     lines = _layout_file(path, 12, 11)
     clean = read_result(read_dataset, path)
     _rewrite(path, lines, row, column, spelling)
-    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_READ_BLOCK", block):
         got = read_result(read_dataset, path)
     assert got == read_result(reference_read_dataset, path) == clean
 
@@ -423,7 +422,7 @@ def test_non_canonical_integer_texts_read_as_int_reads_them(csv_dir, chunk, colu
 def test_first_layout_mismatch_after_the_first_chunk_reads_like_the_oracle(csv_dir, column,
                                                                           text):
     # 25 subjects over 210 times: 5250 rows, the mismatch at row 4500, in the
-    # second chunk, after a first chunk whose texts are canonical
+    # third block's text, after rows 0-3975, whose subject and t texts are canonical
     path = csv_dir / "late.csv"
     lines = _layout_file(path, 25, 210)
     assert not _read_by_lines(path)[1]
@@ -435,8 +434,8 @@ def test_first_layout_mismatch_after_the_first_chunk_reads_like_the_oracle(csv_d
 
 @pytest.mark.parametrize("column,text", [(0, "{v}"), (1, "+{v}"), (1, "1"), (0, "0")])
 def test_first_block_longer_than_a_chunk_reads_like_the_oracle(csv_dir, column, text):
-    # T = 5000 > _READ_CHUNK: subject 0's block spans two chunks; "{v}" leaves
-    # row 7000 as written
+    # T = 5000 rows, 168 892 characters > _READ_BLOCK: subject 0's block spans
+    # three block texts; "{v}" leaves row 7000 as written
     path = csv_dir / "long.csv"
     lines = _layout_file(path, 2, 5000)
     _rewrite(path, lines, 7000, column, text)
@@ -459,7 +458,7 @@ def _handed_lines(path):
 
 def test_a_last_line_spelled_otherwise_hands_the_line_parser_one_chunk(csv_dir):
     # the N = 400 trial with its last subject spelled "+399": the columnar
-    # parser keeps every chunk before the last one
+    # parser keeps every block's text before the last one
     path = csv_dir / "trial.csv"
     _trial_file(path)
     clean = read_result(read_dataset, path)
@@ -468,40 +467,46 @@ def test_a_last_line_spelled_otherwise_hands_the_line_parser_one_chunk(csv_dir):
     path.write_text(text[:last] + "+" + text[last:], encoding="utf-8")
     got, handed = _handed_lines(path)
     assert got == clean
-    assert 0 < len(handed) <= cli._READ_CHUNK
+    assert 0 < len("\n".join(handed)) <= cli._READ_BLOCK + len(handed[0])  # one block, a line
     assert handed[-1] == "+" + text[last:-1]
 
 
 @pytest.mark.parametrize("column,text", [(0, "+{v}"), (1, "x"), (0, "0")])
 def test_the_line_parser_starts_at_the_first_rejected_chunk(csv_dir, column, text):
-    # 3 subjects over 4 times in chunks of 5 lines: the first mismatch, at
-    # row 7, lies in the second chunk, rows 5-9
+    # 3 subjects over 4 times in read blocks of 100 characters: the first
+    # mismatch, at row 7, lies in the text of the third block, rows 5-7
     path = csv_dir / "handed.csv"
     lines = _layout_file(path, 3, 4)
     _rewrite(path, lines, 7, column, text)
-    with mock.patch.object(cli, "_READ_CHUNK", 5):
+    written = path.read_text(encoding="utf-8")
+    end = len("\n".join(written.split("\n")[:9]))  # row 7's newline
+    assert written[:end // 100 * 100].count("\n") == 6  # its block's text starts at row 5
+    with mock.patch.object(cli, "_READ_BLOCK", 100):
         got, handed = _handed_lines(path)
     assert got == read_result(reference_read_dataset, path)
-    assert handed[0] == lines[6]  # row 5, the chunk's first line, as written
+    assert handed[0] == lines[6]  # row 5, the text's first line, as written
 
 
-@pytest.mark.parametrize("chunk", [2, cli._READ_CHUNK])
+@pytest.mark.parametrize("block", [2, 4096])
 @pytest.mark.parametrize("n,spelling", [(3, "{v}"), (1, "{v}"), (1, "+{v}")])
-def test_a_file_changed_between_the_passes_is_reported(csv_dir, chunk, n, spelling):
+def test_a_file_changed_between_the_passes_is_reported(csv_dir, block, n, spelling):
     # a 2 x 3 file that grows by a subject, or loses three rows, after its
     # lines are counted; "+{v}" sends the shorter file to the line parser
     path, other = csv_dir / "changing.csv", csv_dir / "changed.csv"
     _layout_file(path, 2, 3)
     _rewrite(other, _layout_file(other, n, 3), 0, 0, spelling)
-    line_chunks = cli._line_chunks
+    line_texts, calls = cli._line_texts, []
 
-    def rewritten(name):
-        path.write_bytes(other.read_bytes())
-        return line_chunks(name)
+    def rewritten(name):  # before the second pass
+        calls.append(name)
+        if len(calls) == 2:
+            path.write_bytes(other.read_bytes())
+        return line_texts(name)
 
-    with mock.patch.object(cli, "_line_chunks", rewritten), \
-            mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_line_texts", rewritten), \
+            mock.patch.object(cli, "_READ_BLOCK", block):
         got = read_result(read_dataset, path)
+    assert len(calls) == 2
     assert got == ("error", "cannot read dataset: the file changed while it was read")
 
 

@@ -6,7 +6,7 @@ Tolerance strategy
 None: ``cli.write_dataset`` must write the same bytes as
 ``_reference_csv.reference_write_dataset`` for every ``Dataset``.  Inputs
 are the reader tests' random small datasets plus hand-picked extremes,
-written with ``_READ_CHUNK`` small enough that a block holds a single
+written with ``_WRITE_CHUNK`` small enough that a block holds a single
 subject, a few, or all of them.  The writer must also keep its memory
 bounded and report a failed write as ``ConfigError``.
 """
@@ -27,7 +27,7 @@ from mrtpower.estimator import Dataset
 from mrtpower.exceptions import ConfigError
 from test_csv_reader import datasets
 
-CHUNKS = [1, 2, 3, 5, cli._READ_CHUNK]
+CHUNKS = [1, 2, 3, 5, cli._WRITE_CHUNK]
 
 
 def written_bytes(writer, data, path):
@@ -43,7 +43,7 @@ def csv_dir(tmp_path_factory):
 @settings(deadline=None, max_examples=300)
 @given(data=datasets(), chunk=st.sampled_from(CHUNKS))
 def test_columnar_writer_matches_oracle(csv_dir, data, chunk):
-    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
         got = written_bytes(write_dataset, data, csv_dir / "new.csv")
     assert got == written_bytes(reference_write_dataset, data, csv_dir / "old.csv")
 
@@ -75,7 +75,7 @@ EXTREMES = {
 @pytest.mark.parametrize("name", EXTREMES)
 def test_extremes_match_oracle(csv_dir, name, chunk):
     data = EXTREMES[name]
-    with mock.patch.object(cli, "_READ_CHUNK", chunk):
+    with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
         got = written_bytes(write_dataset, data, csv_dir / "new.csv")
     assert got == written_bytes(reference_write_dataset, data, csv_dir / "old.csv")
 

@@ -297,6 +297,23 @@ class TestNcfCdf:
         assert 0.0 <= v <= 1.0
         assert v <= f_cdf(x, FDistParams(d1, d2)) + 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at k0 = floor(lam/2) both i0 and the anchor t0 underflow to 0, and the "
+        "downward pass only multiplies t, so the low-k terms never come back",
+    )
+    @pytest.mark.parametrize("d1,d2,lam,x", [
+        (1, 10, 100.0, 1e-20),  # bound 1.5e-32
+        (1, 1000, 10.0, 1e-60),  # bound 5.4e-33
+        (3, 10, 10.0, 1e-60),  # bound 1.0e-92
+    ])
+    def test_far_lower_tail_keeps_the_k_0_term(self, d1, d2, lam, x):
+        # every Poisson term is >= 0, so the CDF is at least the k = 0 term,
+        # exp(-lam/2) times the central CDF; half of that, for rounding
+        bound = math.exp(-0.5 * lam) * f_cdf(x, FDistParams(d1, d2))
+        assert bound > 0.0
+        assert ncf_cdf(x, FDistParams(d1, d2, lam)) >= 0.5 * bound
+
 
 # ======================================================================
 # 6. scaled-F (Hotelling) critical value
