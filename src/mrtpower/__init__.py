@@ -4,9 +4,9 @@
 ``distributions`` and ``samplesize``) and binds its public names here.  The
 public names of ``estimator`` and ``simulate``, and those two submodules
 themselves, resolve on first access through a module ``__getattr__`` (PEP
-562), so importing the package or sizing a trial never loads the estimator,
-the Monte Carlo engine or its process pool.  ``from mrtpower import X`` works
-for every ``X`` in ``__all__``.
+562), so importing the package or sizing a trial loads neither the estimator
+nor the Monte Carlo engine.  ``from mrtpower import X`` works for every ``X``
+in ``__all__``.
 
 A lazily resolved name is read from its submodule on every access and never
 stored in this namespace, so rebinding it in the submodule (a monkeypatch, a

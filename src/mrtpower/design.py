@@ -109,14 +109,18 @@ def _real_array(value, name, T=None, low=None, high=None, *,
                 open_low=False, open_high=False, broadcast=False):
     """``value`` as a float64 array, not copied if it is one already.
 
-    An array of strings, bytes, objects or complex numbers, numeric strings
-    such as "0.4" included, raises :class:`ConfigError` naming ``name``, as
-    :func:`_real` does for a scalar.  Given a length ``T`` (``...``: any
+    A ragged sequence, or an array of strings, bytes, objects or complex
+    numbers, numeric strings such as "0.4" included, raises
+    :class:`ConfigError` naming ``name``, as :func:`_real` does for a
+    scalar.  Given a length ``T`` (``...``: any
     non-empty length), this is the whole path rule: a 1-D array of length T
     (a scalar repeated T times when ``broadcast``) whose every entry passes
     :func:`_real` with these bounds, returned by :func:`_freeze`.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ConfigError(f"{name} must hold numbers, got a ragged sequence") from None
     if arr.dtype.kind in _NOT_NUMBERS:
         raise ConfigError(f"{name} must hold numbers, got {_NOT_NUMBERS[arr.dtype.kind]}")
     arr = arr.astype(np.float64, copy=False)

@@ -9,8 +9,10 @@ fit by pooled least squares over all subjects and available times.  The test
 of H0: beta(t) = 0 uses the statistic N * beta_hat' Sigma_hat^{-1} beta_hat
 with a sandwich variance estimate and a scaled-F (Hotelling) critical value.
 The N subjects' data arrive as one :class:`Dataset` of (N, T) arrays, which
-is validated once, when it is built; the Monte Carlo engine hands the same
-test path its own arrays, which it builds valid.
+is validated once, when it is built.  :func:`hypothesis_test` is the one
+function that forms a critical value, a p-value and a :class:`TestResult`;
+the Monte Carlo engine hands the same statistic path its own arrays, which
+it builds valid, and compares each statistic with one critical value per run.
 
 Variance estimation supports the small-sample hat-matrix adjustment with two
 Gram conventions for the per-subject hat matrix H_i = X_i A^{-1} X_i':
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import GRAM_KINDS, _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze
-from .design import _inv_eigh, _level, _real_array, _solve_sym, _value_type
+from .design import _integer, _inv_eigh, _level, _real, _real_array, _solve_sym, _value_type
 from .design import _information_weights, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
@@ -140,7 +142,12 @@ class ModelFit:
 
 @_value_type(hashable=False)
 class TestResult:
-    """Outcome of the proximal-effect test at level ``alpha0``."""
+    """Outcome of the proximal-effect test at level ``alpha0``.
+
+    Each field is read by its rule (the arrays by the real-array rule, the
+    critical value > 0, the p-value in [0, 1], ``n`` >= 1, ``alpha0`` by the
+    level rule); anything else raises :class:`ConfigError`.
+    """
 
     beta_hat: np.ndarray
     sigma_beta_hat: np.ndarray
@@ -153,10 +160,18 @@ class TestResult:
     alpha0: float
 
     def __post_init__(self):
-        adjustment = _choice(self.adjustment, "adjustment", ("none", "hat-matrix"))
-        object.__setattr__(self, "adjustment", adjustment)
         for name in ("beta_hat", "sigma_beta_hat"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, _freeze(_real_array(getattr(self, name), name)))
+        for name, value in (
+            ("statistic", _real(self.statistic, "statistic")),
+            ("critical_value", _real(self.critical_value, "critical_value", 0.0, open_low=True)),
+            ("p_value", _real(self.p_value, "p_value", 0.0, 1.0)),
+            ("reject", _flag(self.reject, "reject")),
+            ("adjustment", _choice(self.adjustment, "adjustment", ("none", "hat-matrix"))),
+            ("n", _integer(self.n, "n", 1)),
+            ("alpha0", _level(self.alpha0)),
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self):
         return {
@@ -176,9 +191,10 @@ def _stack(avail, action, prob, features):
     """The per-subject design tensor X (N, T, q+p) of int8 availability.
 
     Rows of X at unavailable times are identically zero.  The public
-    functions each stack for themselves; :func:`hypothesis_test` stacks
-    once and hands X to the private ``_fit`` and ``_sandwich``, which read
-    the int8 ``avail`` itself: no float copy of it is kept.
+    functions each stack for themselves; ``_statistic`` (the test's and the
+    Monte Carlo engine's) stacks once and hands X to the private ``_fit``
+    and ``_sandwich``, which read the int8 ``avail`` itself: no float copy
+    of it is kept.
 
     X is one C-contiguous float64 array, filled a column at a time with one
     multiply per element: ``X[n, t, i] = avail[n, t] * B[t, i]`` and
@@ -229,12 +245,34 @@ def _subject_grams(X):
     return K
 
 
+def _refusing_overflow(what):
+    """Run the decorated step with numpy's overflow and invalid-value flags
+    raised, and raise each as :class:`NumericError` naming ``what``.
+
+    Outcomes near the float64 limit make the fit's moments or the sandwich's
+    meat overflow; the step then ends in that error, with no numpy warning
+    and no infinity handed on.  Where nothing overflows, no bit moves.
+    """
+    def decorate(step):
+        def guarded(*args):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return step(*args)
+            except FloatingPointError as exc:
+                raise NumericError(
+                    f"{what} overflows ({exc}); the outcomes are too large"
+                ) from None
+        return guarded
+    return decorate
+
+
 def fit_working_model(dataset, features):
     """Pooled least squares for (alpha, beta) over all available rows."""
     X = _stack(dataset.avail, dataset.action, dataset.prob, features)
     return _fit(dataset.avail, X, dataset.outcome, features.q)
 
 
+@_refusing_overflow("pooled fit")
 def _fit(avail, X, outcome, q):
     """The pooled fit, with y and the residuals the only (N, T) arrays it makes.
 
@@ -276,6 +314,7 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     return _sandwich(dataset.avail, X, dataset.prob, fit, features, adjusted, gram)
 
 
+@_refusing_overflow("sandwich variance")
 def _sandwich(avail, X, prob, fit, features, adjusted, gram):
     adjusted = _flag(adjusted, "adjusted")
     gram = _choice(gram, "gram", GRAM_KINDS)
@@ -333,18 +372,36 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
     outside (0, 0.5), or whose 1 - alpha0 rounds to 1.0, raises
     :class:`ConfigError`.
     """
-    return _test(dataset.avail, dataset.action, dataset.prob, dataset.outcome,
-                 features, alpha0, adjusted, gram)
-
-
-def _test(avail, action, prob, outcome, features, alpha0, adjusted, gram):
-    """:func:`hypothesis_test` on the (N, T) arrays of a dataset.
-
-    The Monte Carlo engine calls it on its own output, which meets every
-    :class:`Dataset` check by construction except the finite outcome, and
-    which it checks itself.
-    """
     alpha0 = _level(alpha0)
+    beta_hat, sigma, stat = _statistic(dataset.avail, dataset.action, dataset.prob,
+                                       dataset.outcome, features, adjusted, gram)
+    p = features.p
+    q = features.q
+    n = len(dataset)
+    crit = hotelling_critical(p, q, n, alpha0)
+    mult = p * (n - q - 1) / (n - q - p)
+    p_value = 1.0 - f_cdf(stat / mult, FDistParams(p, n - q - p))
+    return TestResult(
+        beta_hat=beta_hat,
+        sigma_beta_hat=sigma,
+        statistic=stat,
+        critical_value=crit,
+        p_value=p_value,
+        reject=bool(stat > crit),
+        adjustment="hat-matrix" if adjusted else "none",
+        n=n,
+        alpha0=alpha0,
+    )
+
+
+def _statistic(avail, action, prob, outcome, features, adjusted, gram):
+    """(beta_hat, Sigma_hat, statistic) of the (N, T) arrays of a dataset.
+
+    The statistic is N beta_hat' Sigma_hat^{-1} beta_hat.  The Monte Carlo
+    engine calls this on its own output, which meets every :class:`Dataset`
+    check by construction except the finite outcome, and which it checks
+    itself; it compares each statistic with one critical value per run.
+    """
     p = features.p
     q = features.q
     n = avail.shape[0]
@@ -359,20 +416,7 @@ def _test(avail, action, prob, outcome, features, alpha0, adjusted, gram):
         stat = float(n) * float(fit.beta_hat @ _solve_sym(sigma, fit.beta_hat, "variance"))
     except NumericError as exc:
         raise NumericError(f"singular variance estimate: {exc}") from exc
-    crit = hotelling_critical(p, q, n, alpha0)
-    mult = p * (n - q - 1) / (n - q - p)
-    p_value = 1.0 - f_cdf(stat / mult, FDistParams(p, n - q - p))
-    return TestResult(
-        beta_hat=fit.beta_hat,
-        sigma_beta_hat=sigma,
-        statistic=stat,
-        critical_value=crit,
-        p_value=p_value,
-        reject=bool(stat > crit),
-        adjustment="hat-matrix" if adjusted else "none",
-        n=n,
-        alpha0=alpha0,
-    )
+    return fit.beta_hat, sigma, stat
 
 
 def asymptotic_targets(generative, features):

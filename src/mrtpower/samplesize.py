@@ -97,7 +97,7 @@ class SizingInputs:
             )
         object.__setattr__(self, "alpha0", alpha0)
         object.__setattr__(self, "power_target", target)
-        if self.effect.form != "quadratic" or self.effect.coeffs is None:
+        if self.effect.form != "quadratic":
             raise ConfigError("sizing requires the effect in quadratic form")
         T = self.design.T
         if self.features.T != T or self.tau.tau.shape[0] != T or self.effect.path.shape[0] != T:
@@ -128,7 +128,9 @@ class SampleSizeResult:
 
     ``power_at_n_minus_1`` is the power one subject below the solution; it is
     0.0 when n - 1 would not leave a positive denominator degree of freedom
-    (no valid test exists there).
+    (no valid test exists there).  ``n`` is read by the integer rule and the
+    rest by the real-number rule (``c_n`` >= 0, the powers in [0, 1]);
+    anything else raises :class:`ConfigError`.
     """
 
     n: int
@@ -138,12 +140,10 @@ class SampleSizeResult:
     power_target: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"sample size must be positive, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "c_n", _real(self.c_n, "c_n", 0.0))
         for name in ("achieved_power", "power_at_n_minus_1", "power_target"):
-            val = getattr(self, name)
-            if not (0.0 <= val <= 1.0):
-                raise ConfigError(f"{name} must be a probability, got {val}")
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, 1.0))
 
     def to_dict(self):
         return {
@@ -184,7 +184,7 @@ def noncentrality(n, effect, q_matrix):
     NaN raises :class:`NumericError` here.
     """
     n = _integer(n, "n", 1)
-    if effect.form != "quadratic" or effect.coeffs is None:
+    if effect.form != "quadratic":
         raise ConfigError("noncentrality requires the effect in quadratic form")
     d = effect.coeffs
     if q_matrix.shape != (d.shape[0], d.shape[0]):

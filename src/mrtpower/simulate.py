@@ -87,7 +87,8 @@ from .design import (
     build_quadratic_features,
     elicit_quadratic_effect,
 )
-from .estimator import Dataset, SubjectRow, _require_finite_outcome, _test
+from .distributions import hotelling_critical
+from .estimator import Dataset, SubjectRow, _require_finite_outcome, _statistic
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -1081,16 +1082,16 @@ def _wilson_interval(successes, trials):
     return low, high
 
 
-def _replicate_outcomes(model, features, n, alpha0, adjusted, gram, seed, each_dataset,
-                        indices):
+def _replicate_outcomes(model, features, n, crit, adjusted, gram, seed, each_dataset, indices):
     """Outcomes for the replicates ``indices``: 1 reject, 0 accept, -1 failure.
 
-    The datasets come from :func:`_replicate_arrays`, whose block size
-    depends on n alone, so the outcomes do not depend on how replicates are
-    split among workers.  The engine's arrays go to the test as they are;
-    they meet every :class:`Dataset` check by construction except a finite
-    outcome, which is checked here, with the same error.  A :class:`Dataset`
-    is built only for ``each_dataset``.
+    A replicate rejects when its statistic exceeds ``crit``, the run's one
+    critical value.  The datasets come from :func:`_replicate_arrays`, whose
+    block size depends on n alone, so the outcomes do not depend on how
+    replicates are split among workers.  The engine's arrays go to the
+    statistic as they are; they meet every :class:`Dataset` check by
+    construction except a finite outcome, which is checked here, with the
+    same error.  A :class:`Dataset` is built only for ``each_dataset``.
     """
     out = []
     for replicate, arrays in zip(indices, _replicate_arrays(model, n, seed, indices)):
@@ -1099,11 +1100,11 @@ def _replicate_outcomes(model, features, n, alpha0, adjusted, gram, seed, each_d
         if each_dataset is not None:
             each_dataset(replicate, Dataset(*arrays))
         try:
-            result = _test(*arrays, features, alpha0, adjusted, gram)
+            _, _, stat = _statistic(*arrays, features, adjusted, gram)
         except NumericError:
             out.append(-1)
         else:
-            out.append(1 if result.reject else 0)
+            out.append(1 if stat > crit else 0)
     return np.array(out, dtype=np.int8)
 
 
@@ -1203,7 +1204,10 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     """Estimate the test's rejection rate over ``reps`` simulated trials.
 
     Each replicate generates ``n`` subjects on its own deterministic RNG
-    streams and runs the hypothesis test; the report is identical for any
+    streams and rejects when its test statistic exceeds the Hotelling
+    critical value.  That value is computed once, after the argument checks
+    and before anything is generated, so one that cannot be computed raises
+    its :class:`NumericError` there.  The report is identical for any
     worker count because per-replicate outcomes depend only on (seed,
     replicate) and the tally is order-independent.  Worker w runs replicates
     w, w + threads, ...: worker 0 is this process, and each other worker is
@@ -1230,8 +1234,9 @@ def monte_carlo(model, n, reps, alpha0, adjusted=True, *, seed, gram="summed", t
     # a worker beyond the reps-th would get no replicate
     threads = min(resolve_threads(threads), reps)
     seed = _integer(seed, "seed", 0)
+    crit = hotelling_critical(features.p, features.q, n, alpha0)
 
-    run = partial(_replicate_outcomes, model, features, n, alpha0, adjusted, gram, seed,
+    run = partial(_replicate_outcomes, model, features, n, crit, adjusted, gram, seed,
                   each_dataset)
     outcomes = np.concatenate(
         _worker_outcomes(run, [range(w, reps, threads) for w in range(threads)]))

@@ -7,9 +7,10 @@ effect path or its coefficients, a dataset's probabilities and outcomes, a
 generative model's mean and noise paths, ``project_effect``'s path, the
 availability and randomization probabilities that ``compute_q_matrix``,
 ``project_effect`` and ``asymptotic_targets`` weight by) accepts
-anything numpy reads as real numbers, and refuses strings, bytes, Python
-objects and complex numbers, numeric strings such as "0.4" included, with a
-ConfigError naming the argument.  The value types keep a copy of a caller's
+anything numpy reads as real numbers, and refuses a ragged sequence and
+strings, bytes, Python objects and complex numbers, numeric strings such as
+"0.4" included, with a ConfigError naming the argument (a Dataset names
+ragged rows in its own words).  The value types keep a copy of a caller's
 writable array and leave that array writable.
 
 A per-decision-time path (and an effect's three coefficients) follows the
@@ -66,6 +67,14 @@ def _targets(tau=TAU, rho=0.4, features=FEATURES, alpha_path=np.zeros(TINY.T),
     return asymptotic_targets(paths, features)
 
 
+def _test_result(**arrays):
+    base = dict(beta_hat=np.zeros(3), sigma_beta_hat=np.eye(3))
+    return estimator.TestResult(
+        statistic=1.0, critical_value=8.0, p_value=0.3, reject=False, adjustment="none",
+        n=42, alpha0=0.05, **{**base, **arrays},
+    )
+
+
 def _model(**fields):
     base = dict(effect=EFFECT, tau=TAU)
     return GenerativeModel(
@@ -80,6 +89,8 @@ class Argument(NamedTuple):
     name: str
     value: np.ndarray
     call: Callable
+    # a Dataset reads its rows before the rule, and names a ragged value itself
+    ragged: str = None
 
 
 ARGUMENTS = [
@@ -96,8 +107,10 @@ ARGUMENTS = [
         lambda v: EffectPath(form="quadratic", path=EFFECT.path, coeffs=v),
     ),
     Argument("path", EFFECT.path, lambda v: project_effect(v, TAU, FEATURES, 0.4)),
-    Argument("prob", np.full(SHAPE, 0.4), lambda v: _dataset(prob=v)),
-    Argument("outcome", np.zeros(SHAPE), lambda v: _dataset(outcome=v)),
+    Argument("prob", np.full(SHAPE, 0.4), lambda v: _dataset(prob=v),
+             "dataset arrays must be rectangular: "),
+    Argument("outcome", np.zeros(SHAPE), lambda v: _dataset(outcome=v),
+             "dataset arrays must be rectangular: "),
     Argument("alpha_path", np.zeros(TINY.T), lambda v: _model(alpha_path=v)),
     Argument("sigma1", np.ones(TINY.T), lambda v: _model(sigma1=v)),
     Argument("sigma0", np.ones(TINY.T), lambda v: _model(sigma0=v)),
@@ -108,6 +121,8 @@ ARGUMENTS = [
     Argument("tau", TAU.tau, lambda v: _targets(tau=v)),
     Argument("alpha_path", np.zeros(TINY.T), lambda v: _targets(alpha_path=v)),
     Argument("beta_path", EFFECT.path, lambda v: _targets(beta_path=v)),
+    Argument("beta_hat", np.zeros(3), lambda v: _test_result(beta_hat=v)),
+    Argument("sigma_beta_hat", np.eye(3), lambda v: _test_result(sigma_beta_hat=v)),
 ]
 
 REFUSED = {
@@ -116,6 +131,7 @@ REFUSED = {
     "bytes array": ("bytes", lambda a: a.astype(bytes)),
     "object array": ("Python objects", lambda a: a.astype(object)),
     "complex array": ("complex numbers", lambda a: a.astype(complex)),
+    "ragged sequence": ("a ragged sequence", lambda a: [a.tolist(), [0.0]]),
 }
 CASES = [(index, kind) for index in range(len(ARGUMENTS)) for kind in REFUSED]
 
@@ -127,7 +143,10 @@ def test_every_real_array_argument_follows_one_rule(index, kind):
     arg = ARGUMENTS[index]
     arg.call(arg.value)  # the numbers themselves are accepted
     what, convert = REFUSED[kind]
-    with pytest.raises(ConfigError, match=f"^{arg.name} must hold numbers, got {what}$"):
+    message = f"^{arg.name} must hold numbers, got {what}$"
+    if kind == "ragged sequence" and arg.ragged:
+        message = f"^{arg.ragged}"
+    with pytest.raises(ConfigError, match=message):
         arg.call(convert(arg.value))
 
 

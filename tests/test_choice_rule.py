@@ -75,10 +75,10 @@ def _monte_carlo(**kwargs):
     return json.dumps(monte_carlo(WORKING, 10, 3, 0.05, seed=5, **kwargs).to_dict())
 
 
-def _test_result(adjustment):
+def _test_result(adjustment="none", reject=False):
     return repr(estimator.TestResult(
         beta_hat=np.zeros(3), sigma_beta_hat=np.eye(3), statistic=1.0, critical_value=8.0,
-        p_value=0.3, reject=False, adjustment=adjustment, n=42, alpha0=0.05,
+        p_value=0.3, reject=reject, adjustment=adjustment, n=42, alpha0=0.05,
     ))
 
 
@@ -117,6 +117,7 @@ FLAGS = [
     Argument("adjusted", False, lambda v: _monte_carlo(adjusted=v)),
     Argument("adjusted", False,
              lambda v: config_digest(WORKING, 10, 3, 0.05, v, "summed", 5)),
+    Argument("reject", False, lambda v: _test_result(reject=v)),
 ]
 
 REFUSED = {

@@ -12,7 +12,11 @@ produce byte-identical output).  No statistical bands are needed here.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,6 +712,35 @@ class TestAnalyze:
         expected = hypothesis_test(data, build_quadratic_features(design), 0.05, False)
         assert payload["statistic"] == expected.statistic
 
+    @pytest.mark.parametrize(
+        "scale,code,line",
+        [(1e150, 0, "n = 20; statistic "),
+         (1e154, 3, "error: sandwich variance overflows (overflow encountered in multiply); "
+                    "the outcomes are too large\n"),
+         (1e307, 3, "error: pooled fit overflows (overflow encountered in matmul); "
+                    "the outcomes are too large\n")],
+    )
+    def test_outcomes_too_large_for_float64_are_one_error_line(self, tmp_path, scale, code,
+                                                               line):
+        # a fresh interpreter, where a numpy RuntimeWarning would print to stderr
+        model, _ = tiny_model()
+        data = generate_dataset(model, 20, seed=3)
+        csv_path = tmp_path / "d.csv"
+        write_dataset(Dataset(data.avail, data.action, data.prob, data.outcome * scale),
+                      csv_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(simulate.__file__).resolve().parent.parent), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mrtpower.cli", "analyze", str(csv_path),
+             write_json(tmp_path / "c.json", self.analyze_doc())],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        # the whole of stderr is one line: the summary, or the error
+        assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1, proc.stderr
+        assert (proc.stdout == "") == (code != 0)
+
     def test_schema_error_exits_2(self, runner, tmp_path):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("subject,t,avail,action,prob,outcome\n0,1,1,0,2.0,1.0\n")
@@ -889,6 +922,22 @@ class TestSimulate:
             main, ["analyze", str(files[0]), write_json(tmp_path / "a.json", analyze_doc)]
         )
         assert res.exit_code == 3
+
+    def test_an_uncomputable_critical_value_is_refused_before_any_export(self, runner,
+                                                                       tmp_path):
+        # n = 7 leaves d2 = 1, where the F(3, 1) quantile at 1 - 1e-8 fails
+        doc = tiny_sim_config(n=7, reps=6, alpha0=1e-8)
+        out_dir = tmp_path / "out"
+        res = runner.invoke(
+            main, ["simulate", write_json(tmp_path / "c.json", doc), "--export", str(out_dir)]
+        )
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: F quantile search failed to bracket or converge "
+            "(prob=0.99999999, d1=3.0, d2=1.0)\n"
+        )
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_write_failure_in_a_worker_is_config_error(self, runner, tmp_path, threads):

@@ -556,6 +556,30 @@ class TestHypothesisTest:
                 assert not got.flags.writeable, name
         assert copy.to_dict() == res.to_dict()
 
+    @pytest.mark.parametrize(
+        "scale,step",
+        [(1e154, "sandwich variance"), (1e200, "sandwich variance"),
+         (1e307, "pooled fit"), (2.7e307, "pooled fit")],
+    )
+    def test_outcomes_too_large_for_float64_are_numeric_error(self, scale, step):
+        # no numpy warning on the way (pytest raises RuntimeWarning) and no
+        # misleading "singular variance"; the largest outcome reaches 1.75e308
+        design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+        model = GenerativeModel.working_true(
+            design, elicit_quadratic_effect(0.0, 0.3, 2, design),
+            make_availability("constant", 0.6, design), ErrorProcess("iid-normal"),
+        )
+        data = generate_dataset(model, 20, seed=3)
+        feats = build_quadratic_features(design)
+        scaled = Dataset(data.avail, data.action, data.prob, data.outcome * scale)
+        for adjusted in (True, False):
+            with pytest.raises(NumericError, match=f"^{step} overflows .*; the outcomes are too large$"):
+                hypothesis_test(scaled, feats, 0.05, adjusted)
+        # below the overflow the statistic is that of the unscaled outcomes
+        fine = Dataset(data.avail, data.action, data.prob, data.outcome * 1e150)
+        assert hypothesis_test(fine, feats, 0.05).statistic == pytest.approx(
+            hypothesis_test(data, feats, 0.05).statistic, rel=1e-12)
+
     def test_too_few_subjects_rejected(self, design, feats):
         data = simulate_subjects(design, feats, 6, seed=9)
         with pytest.raises(ConfigError, match="subjects"):

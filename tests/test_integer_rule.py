@@ -26,7 +26,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtpower import ConfigError, NumericError
+from mrtpower import ConfigError, NumericError, estimator
 from mrtpower.cli import main
 from mrtpower.design import (
     EffectPath,
@@ -36,7 +36,13 @@ from mrtpower.design import (
     make_availability,
 )
 from mrtpower.distributions import FDistParams, hotelling_critical
-from mrtpower.samplesize import SizingInputs, noncentrality, power, solve_sample_size
+from mrtpower.samplesize import (
+    SampleSizeResult,
+    SizingInputs,
+    noncentrality,
+    power,
+    solve_sample_size,
+)
 from mrtpower.simulate import (
     ErrorProcess,
     GenerativeModel,
@@ -81,6 +87,13 @@ def _data(dataset):
 
 def _report(report):
     return json.dumps(report.to_dict())
+
+
+def _test_result(n):
+    return repr(estimator.TestResult(
+        beta_hat=np.zeros(3), sigma_beta_hat=np.eye(3), statistic=1.0, critical_value=8.0,
+        p_value=0.3, reject=False, adjustment="none", n=n, alpha0=0.05,
+    ))
 
 
 class Argument(NamedTuple):
@@ -139,6 +152,8 @@ ARGUMENTS = [
     Argument("p", 3, lambda v: repr(hotelling_critical(v, 3, 42, 0.05))),
     Argument("q", 3, lambda v: repr(hotelling_critical(3, v, 42, 0.05))),
     Argument("n", 42, lambda v: repr(hotelling_critical(3, 3, v, 0.05))),
+    Argument("n", 42, lambda v: repr(SampleSizeResult(v, 12.0, 0.81, 0.79, 0.8))),
+    Argument("n", 42, _test_result),
 ]
 
 

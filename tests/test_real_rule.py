@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mrtpower import ConfigError, NumericError
+from mrtpower import ConfigError, NumericError, estimator
 from mrtpower.cli import main
 from mrtpower.design import (
     AvailabilityPattern,
@@ -38,7 +38,7 @@ from mrtpower.design import (
 )
 from mrtpower.distributions import FDistParams, f_cdf, f_quantile, ncf_cdf
 from mrtpower.estimator import hypothesis_test
-from mrtpower.samplesize import SizingInputs, power
+from mrtpower.samplesize import SampleSizeResult, SizingInputs, power
 from mrtpower.simulate import (
     ErrorProcess,
     GenerativeModel,
@@ -77,6 +77,18 @@ def _model(model):
 def _test(alpha0):
     result = hypothesis_test(TINY_DATA, build_quadratic_features(TINY), alpha0)
     return repr((result.statistic, result.critical_value, result.p_value, result.alpha0))
+
+
+def _sample_size(**fields):
+    base = dict(n=42, c_n=12.0, achieved_power=0.81, power_at_n_minus_1=0.79, power_target=0.8)
+    return repr(SampleSizeResult(**{**base, **fields}))
+
+
+def _test_result(**fields):
+    base = dict(beta_hat=np.zeros(3), sigma_beta_hat=np.eye(3), statistic=1.0,
+                critical_value=8.0, p_value=0.3, reject=False, adjustment="none", n=42,
+                alpha0=0.05)
+    return repr(estimator.TestResult(**{**base, **fields}))
 
 
 def _feedback(**params):
@@ -146,6 +158,14 @@ ARGUMENTS = [
     ),
     Argument("sigma_star", 0.5, lambda v: _model(dataclasses.replace(WORKING, sigma_star=v)),
              1, 0.0),
+    Argument("c_n", 12.0, lambda v: _sample_size(c_n=v), 12, -1.0),
+    Argument("achieved_power", 0.81, lambda v: _sample_size(achieved_power=v), 1, 1.5),
+    Argument("power_at_n_minus_1", 0.79, lambda v: _sample_size(power_at_n_minus_1=v), 0, -0.5),
+    Argument("power_target", 0.8, lambda v: _sample_size(power_target=v), 1, 1.5),
+    Argument("statistic", 1.0, lambda v: _test_result(statistic=v), 1),
+    Argument("critical_value", 8.0, lambda v: _test_result(critical_value=v), 8, 0.0),
+    Argument("p_value", 0.3, lambda v: _test_result(p_value=v), 1, 2.0),
+    Argument("alpha0", 0.05, lambda v: _test_result(alpha0=v), None, 0.7),
 ]
 
 REFUSED = {

@@ -22,7 +22,7 @@ import pickle
 import numpy as np
 import pytest
 
-from mrtpower import ConfigError, NumericError, simulate
+from mrtpower import ConfigError, NumericError, distributions, estimator, simulate
 from mrtpower.design import (
     EffectPath,
     TrialDesign,
@@ -30,7 +30,8 @@ from mrtpower.design import (
     elicit_quadratic_effect,
     make_availability,
 )
-from mrtpower.estimator import asymptotic_targets
+from mrtpower.distributions import hotelling_critical
+from mrtpower.estimator import asymptotic_targets, hypothesis_test
 from mrtpower.simulate import (
     SCENARIOS,
     VARIANCE_TREND_SPAN,
@@ -690,6 +691,52 @@ class TestMonteCarlo:
         m = tiny_null_model(tiny_design, average=0.04)
         with pytest.raises(NumericError, match="replicate"):
             monte_carlo(m, 7, 30, 0.05, seed=3)
+
+    def test_a_run_forms_one_critical_value_and_no_test_report(self, tiny_design, monkeypatch):
+        # a replicate is its statistic against the run's critical value: no
+        # per-replicate p-value (f_cdf), TestResult or critical-value lookup
+        calls = dict.fromkeys(("f_cdf", "hotelling_critical", "TestResult"), 0)
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("f_cdf", "hotelling_critical"):
+            fn = getattr(distributions, name)
+            for module in (distributions, estimator, simulate):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, spy(name, fn))
+        monkeypatch.setattr(estimator.TestResult, "__post_init__",
+                            spy("TestResult", estimator.TestResult.__post_init__))
+        m = tiny_null_model(tiny_design)
+        report = monte_carlo(m, 10, 40, 0.05, seed=7, threads=1)
+        assert report.replicates == 40
+        assert calls == {"f_cdf": 0, "hotelling_critical": 1, "TestResult": 0}
+        # the spies see the one function that forms a test report
+        hypothesis_test(generate_dataset(m, 10, seed=7), build_quadratic_features(tiny_design),
+                        0.05)
+        assert calls == {"f_cdf": 1, "hotelling_critical": 2, "TestResult": 1}
+
+    def test_a_critical_value_that_cannot_be_computed_is_refused_first(self, tiny_design):
+        # n = 7 leaves d2 = 1, where the F(3, 1) quantile at 1 - 1e-8 fails
+        with pytest.raises(NumericError) as direct:
+            hotelling_critical(3, 3, 7, 1e-8)
+        seen = []
+        with pytest.raises(NumericError) as info:
+            monte_carlo(tiny_null_model(tiny_design), 7, 4, 1e-8, seed=3,
+                        each_dataset=lambda replicate, _: seen.append(replicate))
+        assert str(info.value) == str(direct.value)
+        assert str(info.value).startswith("F quantile search failed to bracket or converge")
+        assert seen == []
+
+    def test_overflowing_replicates_fail_without_a_warning(self, tiny_design):
+        # outcomes near 1e160 overflow the sandwich's meat in every replicate
+        big = np.full(tiny_design.T, 1e160)
+        m = dataclasses.replace(tiny_null_model(tiny_design), sigma1=big, sigma0=big)
+        with pytest.raises(NumericError, match="^every replicate failed"):
+            monte_carlo(m, 10, 3, 0.05, seed=7)
 
     def test_domain_errors(self, tiny_design):
         m = tiny_null_model(tiny_design)
