@@ -102,6 +102,74 @@ def _freeze(arr, dtype=np.float64):
     return arr
 
 
+# -- working buffers ---------------------------------------------------------
+# The engine and the test take their large working arrays from a buffer
+# provider, so the same statements run on new arrays (the public paths) and
+# on one Monte Carlo run's arena.  ``take`` hands out an uninitialized array;
+# ``release(mark)`` gives back what was taken since ``mark()``.
+
+
+class _NewArrays:
+    """Buffers as new arrays, freed when dropped; ``release`` does nothing."""
+
+    def take(self, shape, dtype=np.float64):
+        return np.empty(shape, dtype)
+
+    def mark(self):
+        return None
+
+    def release(self, mark):
+        pass
+
+
+_FRESH = _NewArrays()
+
+# Every array of an arena starts on a 64-byte boundary (a cache line).
+_ARENA_ALIGN = 64
+
+
+def _aligned(nbytes):
+    """Bytes an arena gives an array of ``nbytes``."""
+    return -(-nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
+
+
+class _Region(_NewArrays):
+    """A stack of arrays in one fixed span of an arena.
+
+    ``take`` hands out the next aligned span, ``release(mark)`` pops back to
+    ``mark``, and taking past the end raises.
+    """
+
+    def __init__(self, memory):
+        self._memory = memory
+        self._top = 0
+
+    def take(self, shape, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start, self._top = self._top, self._top + _aligned(nbytes)
+        if self._top > self._memory.size:
+            raise RuntimeError(f"arena region of {self._memory.size} bytes overrun")
+        return self._memory[start:start + nbytes].view(dtype).reshape(shape)
+
+    def mark(self):
+        return self._top
+
+    def release(self, mark):
+        self._top = mark
+
+
+def _arena(*sizes):
+    """Regions of ``sizes`` bytes (multiples of ``_ARENA_ALIGN``) in one new block."""
+    memory = np.empty(sum(sizes) + _ARENA_ALIGN, np.uint8)
+    start = -memory.__array_interface__["data"][0] % _ARENA_ALIGN
+    regions = []
+    for size in sizes:
+        regions.append(_Region(memory[start:start + size]))
+        start += size
+    return regions
+
+
 _NOT_NUMBERS = {"U": "strings", "S": "bytes", "O": "Python objects", "c": "complex numbers"}
 
 
@@ -314,9 +382,10 @@ def _equilibrated_eigh(mat, what):
     diagonal recovers the digits the raw Gram loses.  Returns (scale d,
     eigenvalues, eigenvectors) of mat / (d d'), whose trace is its dimension.
     """
-    d = np.sqrt(np.diag(mat))
-    if not np.all(d > 0.0):
+    diag = np.diag(mat)
+    if not np.all(diag > 0.0):  # before the root, which warns on a negative entry
         raise NumericError(f"{what} is singular or nearly singular")
+    d = np.sqrt(diag)
     scaled = mat / d[:, None] / d[None, :]
     w, v = np.linalg.eigh(scaled)
     if w[0] <= _SINGULAR_REL_TOL * np.trace(scaled):
@@ -457,7 +526,8 @@ class EffectPath:
 
     ``path`` always holds the evaluated per-time values, a path read by
     :func:`_real_array`; ``coeffs`` is the (d1, d2, d3) day-quadratic when
-    ``form == "quadratic"``.
+    ``form == "quadratic"``, and None otherwise (anything else raises
+    :class:`ConfigError`, as ``phi`` does for the i.i.d. error families).
     """
 
     form: str
@@ -470,6 +540,10 @@ class EffectPath:
             if self.coeffs is None:
                 raise ConfigError("quadratic effect requires 3 coefficients")
             object.__setattr__(self, "coeffs", _real_array(self.coeffs, "coeffs", 3))
+        elif self.coeffs is not None:
+            raise ConfigError(
+                f"coeffs is only meaningful for the quadratic form, got {self.coeffs!r}"
+            )
         object.__setattr__(self, "path", _real_array(self.path, "path", ...))
 
     @classmethod

@@ -33,14 +33,19 @@ per-subject Grams K_i (see ``_stack`` and ``_subject_grams``).
 
 Unavailable decision times are inert throughout: their design rows are zero
 and their outcomes (which may be absent, marked NaN) never enter arithmetic.
+
+The test takes its large arrays (X, y, the fitted values or the plug-in
+weights, and the K block) from a buffer provider: new arrays on the public
+paths, a Monte Carlo run's arena in the engine (see ``_statistic_bytes``).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .design import GRAM_KINDS, _SINGULAR_REL_TOL, _choice, _equilibrated_eigh, _flag, _freeze
-from .design import _integer, _inv_eigh, _level, _real, _real_array, _solve_sym, _value_type
+from .design import _FRESH, GRAM_KINDS, _SINGULAR_REL_TOL, _aligned, _choice, _equilibrated_eigh
+from .design import _flag, _freeze, _integer, _inv_eigh, _level, _real, _real_array, _solve_sym
+from .design import _value_type
 from .design import _information_weights, _weighted_projection
 from .exceptions import ConfigError, NumericError
 from .distributions import FDistParams, f_cdf, hotelling_critical
@@ -116,8 +121,17 @@ class Dataset:
         return map(SubjectRow, self.avail, self.action, self.prob, self.outcome)
 
 
-def _require_finite_outcome(avail, outcome):
-    if not np.isfinite(np.where(avail == 1, outcome, 0.0)).all():
+def _require_finite_outcome(avail, outcome, buffers=_FRESH):
+    """Refuse a non-finite outcome where ``avail`` (0 or 1) is 1.
+
+    One boolean array is taken from ``buffers`` and given back.
+    """
+    mark = buffers.mark()
+    ok = np.isfinite(outcome, out=buffers.take(outcome.shape, np.bool_))
+    # finite, or unavailable: ok >= avail, as avail is 0 or 1
+    finite = np.greater_equal(ok, avail, out=ok).all()
+    buffers.release(mark)
+    if not finite:
         raise ConfigError(
             "missing or non-finite outcome at an available decision time"
         )
@@ -187,7 +201,7 @@ class TestResult:
         }
 
 
-def _stack(avail, action, prob, features):
+def _stack(avail, action, prob, features, buffers=_FRESH):
     """The per-subject design tensor X (N, T, q+p) of int8 availability.
 
     Rows of X at unavailable times are identically zero.  The public
@@ -196,33 +210,39 @@ def _stack(avail, action, prob, features):
     and ``_sandwich``, which read the int8 ``avail`` itself: no float copy
     of it is kept.
 
-    X is one C-contiguous float64 array, filled a column at a time with one
-    multiply per element: ``X[n, t, i] = avail[n, t] * B[t, i]`` and
-    ``X[n, t, q + j] = centered[n, t] * Z[t, j]``, where 0/1 times a float
-    is exact, as it was when avail was cast to float first.  That layout
-    fixes the output bits of the fit, G and m: BLAS reads X as one
-    (N*T, q+p) matrix, and the n-major einsums over X sum in t order, so
-    another layout may change how they sum.  K is summed over a copy of X's
-    values in another layout (see :func:`_subject_grams`).
+    X is one C-contiguous float64 array from ``buffers``, filled a column
+    at a time with one multiply per element: ``X[n, t, i] = avail[n, t] *
+    B[t, i]`` and ``X[n, t, q + j] = centered[n, t] * Z[t, j]``, where 0/1
+    times a float is exact, as it was when avail was cast to float first.
+    The centered weights avail * (A - rho) are formed in column q, which
+    takes its own values last.  That layout fixes the output bits of the
+    fit, G and m: BLAS reads X as one (N*T, q+p) matrix, and the n-major
+    einsums over X sum in t order, so another layout may change how they
+    sum.  K is summed over a copy of X's values in another layout (see
+    :func:`_subject_grams`).
     """
     if avail.shape[1] != features.T:
         raise ConfigError("subject length does not match the feature paths")
-    centered = avail * (action - prob)
     q = features.q
-    X = np.empty(avail.shape + (q + features.p,))
+    X = buffers.take(avail.shape + (q + features.p,))
+    centered = X[:, :, q]
+    np.subtract(action, prob, out=centered)
+    np.multiply(avail, centered, out=centered)
     for i in range(q):
         np.multiply(avail, features.B[:, i], out=X[:, :, i])
-    for j in range(features.p):
+    for j in reversed(range(features.p)):
         np.multiply(centered, features.Z[:, j], out=X[:, :, q + j])
     return X
 
 
-# Subjects per block of :func:`_subject_grams`: about 0.6 MB at T = 210, so
-# the block never grows to a second full-size copy of a large X.  Moves no bit.
-_GRAM_BLOCK = 64
+# Subjects per block of :func:`_subject_grams`: about 0.3 MB at T = 210, so
+# the block never grows to a second full-size copy of a large X, and X with
+# the block keeps a Monte Carlo run's arena under the traced peak that
+# tests/test_run_arena.py bounds.  Moves no bit.
+_GRAM_BLOCK = 32
 
 
-def _subject_grams(X):
+def _subject_grams(X, buffers=_FRESH):
     """K_i = X_i'X_i of every subject, as a C-contiguous (N, q+p, q+p) array.
 
     X's values are copied, ``_GRAM_BLOCK`` subjects at a time, into a
@@ -232,11 +252,11 @@ def _subject_grams(X):
     about a fifth of the time.  The buffer is one subject wider than the
     subjects it holds, up to the block size: a lone subject in a
     (q+p, T, 1) block would leave t as the contiguous axis, which einsum
-    sums in another order.
+    sums in another order.  The buffer comes from ``buffers``.
     """
     n, T, k = X.shape
     K = np.empty((n, k, k))
-    buffer = np.empty((k, T, min(_GRAM_BLOCK, n + 1)))
+    buffer = buffers.take((k, T, min(_GRAM_BLOCK, n + 1)))
     for start in range(0, n, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, n)
         block = buffer[:, :, :stop - start]
@@ -273,16 +293,19 @@ def fit_working_model(dataset, features):
 
 
 @_refusing_overflow("pooled fit")
-def _fit(avail, X, outcome, q):
-    """The pooled fit, with y and the residuals the only (N, T) arrays it makes.
+def _fit(avail, X, outcome, q, buffers=_FRESH):
+    """The pooled fit, with y and the fitted values the only (N, T) arrays it takes.
 
     Masked outcomes are selected, never multiplied, so the NaN markers at
     unavailable times cannot propagate: y is +0.0 there.  The residuals are
-    formed in the buffer of X @ theta with no mask.  At an unavailable time
-    X's row is all (signed) zeros, so the fitted value is +0.0 or -0.0, and
-    y minus it is +0.0: the value a mask would write.
+    formed in y's buffer with no mask, and the fitted values' buffer is
+    given back.  At an unavailable time X's row is all (signed) zeros, so
+    the fitted value is +0.0 or -0.0, and y minus it is +0.0: the value a
+    mask would write.
     """
-    y = np.where(avail == 1, outcome, 0.0)
+    y = buffers.take(avail.shape)
+    np.copyto(y, 0.0)
+    np.copyto(y, outcome, where=avail == 1)
     flat = X.reshape(-1, X.shape[2])
     gram = flat.T @ flat
     moment = flat.T @ y.reshape(-1)
@@ -290,8 +313,10 @@ def _fit(avail, X, outcome, q):
         theta = _solve_sym(gram, moment, "pooled design matrix")
     except NumericError as exc:
         raise NumericError(f"singular design: {exc}") from exc
-    fitted = X @ theta
-    residuals = np.subtract(y, fitted, out=fitted)
+    mark = buffers.mark()
+    fitted = np.matmul(X, theta, out=buffers.take(avail.shape))
+    residuals = np.subtract(y, fitted, out=y)
+    buffers.release(mark)
     for arr in (theta, residuals):
         arr.setflags(write=False)  # handed to ModelFit as they are, not copied
     return ModelFit(alpha_hat=theta[:q], beta_hat=theta[q:], residuals=residuals)
@@ -311,22 +336,31 @@ def sandwich_variance(dataset, fit, features, adjusted, *, gram="summed"):
     selects the Gram convention for H (see module docstring).
     """
     X = _stack(dataset.avail, dataset.action, dataset.prob, features)
-    return _sandwich(dataset.avail, X, dataset.prob, fit, features, adjusted, gram)
+    if fit.residuals.shape != dataset.avail.shape:
+        raise ConfigError("fit residuals do not match the dataset shape")
+    m = _scores(X, fit.residuals)
+    return _sandwich(dataset.avail, X, dataset.prob, m, features, adjusted, gram)
 
 
 @_refusing_overflow("sandwich variance")
-def _sandwich(avail, X, prob, fit, features, adjusted, gram):
+def _scores(X, residuals):
+    """m_i = X_i'e_i of every subject, as (N, q+p): all the sandwich reads
+    of the residuals."""
+    return np.einsum("nti,nt->ni", X, residuals)
+
+
+@_refusing_overflow("sandwich variance")
+def _sandwich(avail, X, prob, m, features, adjusted, gram, buffers=_FRESH):
+    """The sandwich of the scores ``m`` (see :func:`sandwich_variance`)."""
     adjusted = _flag(adjusted, "adjusted")
     gram = _choice(gram, "gram", GRAM_KINDS)
-    e = fit.residuals
-    if e.shape != avail.shape:
-        raise ConfigError("fit residuals do not match the dataset shape")
     n = X.shape[0]
     q = features.q
-    m = np.einsum("nti,nt->ni", X, e)
 
     if not adjusted:
-        weights = (avail * prob * (1.0 - prob)).mean(axis=0)
+        weights = np.multiply(avail, prob, out=buffers.take(avail.shape))
+        spread = np.subtract(1.0, prob, out=buffers.take(avail.shape))
+        weights = np.multiply(weights, spread, out=weights).mean(axis=0)
         q_hat = features.Z.T @ (weights[:, None] * features.Z)
         q_inv = _inv_eigh(*_equilibrated_eigh(q_hat, "plug-in information matrix"))
         g = m
@@ -338,7 +372,7 @@ def _sandwich(avail, X, prob, fit, features, adjusted, gram):
         A = G if gram == "summed" else G / n
         d, w, v = _equilibrated_eigh(G / n, "averaged design Gram")
         q_inv = _inv_eigh(d, w, v)[q:, q:]
-        K = _subject_grams(X)
+        K = _subject_grams(X, buffers)
         if gram == "averaged":
             # I - H_i has eigenvalues 1 and 1 - eig(A^{-1} K_i), the latter
             # those of R'K_iR with R R' = A^{-1} (d, w, v decompose A here)
@@ -394,13 +428,16 @@ def hypothesis_test(dataset, features, alpha0, adjusted=True, *, gram="summed"):
     )
 
 
-def _statistic(avail, action, prob, outcome, features, adjusted, gram):
+def _statistic(avail, action, prob, outcome, features, adjusted, gram, buffers=_FRESH):
     """(beta_hat, Sigma_hat, statistic) of the (N, T) arrays of a dataset.
 
     The statistic is N beta_hat' Sigma_hat^{-1} beta_hat.  The Monte Carlo
     engine calls this on its own output, which meets every :class:`Dataset`
     check by construction except the finite outcome, and which it checks
     itself; it compares each statistic with one critical value per run.
+    The large working arrays come from ``buffers``, at most
+    :func:`_statistic_bytes` of them at once from an arena; the caller
+    gives them back.
     """
     p = features.p
     q = features.q
@@ -409,14 +446,28 @@ def _statistic(avail, action, prob, outcome, features, adjusted, gram):
         raise ConfigError(
             f"hypothesis test needs more than p + q = {p + q} subjects, got {n}"
         )
-    X = _stack(avail, action, prob, features)
-    fit = _fit(avail, X, outcome, q)
-    sigma = _sandwich(avail, X, prob, fit, features, adjusted, gram)
+    X = _stack(avail, action, prob, features, buffers)
+    mark = buffers.mark()
+    fit = _fit(avail, X, outcome, q, buffers)
+    beta_hat, m = fit.beta_hat, _scores(X, fit.residuals)
+    del fit
+    buffers.release(mark)  # the residuals are spent: the K block takes their buffer
+    sigma = _sandwich(avail, X, prob, m, features, adjusted, gram, buffers)
     try:
-        stat = float(n) * float(fit.beta_hat @ _solve_sym(sigma, fit.beta_hat, "variance"))
+        stat = float(n) * float(beta_hat @ _solve_sym(sigma, beta_hat, "variance"))
     except NumericError as exc:
         raise NumericError(f"singular variance estimate: {exc}") from exc
-    return fit.beta_hat, sigma, stat
+    return beta_hat, sigma, stat
+
+
+def _statistic_bytes(n, T, k, adjusted):
+    """Arena bytes :func:`_statistic` takes at most for n subjects, T times
+    and k = q + p: X, then two (N, T) arrays (y with the fitted values, or
+    the plug-in weights), or in their place the block of
+    :func:`_subject_grams` when the test is ``adjusted``."""
+    columns = 2 * _aligned(8 * n * T)
+    block = _aligned(8 * k * T * min(_GRAM_BLOCK, n + 1)) if adjusted else 0
+    return _aligned(8 * n * T * k) + max(columns, block)
 
 
 def asymptotic_targets(generative, features):

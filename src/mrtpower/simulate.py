@@ -70,10 +70,13 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .design import (
+    _FRESH,
     GRAM_KINDS,
     AvailabilityPattern,
     EffectPath,
     TrialDesign,
+    _aligned,
+    _arena,
     _canonical_digest,
     _canonical_json,
     _choice,
@@ -88,7 +91,7 @@ from .design import (
     elicit_quadratic_effect,
 )
 from .distributions import hotelling_critical
-from .estimator import Dataset, SubjectRow, _require_finite_outcome, _statistic
+from .estimator import Dataset, SubjectRow, _require_finite_outcome, _statistic, _statistic_bytes
 from .exceptions import ConfigError, NumericError
 
 __all__ = [
@@ -153,10 +156,13 @@ _CALIBRATION_BRANCH = 0xFFFFFFFF
 # engine held when a call took 96 rows, at T = 210 (1.08 MiB).  Slimmer
 # buffers buy wider calls, and fewer per-step passes, at that same peak.
 _ENGINE_BYTES = 96 * 210 * 56
-# Bytes the engine holds per (row, decision time) at its peak: the (rows,
-# 2T) uniforms, the noise and one time-major recursion buffer (32 bytes of
-# float64), three int8 arrays, and 2 bytes for what does not grow with the
-# rows.  At T = 210 a call takes 145 rows.
+# Bytes the engine holds per (row, decision time) at its peak on new arrays:
+# the (rows, 2T) uniforms, the noise and one time-major recursion buffer (32
+# bytes of float64), three int8 arrays, and 2 bytes for what does not grow
+# with the rows.  At T = 210 a call takes 145 rows.  A Monte Carlo run's
+# arena keeps each buffer of a call until the call ends, with the block's
+# outputs: 35 bytes per (row, time) for i.i.d. working-true outcomes, up to
+# 53 for AR(5) treatment feedback (see :func:`_engine_bytes`).
 _ROW_STEP_BYTES = 37
 
 # Largest counts that size an array: _stream_keys holds a subject index in
@@ -286,7 +292,16 @@ def draw_errors(process, size, rng):
 # draws straight into its rows of the (n, .) draw buffers; the recursion
 # buffers are time-major (T, n), so each step reads and writes contiguous
 # rows of them and one column of the draws and of the int8 outputs.  The
-# rows one call takes follow a byte budget (:func:`_engine_rows`).  A lag
+# rows one call takes follow a byte budget (:func:`_engine_rows`).
+# Each call takes its outputs and work buffers from two buffer providers
+# (design._NewArrays): new arrays on the public paths, or the two regions of
+# the one arena a Monte Carlo run allocates (:func:`_run_arena`), which the
+# run's blocks and tests then reuse, so a replicate makes no large
+# allocation and faults in no fresh pages.  The outputs region holds a
+# block's avail, action and outcome; the scratch region serves the block's
+# draws, noise and recursion buffers, then each replicate's test.  Every
+# statement writes into its buffer with ``out=``, so the two providers give
+# the same bits.  A lag
 # sum reduces a window of lag rows that starts with a 0.0 row.  numpy adds
 # the rows in order, or for a single subject 0.0 + (the rest, in order from
 # -0.0); the two differ at most in the sign of a zero partial sum, which the
@@ -313,12 +328,13 @@ def _noise_primitives(process, size, rng, out=None):
     return out
 
 
-def _noise(process, primitives):
+def _noise(process, primitives, buffers=_FRESH):
     """Noise rows from stacked :func:`_noise_primitives` rows, which it overwrites.
 
     AR families form the stationary initial block as the Cholesky factor
     times each row's first k normals, then run the recursion on the scaled
-    innovations; the rows returned are then a view of a time-major buffer.
+    innovations; the rows returned are then a view of a time-major buffer
+    taken from ``buffers``.
     """
     family = process.family
     if family == "iid-normal":
@@ -331,10 +347,10 @@ def _noise(process, primitives):
     k = coeffs.shape[0]
     first = np.matmul(chol, primitives[:, :k, None])[:, :, 0]
     shocks = np.multiply(sigma_v, primitives[:, k:], out=primitives[:, k:])
-    return _autoregress(first, shocks, coeffs)
+    return _autoregress(first, shocks, coeffs, buffers)
 
 
-def _autoregress(first, shocks, coeffs):
+def _autoregress(first, shocks, coeffs, buffers):
     """AR(k) rows: the stationary block ``first``, then the recursion.
 
     x_t = (0.0 + a_1 x_{t-1} + ... + a_k x_{t-k}) + shock_t, summed left to
@@ -346,7 +362,7 @@ def _autoregress(first, shocks, coeffs):
     n, size = shocks.shape
     k = coeffs.shape[0]
     head = min(k, size)
-    back = np.empty((size, n))  # back[size - 1 - t] holds x_t
+    back = buffers.take((size, n))  # back[size - 1 - t] holds x_t
     back[size - head:] = first[:, :head][:, ::-1].T
     terms = np.zeros((k + 1, n))
     products, total = terms[1:], np.empty(n)
@@ -359,8 +375,8 @@ def _autoregress(first, shocks, coeffs):
     return forward.T
 
 
-def _availability_feedback(model, u_avail, action):
-    """Availability when treatment suppresses it, as (n, T) int8.
+def _availability_feedback(model, u_avail, action, avail, buffers):
+    """Availability when treatment suppresses it, written to the (n, T) bool ``avail``.
 
     I_t = [u_t < tau_t + eta s_t] with s_t = 0.0 + sum_j (A I - rho tau)[t-j]
     over j = 1 .. :data:`FEEDBACK_LAGS`, newest first; lags before the
@@ -376,11 +392,12 @@ def _availability_feedback(model, u_avail, action):
     tau = model.tau_path.tolist()
     center = (model.rho * model.tau_path).tolist()
     eta = model.eta
-    back = np.zeros((T + lags, n))  # back[T - 1 - t] holds (A I - rho tau) at t
+    back = buffers.take((T + lags, n))  # back[T - 1 - t] holds (A I - rho tau) at t
+    back.fill(0.0)
     s = np.empty(n)
     prob = np.empty(n)
     treated = np.empty(n, dtype=bool)
-    on = np.empty((T, n), dtype=bool)  # on[t] holds I_t, so each step writes contiguously
+    on = buffers.take((T, n), bool)  # on[t] holds I_t, so each step writes contiguously
     steps = zip(range(T), u_avail.T, action.T, on, back[T - 1::-1])
     for t, u, a, i, term in steps:
         np.add.reduce(back[T - 1 - t:T - t + lags], axis=0, out=s)
@@ -388,13 +405,14 @@ def _availability_feedback(model, u_avail, action):
         np.less(u, prob, out=i)
         np.logical_and(i, a, out=treated)
         np.subtract(treated, center[t], out=term)
-    return np.ascontiguousarray(on.T).view(np.int8)
+    np.copyto(avail, on.T)
 
 
-def _treatment_feedback(model, u_avail, action, eps):
+def _treatment_feedback(model, u_avail, action, eps, avail, buffers):
     """Availability and the recent-treatment count C under treatment feedback.
 
-    Returns (avail, C) as (n, T) int8 arrays.  C_t counts treatments at
+    Writes availability to the (n, T) bool ``avail`` and returns C as an
+    (n, T) int8 view of a time-major buffer.  C_t counts treatments at
     available decision points over the last L = :data:`FEEDBACK_LAGS` times,
     and the availability mean is (tau_t + (tau_t eta1) (C_t - E[C_t])) +
     (tau_t eta2) Trunc(es_t / L), with es_t = 0.0 + the noise over the same
@@ -406,7 +424,8 @@ def _treatment_feedback(model, u_avail, action, eps):
     lags = FEEDBACK_LAGS
     tau_path = model.tau_path
     # prob[t] holds the noise term (tau_t eta2) Trunc(es_t / L), then the mean
-    prob = np.zeros((T, n))
+    prob = buffers.take((T, n))
+    prob.fill(0.0)
     past = eps.T
     for j in range(1, lags + 1):
         prob[j:] += past[:-j]
@@ -415,8 +434,8 @@ def _treatment_feedback(model, u_avail, action, eps):
     np.multiply(prob, (tau_path * model.eta2)[:, None], out=prob)
     table = _feedback_table(model)
     recent = np.zeros((lags, n), dtype=bool)  # A I at the last L times, in turn
-    c_path = np.empty((T, n), dtype=np.int8)
-    on = np.empty((T, n), dtype=bool)  # on[t] holds I_t, so each step writes contiguously
+    c_path = buffers.take((T, n), np.int8)
+    on = buffers.take((T, n), bool)  # on[t] holds I_t, so each step writes contiguously
     steps = zip(range(T), prob, table, c_path, u_avail.T, action.T, on)
     for t, p, row, c, u, a, i in steps:
         np.add.reduce(recent, axis=0, dtype=np.int8, out=c)
@@ -425,7 +444,8 @@ def _treatment_feedback(model, u_avail, action, eps):
         np.logical_and(i, a, out=recent[t % lags])
     if not (prob.min() >= 0.0 and prob.max() <= 1.0):
         raise ConfigError(_FEEDBACK_RANGE_ERROR)
-    return np.ascontiguousarray(on.T).view(np.int8), c_path.T
+    np.copyto(avail, on.T)
+    return c_path.T
 
 
 def _feedback_table(model):
@@ -452,17 +472,17 @@ def _engine_rows(T):
     return max(1, _ENGINE_BYTES // (T * _ROW_STEP_BYTES))
 
 
-def _draw(process, T, streams):
+def _draw(process, T, streams, buffers):
     """(uniforms, noise primitives) rows, one subject's draws at a time."""
-    uniforms = np.empty((len(streams), 2 * T))
-    primitives = np.empty((len(streams), process.order + T))
+    uniforms = buffers.take((len(streams), 2 * T))
+    primitives = buffers.take((len(streams), process.order + T))
     for u, v, rng in zip(uniforms, primitives, streams):
         rng.random(out=u)
         _noise_primitives(process, T, rng, out=v)
     return uniforms, primitives
 
 
-def _simulate(model, streams):
+def _simulate(model, streams, outputs=_FRESH, scratch=_FRESH):
     """Trajectories of the subjects drawn from ``streams``, as (n, T) arrays.
 
     Each subject draws all of its primitives (T availability and T action
@@ -470,55 +490,88 @@ def _simulate(model, streams):
     of the work buffers before the next subject draws.  So ``streams`` (n =
     its ``len``) may yield one generator re-keyed per subject
     (:class:`_Streams`), or one stream n times for n consecutive subjects of
-    that stream.  Returns (avail, action, C path or None, noise).
+    that stream.  Returns (avail, action, C path or None, noise, uniforms):
+    the flags are int8 views of bool arrays from ``outputs``, every work
+    buffer comes from ``scratch``, and the (n, 2T) uniforms are spent.
     """
     T = model.T
     process = model.errors
-    uniforms, primitives = _draw(process, T, streams)
-    action = (uniforms[:, T:] < model.rho).astype(np.int8)
+    shape = (len(streams), T)
+    uniforms, primitives = _draw(process, T, streams, scratch)
+    action = np.less(uniforms[:, T:], model.rho, out=outputs.take(shape, bool)).view(np.int8)
     u_avail = uniforms[:, :T]
-    eps = _noise(process, primitives)
-    del primitives  # an AR noise has its own buffer, so this frees the draws
+    eps = _noise(process, primitives, scratch)
+    del primitives  # an AR noise has its own buffer, so new arrays free the draws
+    avail = outputs.take(shape, bool)
     c_path = None
     if model.scenario == "availability-feedback":
-        avail = _availability_feedback(model, u_avail, action)
+        _availability_feedback(model, u_avail, action, avail, scratch)
     elif model.scenario == "treatment-feedback":
-        avail, c_path = _treatment_feedback(model, u_avail, action, eps)
+        c_path = _treatment_feedback(model, u_avail, action, eps, avail, scratch)
     else:
-        avail = (u_avail < model.tau_path).astype(np.int8)
-    return avail, action, c_path, eps
+        np.less(u_avail, model.tau_path, out=avail)
+    return avail.view(np.int8), action, c_path, eps, uniforms
 
 
-def _generate(model, streams):
+def _generate(model, streams, outputs=_FRESH, scratch=_FRESH):
     """(avail, action, outcome) of the subjects drawn from ``streams``, (n, T) each.
 
-    Outcomes at unavailable decision points are NaN (absent).
+    Outcomes at unavailable decision points are NaN (absent).  The three
+    arrays come from ``outputs``, every work buffer from ``scratch``
+    (:func:`_engine_bytes` of it from an arena).
     """
     _require_calibrated(model)
-    avail, action, c_path, eps = _simulate(model, streams)
+    avail, action, c_path, eps, spent = _simulate(model, streams, outputs, scratch)
     # Y is built in place, each element through the same float operations
     # as alpha + gamma1 dev + (A - rho) d (1 + gamma2 dev) + sigma* eps
     # (treatment feedback) or alpha + (A - rho) d + sigma_A eps, in order
-    effect = np.subtract(action, model.rho)
-    np.multiply(effect, model.effect.path, out=effect)
+    T = model.T
+    outcome = outputs.take(avail.shape)
     if model.scenario == "treatment-feedback":
-        dev = c_path.astype(np.float64, order="C")
+        # the two halves of the spent uniforms hold the (n, T) work arrays
+        effect, dev = spent[:, :T], spent[:, T:]
+        np.subtract(action, model.rho, out=effect)
+        np.multiply(effect, model.effect.path, out=effect)
+        np.copyto(dev, c_path)
         np.subtract(dev, model.c_mean_avail, out=dev)
-        y = np.multiply(model.gamma1, dev)
-        np.add(model.alpha_path, y, out=y)
+        mean = np.multiply(model.gamma1, dev, out=outcome)
+        np.add(model.alpha_path, mean, out=mean)
         np.multiply(model.gamma2, dev, out=dev)
         np.add(1.0, dev, out=dev)
         np.multiply(effect, dev, out=effect)
-        np.add(y, effect, out=y)
-        del dev
+        np.add(mean, effect, out=mean)
         noise = np.multiply(model.sigma_star, eps, out=effect)
     else:
-        y = np.add(model.alpha_path, effect, out=effect)
-        noise = np.where(action == 1, model.sigma1, model.sigma0)
-        np.multiply(noise, eps, out=noise)
-    np.add(y, noise, out=y)
-    np.copyto(y, np.nan, where=avail != 1)
-    return avail, action, y
+        # no work array: the noise sigma_A eps is formed in the outcome, the
+        # mean in the spent noise draws; new uniforms are freed here
+        del spent
+        np.copyto(outcome, model.sigma0)
+        # sigma1 repeats along the flat rows, one value per time
+        np.putmask(outcome, action.view(bool), model.sigma1)
+        noise = np.multiply(outcome, eps, out=outcome)
+        mean = np.subtract(action, model.rho, out=eps)
+        np.multiply(mean, model.effect.path, out=mean)
+        np.add(model.alpha_path, mean, out=mean)
+    np.add(mean, noise, out=outcome)
+    np.copyto(outcome, np.nan, where=np.logical_not(avail, out=scratch.take(avail.shape, bool)))
+    return avail, action, outcome
+
+
+def _engine_bytes(model, rows):
+    """Arena bytes one :func:`_generate` call of ``rows`` rows takes from
+    ``scratch``, none given back until the call ends: the uniforms, the
+    noise primitives, the AR recursion's buffer, a feedback recursion's
+    buffers, and the flags of the unavailable times."""
+    T = model.T
+    flags = _aligned(rows * T)
+    total = _aligned(16 * rows * T) + _aligned(8 * rows * (model.errors.order + T)) + flags
+    if model.errors.order:
+        total += _aligned(8 * T * rows)
+    if model.scenario == "availability-feedback":
+        total += _aligned(8 * (T + FEEDBACK_LAGS) * rows) + flags
+    elif model.scenario == "treatment-feedback":
+        total += _aligned(8 * T * rows) + 2 * flags
+    return total
 
 
 def _require_calibrated(model):
@@ -917,30 +970,41 @@ def generate_subject(model, rng):
 def generate_dataset(model, n, *, seed, replicate=0):
     """n subjects drawn from per-subject streams keyed by (seed, replicate)."""
     n = _integer(n, "n", 1, _MAX_SUBJECTS)
-    return Dataset(*next(_replicate_arrays(model, n, seed, [replicate])))
+    arrays = next(_replicate_arrays(model, n, seed, [replicate]))
+    for arr in arrays:
+        arr.setflags(write=False)  # new arrays: the Dataset keeps them as views
+    return Dataset(*arrays)
 
 
-def _replicate_arrays(model, n, seed, replicates):
+def _block_replicates(T, n):
+    """Replicates B = max(1, :func:`_engine_rows` // n) one engine call generates."""
+    return max(1, _engine_rows(T) // n)
+
+
+def _replicate_arrays(model, n, seed, replicates, outputs=_FRESH, scratch=_FRESH):
     """Yield the (avail, action, prob, outcome) (n, T) arrays of each of
-    ``replicates``, in order: read-only, and not checked as a
-    :class:`Dataset` checks them.
+    ``replicates``, in order: writable, except the shared prob, and not
+    checked as a :class:`Dataset` checks them.
 
-    Replicates are generated B = max(1, :func:`_engine_rows` // n) at a
-    time, one engine call per block with the block's subjects stacked as
-    rows.  The rows are independent, so each dataset equals the one its
-    replicate gives alone; B depends on (n, T) alone.
+    Replicates are generated B = :func:`_block_replicates` at a time, one
+    engine call per block with the block's subjects stacked as rows.  The
+    rows are independent, so each dataset equals the one its replicate
+    gives alone; B depends on (n, T) alone.  A block's arrays come from
+    ``outputs``, given back once its replicates are consumed, and its work
+    buffers from ``scratch``, given back before the first is yielded.
     """
     replicates = list(replicates)
-    block = max(1, _engine_rows(model.T) // n)
+    block = _block_replicates(model.T, n)
     prob = np.broadcast_to(model.rho, (n, model.T))
     for start in range(0, len(replicates), block):
         units = [(rep, range(n)) for rep in replicates[start:start + block]]
-        avail, action, outcome = _generate(model, _unit_streams(seed, units))
-        for arr in (avail, action, outcome):
-            arr.setflags(write=False)  # a Dataset keeps its rows as views
+        kept, mark = outputs.mark(), scratch.mark()
+        avail, action, outcome = _generate(model, _unit_streams(seed, units), outputs, scratch)
+        scratch.release(mark)
         for i in range(0, avail.shape[0], n):
             rows = slice(i, i + n)
             yield avail[rows], action[rows], prob, outcome[rows]
+        outputs.release(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +1036,8 @@ def calibrate_sigma_star(model, reps=10_000, *, seed):
     for start in range(0, reps, rows):
         chunk = range(start, min(start + rows, reps))
         streams = _unit_streams(seed, [(_CALIBRATION_BRANCH, chunk)])
-        avail, action, c_path, eps = _simulate(model, streams)
-        del action, eps
+        avail, action, c_path, eps, spent = _simulate(model, streams)
+        del action, eps, spent
         c_on = np.where(avail == 1, c_path, 0.0)
         count += avail.sum(axis=0)
         total += c_on.sum(axis=0)
@@ -1082,6 +1146,20 @@ def _wilson_interval(successes, trials):
     return low, high
 
 
+def _run_arena(model, n, k, adjusted, replicates):
+    """(outputs, scratch) regions of one arena for a run of ``replicates``
+    replicates of n subjects, k = q + p, with the test ``adjusted`` or not.
+
+    Outputs hold one block's avail, action and outcome; the scratch serves
+    the block's engine call, then each replicate's test in turn.
+    """
+    T = model.T
+    rows = min(_block_replicates(T, n), replicates) * n
+    outputs = 2 * _aligned(rows * T) + _aligned(8 * rows * T)
+    scratch = max(_engine_bytes(model, rows), _statistic_bytes(n, T, k, adjusted))
+    return _arena(outputs, scratch)
+
+
 def _replicate_outcomes(model, features, n, crit, adjusted, gram, seed, each_dataset, indices):
     """Outcomes for the replicates ``indices``: 1 reject, 0 accept, -1 failure.
 
@@ -1091,20 +1169,27 @@ def _replicate_outcomes(model, features, n, crit, adjusted, gram, seed, each_dat
     replicates are split among workers.  The engine's arrays go to the
     statistic as they are; they meet every :class:`Dataset` check by
     construction except a finite outcome, which is checked here, with the
-    same error.  A :class:`Dataset` is built only for ``each_dataset``.
+    same error.  Every large array of the run lives in one arena
+    (:func:`_run_arena`), allocated here, so each worker has its own.  A
+    :class:`Dataset` is built only for ``each_dataset``; it copies the
+    arena's writable views, so no view of the arena leaves the run.
     """
+    outputs, scratch = _run_arena(model, n, features.p + features.q, adjusted, len(indices))
     out = []
-    for replicate, arrays in zip(indices, _replicate_arrays(model, n, seed, indices)):
+    for replicate, arrays in zip(
+            indices, _replicate_arrays(model, n, seed, indices, outputs, scratch)):
         avail, _, _, outcome = arrays
-        _require_finite_outcome(avail, outcome)
+        _require_finite_outcome(avail, outcome, scratch)
         if each_dataset is not None:
             each_dataset(replicate, Dataset(*arrays))
+        mark = scratch.mark()
         try:
-            _, _, stat = _statistic(*arrays, features, adjusted, gram)
+            _, _, stat = _statistic(*arrays, features, adjusted, gram, scratch)
         except NumericError:
             out.append(-1)
         else:
             out.append(1 if stat > crit else 0)
+        scratch.release(mark)
     return np.array(out, dtype=np.int8)
 
 

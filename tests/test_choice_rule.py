@@ -179,9 +179,9 @@ def test_monte_carlo_refuses_before_generating(monkeypatch, bad, threads):
     calls = []
     engine = simulate._generate
 
-    def counting(model, streams):
+    def counting(model, streams, *args):
         calls.append(len(streams))
-        return engine(model, streams)
+        return engine(model, streams, *args)
 
     monkeypatch.setattr(simulate, "_generate", counting)
     with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be"):

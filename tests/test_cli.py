@@ -863,13 +863,14 @@ class TestSimulate:
         rows = []
         log = tmp_path / "generated.txt"
 
-        def counting(model, streams):
-            out = generate(model, streams)
+        def counting(model, streams, *args):
+            out = generate(model, streams, *args)
             rows.append(out[0].shape[0])
             return out
 
-        def logged(model, n, seed, replicates):
-            for replicate, arrays in zip(replicates, replicate_arrays(model, n, seed, replicates)):
+        def logged(model, n, seed, replicates, *args):
+            for replicate, arrays in zip(replicates,
+                                         replicate_arrays(model, n, seed, replicates, *args)):
                 with open(log, "a") as f:
                     f.write(f"{replicate}\n")
                 yield arrays

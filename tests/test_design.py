@@ -326,6 +326,15 @@ class TestEffectPath:
         with pytest.raises(ConfigError):
             EffectPath(form="quadratic", path=np.zeros(210), coeffs=np.zeros(2))
 
+    @pytest.mark.parametrize("coeffs", ["abc", np.zeros(3), [0.1, 0.0, 0.0]],
+                             ids=["string", "array", "list"])
+    def test_explicit_path_refuses_coeffs(self, coeffs):
+        # as ErrorProcess refuses phi on the iid families; 'abc' was kept unread
+        with pytest.raises(ConfigError) as info:
+            EffectPath(form="explicit", path=np.zeros(210), coeffs=coeffs)
+        assert str(info.value) == (
+            f"coeffs is only meaningful for the quadratic form, got {coeffs!r}")
+
 
 class TestProjection:
     def test_idempotent_on_quadratic(self, design):

@@ -580,6 +580,24 @@ class TestHypothesisTest:
         assert hypothesis_test(fine, feats, 0.05).statistic == pytest.approx(
             hypothesis_test(data, feats, 0.05).statistic, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-162, 5e-162, 1e-161])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    def test_outcomes_near_the_underflow_end_give_no_numpy_warning(self, seed, scale):
+        # a subnormal Sigma_hat with a negative diagonal entry warned in the
+        # root of its equilibration before "singular variance estimate";
+        # pytest raises the RuntimeWarning, so either outcome is warning-free
+        design = TrialDesign(days=3, decisions_per_day=4, rho=0.4)
+        model = GenerativeModel.working_true(
+            design, elicit_quadratic_effect(0.0, 0.3, 2, design),
+            make_availability("constant", 0.6, design), ErrorProcess("iid-normal"),
+        )
+        data = generate_dataset(model, 20, seed=seed)
+        scaled = Dataset(data.avail, data.action, data.prob, data.outcome * scale)
+        try:
+            hypothesis_test(scaled, build_quadratic_features(design), 0.05)
+        except NumericError as exc:
+            assert str(exc).startswith("singular variance estimate: ")
+
     def test_too_few_subjects_rejected(self, design, feats):
         data = simulate_subjects(design, feats, 6, seed=9)
         with pytest.raises(ConfigError, match="subjects"):
